@@ -1,15 +1,17 @@
 """Register layouts, composable gate sequences, QFT, and phase estimation.
 
-A CircuitOp is an immutable list of small gate records. Applying one copies
-the amplitude buffer once and then runs each gate's in-place kernel, so a
-few thousand gates on a million amplitudes stay fast. Inversion, control
-wrapping, and gate counting all work structurally on the records.
+A CircuitOp is an immutable tuple of Gate records. Applying one copies the
+amplitude buffer once and then runs each record's in-place kernel, looked up
+by kind in KINDS, so a few thousand gates on a million amplitudes stay fast.
+Inversion, control wrapping, and gate counting all work structurally on the
+records through the same table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,315 +69,143 @@ class RegisterLayout:
         return tuple(nm for nm, _, _ in self.registers)
 
 
-_SELF_INVERSE = {"h", "x", "y", "z"}
-_ANGLE_GATES = {"ry", "rz", "phase"}
+# ---------------------------------------------------------------------------
+# Gate records.
+#
+# Every gate is one Gate record. `wires` lists the qubits the gate acts on;
+# register wires are contiguous and run from low to high:
+#
+#   kind          wires                              params
+#   h x y z       (target,)                          ()
+#   ry rz phase   (target,)                          (angle,)
+#   swap          (q1, q2)                           ()
+#   reflect       the qubits reflected about |0..0>  ()
+#   phase-table   the register                       2^w unit phases
+#   oracle        input register + output register   2^w_in output values
+#   mux-ry        key register + (target,)           2^w_key angles
+#
+# A table's length fixes its register's width, which is how oracle and
+# mux-ry records split their wires.
 
 
-def _matrix_for(name: str, params: tuple) -> np.ndarray:
-    if name == "h":
-        return core.H_MATRIX
-    if name == "x":
-        return core.X_MATRIX
-    if name == "y":
-        return core.Y_MATRIX
-    if name == "z":
-        return core.Z_MATRIX
-    if name == "ry":
-        return core.ry_matrix(params[0])
-    if name == "rz":
-        return core.rz_matrix(params[0])
-    if name == "phase":
-        return core.phase_matrix(params[0])
-    raise RegisterError(f"unknown single-qubit gate {name!r}")
+def _reg(qubits) -> tuple[int, int]:
+    return (qubits[0], len(qubits)) if qubits else (0, 0)
+
+
+def _single(matrix):
+    def run(g, amps, n):
+        core.apply_single_inplace(amps, n, g.wires[0], matrix(*g.params), g.controls)
+
+    return run
+
+
+def _swap(g, amps, n):
+    core.apply_swap_inplace(amps, n, g.wires[0], g.wires[1], g.controls)
+
+
+def _reflect(g, amps, n):
+    core.apply_zero_reflection_inplace(amps, n, g.wires, g.controls)
+
+
+def _phase_table(g, amps, n):
+    core.apply_phase_table_inplace(amps, n, _reg(g.wires), g.params, g.controls)
+
+
+def _oracle(g, amps, n):
+    k = len(g.params).bit_length() - 1
+    core.apply_basis_oracle_inplace(
+        amps, n, _reg(g.wires[:k]), _reg(g.wires[k:]),
+        np.asarray(g.params, dtype=np.int64), g.controls,
+    )
+
+
+def _mux_ry(g, amps, n):
+    core.apply_multiplexed_ry_inplace(
+        amps, n, _reg(g.wires[:-1]), g.wires[-1],
+        np.asarray(g.params, dtype=np.float64), g.controls,
+    )
+
+
+def _negate(params) -> tuple:
+    return tuple(-a for a in params)
+
+
+def _conjugate(params) -> tuple:
+    return tuple(np.conj(p) for p in params)
+
+
+class Kind(NamedTuple):
+    category: str  # the bucket gate_counts reports
+    run: Callable  # run(gate, amps, n): apply in place through core's kernel
+    inverse: Callable | None  # params -> params of the inverse; None: self-inverse
+    per_entry: bool  # primitive cost is one per table entry instead of one
+
+
+KINDS = {
+    "h": Kind("single", _single(lambda: core.H_MATRIX), None, False),
+    "x": Kind("single", _single(lambda: core.X_MATRIX), None, False),
+    "y": Kind("single", _single(lambda: core.Y_MATRIX), None, False),
+    "z": Kind("single", _single(lambda: core.Z_MATRIX), None, False),
+    "ry": Kind("single", _single(core.ry_matrix), _negate, False),
+    "rz": Kind("single", _single(core.rz_matrix), _negate, False),
+    "phase": Kind("single", _single(core.phase_matrix), _negate, False),
+    "swap": Kind("swap", _swap, None, False),
+    "reflect": Kind("reflect", _reflect, None, False),
+    "phase-table": Kind("phase-table", _phase_table, _conjugate, True),
+    # an oracle is charged as one black-box arithmetic call
+    "oracle": Kind("oracle", _oracle, None, False),
+    "mux-ry": Kind("mux-ry", _mux_ry, _negate, True),
+}
 
 
 def _fmt(x) -> str:
+    x = x.item() if isinstance(x, np.generic) else x
     if isinstance(x, complex):
         return f"{x.real!r}{x.imag:+}j".replace("+-", "-")
     return repr(x)
 
 
-def _ctrl_str(controls) -> str:
-    return ",".join(f"{q}={v}" for q, v in controls)
+@dataclass(frozen=True, slots=True)
+class Gate:
+    """One gate: a kind from KINDS, its wires and parameters, and (qubit,
+    value) control pairs. tag marks records callers count; label names
+    a table for humans."""
 
-
-@dataclass(frozen=True)
-class SingleGate:
-    name: str
-    target: int
+    kind: str
+    wires: tuple
     params: tuple = ()
     controls: tuple = ()
     tag: str = ""
-
-    @property
-    def category(self) -> str:
-        return "single"
-
-    @property
-    def primitive_count(self) -> int:
-        return 1
-
-    def used_qubits(self):
-        return {self.target} | {q for q, _ in self.controls}
-
-    def with_controls(self, extra) -> "SingleGate":
-        return replace(self, controls=self.controls + tuple(extra))
-
-    def dagger(self) -> "SingleGate":
-        if self.name in _SELF_INVERSE:
-            return self
-        if self.name in _ANGLE_GATES:
-            return replace(self, params=(-self.params[0],))
-        raise RegisterError(f"no inverse rule for gate {self.name!r}")
-
-    def apply_inplace(self, amps, n):
-        core.apply_single_inplace(
-            amps, n, self.target, _matrix_for(self.name, self.params), self.controls
-        )
-
-    def to_line(self) -> str:
-        p = ",".join(_fmt(x) for x in self.params)
-        return f"{self.name} t={self.target} c=[{_ctrl_str(self.controls)}] p=[{p}]"
-
-
-@dataclass(frozen=True)
-class MatrixGate:
-    """Escape hatch for tests: an explicit 2x2 unitary."""
-
-    target: int
-    matrix: np.ndarray
-    controls: tuple = ()
-    tag: str = ""
-
-    @property
-    def category(self) -> str:
-        return "single"
-
-    @property
-    def primitive_count(self) -> int:
-        return 1
-
-    def used_qubits(self):
-        return {self.target} | {q for q, _ in self.controls}
-
-    def with_controls(self, extra) -> "MatrixGate":
-        return replace(self, controls=self.controls + tuple(extra))
-
-    def dagger(self) -> "MatrixGate":
-        return replace(self, matrix=self.matrix.conj().T)
-
-    def apply_inplace(self, amps, n):
-        core.apply_single_inplace(amps, n, self.target, self.matrix, self.controls)
-
-    def to_line(self) -> str:
-        m = ",".join(_fmt(complex(x)) for x in self.matrix.ravel())
-        return f"u t={self.target} c=[{_ctrl_str(self.controls)}] m=[{m}]"
-
-
-@dataclass(frozen=True)
-class SwapGate:
-    q1: int
-    q2: int
-    controls: tuple = ()
-    tag: str = ""
-
-    @property
-    def category(self) -> str:
-        return "swap"
-
-    @property
-    def primitive_count(self) -> int:
-        return 1
-
-    def used_qubits(self):
-        return {self.q1, self.q2} | {q for q, _ in self.controls}
-
-    def with_controls(self, extra) -> "SwapGate":
-        return replace(self, controls=self.controls + tuple(extra))
-
-    def dagger(self) -> "SwapGate":
-        return self
-
-    def apply_inplace(self, amps, n):
-        core.apply_swap_inplace(amps, n, self.q1, self.q2, self.controls)
-
-    def to_line(self) -> str:
-        return f"swap q=[{self.q1},{self.q2}] c=[{_ctrl_str(self.controls)}]"
-
-
-@dataclass(frozen=True)
-class ZeroReflectionGate:
-    """I - 2|0..0><0..0| on the listed qubits (tensored with identity)."""
-
-    qubits: tuple
-    controls: tuple = ()
-    tag: str = ""
-
-    @property
-    def category(self) -> str:
-        return "reflect"
-
-    @property
-    def primitive_count(self) -> int:
-        return 1
-
-    def used_qubits(self):
-        return set(self.qubits) | {q for q, _ in self.controls}
-
-    def with_controls(self, extra) -> "ZeroReflectionGate":
-        return replace(self, controls=self.controls + tuple(extra))
-
-    def dagger(self) -> "ZeroReflectionGate":
-        return self
-
-    def apply_inplace(self, amps, n):
-        core.apply_zero_reflection_inplace(amps, n, self.qubits, self.controls)
-
-    def to_line(self) -> str:
-        qs = ",".join(str(q) for q in self.qubits)
-        return f"reflect0 q=[{qs}] c=[{_ctrl_str(self.controls)}]"
-
-
-@dataclass(frozen=True)
-class PhaseTableGate:
-    """Diagonal gate over a register: amplitude *= phases[value]."""
-
-    start: int
-    width: int
-    phases: tuple
-    controls: tuple = ()
-    tag: str = ""
-
-    @property
-    def category(self) -> str:
-        return "phase-table"
-
-    @property
-    def primitive_count(self) -> int:
-        return 1 << self.width
-
-    def used_qubits(self):
-        return set(range(self.start, self.start + self.width)) | {
-            q for q, _ in self.controls
-        }
-
-    def with_controls(self, extra) -> "PhaseTableGate":
-        return replace(self, controls=self.controls + tuple(extra))
-
-    def dagger(self) -> "PhaseTableGate":
-        return replace(self, phases=tuple(np.conj(p) for p in self.phases))
-
-    def apply_inplace(self, amps, n):
-        core.apply_phase_table_inplace(
-            amps, n, (self.start, self.width), self.phases, self.controls
-        )
-
-    def to_line(self) -> str:
-        ph = ",".join(_fmt(complex(p)) for p in self.phases)
-        return (
-            f"phasetable r=[{self.start}:{self.start + self.width}] "
-            f"c=[{_ctrl_str(self.controls)}] v=[{ph}]"
-        )
-
-
-@dataclass(frozen=True)
-class BasisOracleGate:
-    """XOR oracle |a>|b> -> |a>|b XOR table[a]>; self-inverse."""
-
-    in_start: int
-    in_width: int
-    out_start: int
-    out_width: int
-    table: tuple
     label: str = ""
-    controls: tuple = ()
-    tag: str = ""
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise RegisterError(f"unknown gate kind {self.kind!r}")
 
     @property
     def category(self) -> str:
-        return "oracle"
+        return KINDS[self.kind].category
 
     @property
     def primitive_count(self) -> int:
-        # charged as one black-box arithmetic call; see gate_counts
-        return 1
+        return len(self.params) if KINDS[self.kind].per_entry else 1
 
-    def used_qubits(self):
-        qs = set(range(self.in_start, self.in_start + self.in_width))
-        qs |= set(range(self.out_start, self.out_start + self.out_width))
-        return qs | {q for q, _ in self.controls}
+    def used_qubits(self) -> set:
+        return set(self.wires) | {q for q, _ in self.controls}
 
-    def with_controls(self, extra) -> "BasisOracleGate":
+    def with_controls(self, extra) -> "Gate":
         return replace(self, controls=self.controls + tuple(extra))
 
-    def dagger(self) -> "BasisOracleGate":
-        return self
-
-    def apply_inplace(self, amps, n):
-        core.apply_basis_oracle_inplace(
-            amps,
-            n,
-            (self.in_start, self.in_width),
-            (self.out_start, self.out_width),
-            np.asarray(self.table, dtype=np.int64),
-            self.controls,
-        )
+    def dagger(self) -> "Gate":
+        inverse = KINDS[self.kind].inverse
+        return self if inverse is None else replace(self, params=inverse(self.params))
 
     def to_line(self) -> str:
-        t = ",".join(str(int(x)) for x in self.table)
-        return (
-            f"oracle {self.label or 'f'} in=[{self.in_start}:{self.in_start + self.in_width}] "
-            f"out=[{self.out_start}:{self.out_start + self.out_width}] "
-            f"c=[{_ctrl_str(self.controls)}] t=[{t}]"
-        )
-
-
-@dataclass(frozen=True)
-class MultiplexedRyGate:
-    """Ry on a target with the angle selected by a key register's value."""
-
-    key_start: int
-    key_width: int
-    target: int
-    angles: tuple
-    controls: tuple = ()
-    tag: str = ""
-
-    @property
-    def category(self) -> str:
-        return "mux-ry"
-
-    @property
-    def primitive_count(self) -> int:
-        return 1 << self.key_width
-
-    def used_qubits(self):
-        qs = set(range(self.key_start, self.key_start + self.key_width))
-        qs.add(self.target)
-        return qs | {q for q, _ in self.controls}
-
-    def with_controls(self, extra) -> "MultiplexedRyGate":
-        return replace(self, controls=self.controls + tuple(extra))
-
-    def dagger(self) -> "MultiplexedRyGate":
-        return replace(self, angles=tuple(-a for a in self.angles))
-
-    def apply_inplace(self, amps, n):
-        core.apply_multiplexed_ry_inplace(
-            amps,
-            n,
-            (self.key_start, self.key_width),
-            self.target,
-            np.asarray(self.angles, dtype=np.float64),
-            self.controls,
-        )
-
-    def to_line(self) -> str:
-        a = ",".join(repr(float(x)) for x in self.angles)
-        return (
-            f"muxry k=[{self.key_start}:{self.key_start + self.key_width}] "
-            f"t={self.target} c=[{_ctrl_str(self.controls)}] a=[{a}]"
-        )
+        head = f"{self.kind} {self.label}" if self.label else self.kind
+        wires = ",".join(str(q) for q in self.wires)
+        ctrl = ",".join(f"{q}={v}" for q, v in self.controls)
+        params = ",".join(_fmt(x) for x in self.params)
+        return f"{head} w=[{wires}] c=[{ctrl}] p=[{params}]"
 
 
 @dataclass(frozen=True)
@@ -413,13 +243,11 @@ class CircuitOp:
             qs |= g.used_qubits()
         return qs
 
-    def apply(self, state: core.StateVector, on_gate=None) -> core.StateVector:
+    def apply(self, state: core.StateVector) -> core.StateVector:
         n = state.n_qubits
         amps = state.amps.copy()
         for g in self.gates:
-            g.apply_inplace(amps, n)
-            if on_gate is not None:
-                on_gate(g)
+            KINDS[g.kind].run(g, amps, n)
         return core.StateVector(n, amps)
 
     def gate_counts(self) -> dict:
@@ -435,13 +263,8 @@ class CircuitOp:
         return [g.to_line() for g in self.gates]
 
 
-def controlled_wrap(circuit: CircuitOp, control: int) -> CircuitOp:
-    """Every gate gains `control` (value 1) as an additional control."""
-    return circuit.controlled((control, 1))
-
-
 # ---------------------------------------------------------------------------
-# QFT / IQFT.
+# QFT.
 
 
 def qft_op(start: int, width: int) -> CircuitOp:
@@ -453,31 +276,19 @@ def qft_op(start: int, width: int) -> CircuitOp:
         raise RegisterError("qft needs a register of width >= 1")
     gates: list = []
     for j in range(width - 1, -1, -1):
-        gates.append(SingleGate("h", start + j))
+        gates.append(Gate("h", (start + j,)))
         for i in range(j - 1, -1, -1):
             gates.append(
-                SingleGate(
-                    "phase",
-                    start + j,
-                    params=(math.pi / 2 ** (j - i),),
-                    controls=((start + i, 1),),
-                )
+                Gate("phase", (start + j,), (math.pi / 2 ** (j - i),),
+                     controls=((start + i, 1),))
             )
     for k in range(width // 2):
-        gates.append(SwapGate(start + k, start + width - 1 - k))
+        gates.append(Gate("swap", (start + k, start + width - 1 - k)))
     return CircuitOp(tuple(gates), label=f"qft[{start}:{start + width}]")
 
 
 def iqft_op(start: int, width: int) -> CircuitOp:
     return qft_op(start, width).inverse()
-
-
-def qft(state: core.StateVector, reg) -> core.StateVector:
-    return qft_op(*reg).apply(state)
-
-
-def iqft(state: core.StateVector, reg) -> core.StateVector:
-    return iqft_op(*reg).apply(state)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +303,8 @@ def phase_estimate_op(unitary: CircuitOp, regp) -> CircuitOp:
     Hadamards on the phase register, then controlled powers U^(2^j) with the
     control on register bit j (the unitary is applied 2^j times, so the
     controlled-unitary application count is exactly 2^t - 1), then the
-    inverse QFT. The first gate of each controlled application is tagged so
-    callers can count applications honestly at run time.
+    inverse QFT. The first record of each controlled application carries
+    PE_CTRL_TAG, so counting tagged records counts the applications.
     """
     s, t = regp
     if t < 1:
@@ -503,7 +314,7 @@ def phase_estimate_op(unitary: CircuitOp, regp) -> CircuitOp:
         raise RegisterError("phase register collides with the unitary's qubits")
     if not unitary.gates:
         raise RegisterError("cannot phase-estimate an empty circuit")
-    gates: list = [SingleGate("h", s + j) for j in range(t)]
+    gates: list = [Gate("h", (s + j,)) for j in range(t)]
     for j in range(t):
         cg = unitary.controlled((s + j, 1))
         entry = replace(cg.gates[0], tag=PE_CTRL_TAG)
@@ -514,9 +325,7 @@ def phase_estimate_op(unitary: CircuitOp, regp) -> CircuitOp:
     return CircuitOp(tuple(gates), label="phase-estimate")
 
 
-def phase_estimate(
-    state: core.StateVector, unitary: CircuitOp, regp, on_gate=None
-) -> core.StateVector:
+def phase_estimate(state: core.StateVector, unitary: CircuitOp, regp) -> core.StateVector:
     """Apply phase estimation to a state whose phase register is |0..0>."""
     s, t = regp
     mass = register_distribution_zero_mass(state, regp)
@@ -524,24 +333,13 @@ def phase_estimate(
         raise RegisterError(
             f"phase register [{s}:{s + t}) carries probability {mass:.3e}, expected 0"
         )
-    return phase_estimate_op(unitary, regp).apply(state, on_gate=on_gate)
+    return phase_estimate_op(unitary, regp).apply(state)
 
 
 def register_distribution_zero_mass(state: core.StateVector, reg) -> float:
     """Probability that the register is NOT all zeros."""
     dist = core.register_distribution(state, [reg]).ravel()
     return float(1.0 - dist[0])
-
-
-def count_tagged(tag: str):
-    """A gate callback/counter pair for CircuitOp.apply."""
-    box = {"count": 0}
-
-    def on_gate(g):
-        if g.tag == tag:
-            box["count"] += 1
-
-    return box, on_gate
 
 
 def round_guard_table(t: int, m: int) -> np.ndarray:

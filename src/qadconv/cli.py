@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, reference
-from .circuits import CircuitOp, SingleGate, phase_estimate_op
+from .circuits import CircuitOp, Gate, phase_estimate_op
 from .errors import (
     ConfigError,
     QadconvError,
@@ -473,7 +473,7 @@ def _check_circuit_products() -> float:
                 c = int(rng.integers(3))
                 if c != q:
                     controls = ((c, 1),)
-            gates.append(SingleGate(kind, q, params=params, controls=controls))
+            gates.append(Gate(kind, (q,), params, controls))
         a = CircuitOp(tuple(gates[:6]))
         b = CircuitOp(tuple(gates[6:]))
         ua = reference.dense_unitary(a, 3)
@@ -490,7 +490,7 @@ def _check_pe_distribution() -> float:
     t = 5
     worst = 0.0
     for phase in (1.0 / 3.0, 3.0 / 8.0):
-        unit = CircuitOp((SingleGate("phase", t, params=(2 * math.pi * phase,)),))
+        unit = CircuitOp((Gate("phase", (t,), (2 * math.pi * phase,)),))
         pe = phase_estimate_op(unit, (0, t))
         amps = np.zeros(1 << (t + 1), dtype=np.complex128)
         amps[1 << t] = 1.0

@@ -108,6 +108,8 @@ def from_amplitudes(values, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
         raise DimensionError(f"amplitude count {amps.size} is not a power of two >= 2")
     if n > cap:
         raise ResourceLimitError(f"{n} qubits exceeds the cap of {cap}")
+    if not np.all(np.isfinite(amps)):
+        raise NormalizationError("amplitudes must be finite (no NaN or inf)")
     nrm = np.linalg.norm(amps)
     if abs(nrm - 1.0) > 1e-9:
         raise NormalizationError(f"norm is {nrm!r}, expected 1")

@@ -27,7 +27,8 @@ class UnitaryError(QadconvError):
 
 
 class NormalizationError(QadconvError):
-    """Input vector norm is unusable for the requested operation."""
+    """Input vector norm is unusable for the requested operation, including
+    input with NaN or inf entries."""
 
 
 class DegenerateBranchError(QadconvError):

@@ -18,16 +18,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core
-from .circuits import (
-    BasisOracleGate,
-    CircuitOp,
-    MultiplexedRyGate,
-    SingleGate,
-    SwapGate,
-    phase_estimate_op,
-)
+from .circuits import CircuitOp, Gate, phase_estimate_op
 from .errors import ConfigError, RegisterError, ResourceLimitError, ZeroSuccessError
-from .fixedpoint import FunctionOracle, activation_oracle, real_recovery_oracle
+from .fixedpoint import (
+    ACTIVATIONS,
+    FixedPointCodec,
+    FunctionOracle,
+    activation_oracle,
+    real_recovery_oracle,
+)
 from .prep import PrepTree, synthesize_ua
 from .qadc import g_prime_from_prep, hadamard_layer, part_layout, w_from_prep
 from .qdac import amplitude_amplify, grover_rounds
@@ -77,11 +76,11 @@ class AnsatzCircuit:
             if not layer.any():
                 continue
             for q in range(n):
-                gates.append(SingleGate("ry", start + q, params=(float(layer[q, 0]),)))
+                gates.append(Gate("ry", (start + q,), (float(layer[q, 0]),)))
             for q in range(n):
-                gates.append(SingleGate("rz", start + q, params=(float(layer[q, 1]),)))
+                gates.append(Gate("rz", (start + q,), (float(layer[q, 1]),)))
             for a, b in ring:
-                gates.append(SingleGate("z", start + b, controls=((start + a, 1),)))
+                gates.append(Gate("z", (start + b,), controls=((start + a, 1),)))
         return CircuitOp(tuple(gates), label="ansatz")
 
 
@@ -118,6 +117,13 @@ class NonlinearOutcome:
     mode: str
 
 
+def _arity(f) -> int:
+    """Number of inputs of an activation, known before its table is built."""
+    if isinstance(f, FunctionOracle):
+        return f.arity
+    return ACTIVATIONS[f][1] if isinstance(f, str) and f in ACTIVATIONS else 1
+
+
 def _resolve_activation(f, m: int) -> FunctionOracle:
     if isinstance(f, FunctionOracle):
         if not f.out_codec.signed or f.out_codec.m != m:
@@ -144,85 +150,70 @@ def nonlinear_transform(tree: PrepTree, f, n: int, m: int, g: int,
                         rounds=None, cap: int = core.DEFAULT_QUBIT_CAP) -> NonlinearOutcome:
     if n != tree.depth:
         raise ConfigError("n", f"tree has {tree.depth} address qubits, got n={n}")
-    f = _resolve_activation(f, m)
-    c = tree.amplitudes()
-    target = _classical_target(c, f)
     ua = synthesize_ua(tree)
-    return _pipeline(lambda start: ua.op(start=start), target, n, f, m, g,
+    return _pipeline(lambda start: ua.op(start=start), tree.amplitudes(), n, f, m, g,
                      rng=rng, mode=mode, shots=shots, rounds=rounds, cap=cap)
 
 
-def _pipeline(prep_builder, target, n, f, m, g, rng, mode, shots, rounds, cap):
+def _run_stages(state: core.StateVector, stages) -> core.StateVector:
+    """Apply (extra, op) stages in order; each first tensors `extra` fresh
+    zero qubits on top, so registers join the state as late as possible."""
+    for extra, op in stages:
+        if extra:
+            state = core.tensor(core.new_zero_state(extra), state)
+        state = op.apply(state)
+    return state
+
+
+def _pipeline(prep_builder, source, n, f, m, g, rng, mode, shots, rounds, cap):
+    """Convert, evaluate f, revert. `source` holds the amplitudes the
+    classical target applies f to."""
     if mode not in MODES:
         raise ConfigError("mode", f"unknown mode {mode!r}")
+    # the qubit cap also bounds every 2^m-sized table: check it before building any
     base = part_layout(n, m, g)
-    prep = prep_builder(base.start("data"))
-    w_re = w_from_prep(base, prep, imag=False)
-    pe_re = phase_estimate_op(g_prime_from_prep(base, w_re), base.reg("regp"))
-    rec = real_recovery_oracle(m, guard_bits=g)
-    mw = rec.out_codec.width
     nb = base.n_qubits
-    two_regs = f.arity == 2
-    key = (nb, 2 * mw if two_regs else mw)
-    anc = nb + key[1]
+    mw = FixedPointCodec(m, signed=True).width
+    anc = nb + _arity(f) * mw
     total = anc + 1
     if total > cap:
         raise ResourceLimitError(
             f"{total} qubits ({(1 << total) * 16 / 2**20:.0f} MiB) exceeds the cap of {cap}"
         )
-
-    regp_s, t = base.reg("regp")
-    table = tuple(int(x) for x in rec.table)
-
-    def copy_out(out_start: int) -> CircuitOp:
-        return CircuitOp(
-            (
-                BasisOracleGate(
-                    in_start=regp_s, in_width=t,
-                    out_start=out_start, out_width=mw,
-                    table=table, label=rec.name,
-                ),
-            ),
-            label="recover",
-        )
-
-    if two_regs:
-        w_im = w_from_prep(base, prep, imag=True)
-        pe_im = phase_estimate_op(g_prime_from_prep(base, w_im), base.reg("regp"))
-
+    f = _resolve_activation(f, m)
+    target = _classical_target(source, f)
     fvals = np.clip(f.decoded_outputs(), -1.0, 1.0)
     if not np.any(fvals):
         raise ZeroSuccessError("every quantized activation value is zero")
-    mux = CircuitOp(
-        (
-            MultiplexedRyGate(
-                key_start=key[0], key_width=key[1], target=anc,
-                angles=tuple(2.0 * np.arccos(fvals)),
-            ),
-        ),
-        label="f-rotation",
-    )
 
-    # forward: registers are tensored in as late as possible
-    state = (hadamard_layer(base, "ad") + w_re + pe_re).apply(core.new_zero_state(nb))
-    state = copy_out(nb).apply(core.tensor(core.new_zero_state(mw), state))
-    state = (pe_re.inverse() + w_re.inverse()).apply(state)
-    if two_regs:
-        state = (w_im + pe_im).apply(state)
-        state = copy_out(nb + mw).apply(core.tensor(core.new_zero_state(mw), state))
-        state = (pe_im.inverse() + w_im.inverse()).apply(state)
+    prep = prep_builder(base.start("data"))
+    rec = real_recovery_oracle(m, guard_bits=g)
+    regp = base.reg("regp")
+    table = tuple(int(x) for x in rec.table)
 
+    def readout(imag: bool, out_start: int) -> list:
+        """Load, estimate, copy the value out, un-estimate, un-load."""
+        w = w_from_prep(base, prep, imag=imag)
+        pe = phase_estimate_op(g_prime_from_prep(base, w), regp)
+        wires = tuple(base.qubits("regp")) + tuple(range(out_start, out_start + mw))
+        copy_out = CircuitOp((Gate("oracle", wires, table, label=rec.name),),
+                             label="recover")
+        return [(0, w + pe), (mw, copy_out), (0, pe.inverse() + w.inverse())]
+
+    # each readout block is its own inverse, so reverting replays them backwards
+    blocks = [readout(False, nb)]
+    if f.arity == 2:
+        blocks.append(readout(True, nb + mw))
+    forward = [(0, hadamard_layer(base, "ad"))] + [st for b in blocks for st in b]
+    mux = Gate("mux-ry", tuple(range(nb, total)), tuple(2.0 * np.arccos(fvals)))
+    rest = [(1, CircuitOp((mux,), label="f-rotation"))]
+    rest += [(0, op) for b in reversed(blocks) for _, op in b]
+
+    state = _run_stages(core.new_zero_state(nb), forward)
     # success probability predicted from the pipeline's own registers
-    key_joint = core.register_distribution(state, [(0, n), key]).reshape(1 << n, -1)
-    predicted = float((key_joint @ (fvals**2)).sum())
-
-    state = mux.apply(core.tensor(core.new_zero_state(1), state))
-    inverse_ops = []
-    if two_regs:
-        inverse_ops += [w_im + pe_im, copy_out(nb + mw), pe_im.inverse() + w_im.inverse()]
-    inverse_ops += [w_re + pe_re, copy_out(nb), pe_re.inverse() + w_re.inverse()]
-    for op in inverse_ops:
-        state = op.apply(state)
+    key_joint = core.register_distribution(state, [(0, n), (nb, anc - nb)])
+    predicted = float((key_joint.reshape(1 << n, -1) @ (fvals**2)).sum())
+    state = _run_stages(state, rest)
 
     branch, p_exact = core.postselect(state, anc, 0)
     clean, clean_mass = core.clean_component(branch, [(0, n)])
@@ -239,14 +230,7 @@ def _pipeline(prep_builder, target, n, f, m, g, rng, mode, shots, rounds, cap):
         empirical, attempts, success = hits / shots, shots, hits > 0
     else:
         r = grover_rounds(p_exact) if rounds is None else int(rounds)
-        procedure = hadamard_layer(base, "ad") + w_re + pe_re
-        procedure = procedure + copy_out(nb) + pe_re.inverse() + w_re.inverse()
-        if two_regs:
-            procedure = (procedure + w_im + pe_im + copy_out(nb + mw)
-                         + pe_im.inverse() + w_im.inverse())
-        procedure = procedure + mux
-        for op in inverse_ops:
-            procedure = procedure + op
+        procedure = CircuitOp(tuple(gate for _, op in forward + rest for gate in op.gates))
         boosted = amplitude_amplify(procedure, total, anc, r)
         boost_branch, p_boost = core.postselect(boosted, anc, 0)
         clean, clean_mass = core.clean_component(boost_branch, [(0, n)])
@@ -285,15 +269,14 @@ def perceptron_run(tree: PrepTree, ansatz: AnsatzCircuit, sigma, m: int, g: int,
     n = tree.depth
     if ansatz.n_qubits != n:
         raise ConfigError("ansatz", f"ansatz spans {ansatz.n_qubits} qubits, data has {n}")
-    f = _resolve_activation(sigma, m)
-    if f.arity != 1:
+    if _arity(sigma) != 1:
         raise ConfigError("sigma", "the perceptron activation takes one argument")
     ua = synthesize_ua(tree)
     rotated = (ua.op(0) + ansatz.op(0)).apply(core.new_zero_state(n))
-    target = _classical_target(rotated.amps, f)
     return _pipeline(
         lambda start: ua.op(start=start) + ansatz.op(start=start),
-        target, n, f, m, g, rng=rng, mode=mode, shots=shots, rounds=None, cap=cap,
+        rotated.amps, n, sigma, m, g, rng=rng, mode=mode, shots=shots, rounds=None,
+        cap=cap,
     )
 
 
@@ -324,9 +307,9 @@ def swap_test_readout(output: core.StateVector, k: int, shots: int, rng) -> Perc
     amps = np.zeros(1 << (anc + 1), dtype=np.complex128)
     amps[(k << n):(k << n) + (1 << n)] = output.amps
     state = core.StateVector(anc + 1, amps)
-    gates = [SingleGate("h", anc)]
-    gates.extend(SwapGate(i, n + i, controls=((anc, 1),)) for i in range(n))
-    gates.append(SingleGate("h", anc))
+    gates = [Gate("h", (anc,))]
+    gates.extend(Gate("swap", (i, n + i), controls=((anc, 1),)) for i in range(n))
+    gates.append(Gate("h", (anc,)))
     state = CircuitOp(tuple(gates)).apply(state)
     p_zero = float(core.register_distribution(state, [(anc, 1)])[0])
     p_hat = int(rng.binomial(shots, p_zero)) / shots

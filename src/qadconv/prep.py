@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core
-from .circuits import CircuitOp, MultiplexedRyGate, PhaseTableGate
+from .circuits import CircuitOp, Gate
 from .errors import DimensionError, NormalizationError, RegisterError
 
 UA_ENTRY_TAG = "ua-entry"
@@ -63,6 +63,8 @@ def build_tree(data, normalize: str = "warn") -> PrepTree:
     c = np.asarray(data, dtype=np.complex128)
     if c.ndim != 1 or c.size < 1 or c.size & (c.size - 1):
         raise DimensionError(f"need a power-of-two length vector, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise NormalizationError("data must be finite (no NaN or inf)")
     leaves = np.abs(c) ** 2
     total = float(leaves.sum())
     if total <= 0.0:
@@ -125,17 +127,11 @@ class PrepCircuit:
                     ratio = min(max(children[2 * p] / parents[p], 0.0), 1.0)
                     angles[p] = 2.0 * math.acos(math.sqrt(ratio))
                 # zero-mass subtree keeps the identity rotation
-            gates.append(
-                MultiplexedRyGate(
-                    key_start=start + n - l,
-                    key_width=l,
-                    target=start + n - 1 - l,
-                    angles=tuple(angles),
-                )
-            )
+            key = tuple(range(start + n - l, start + n))
+            gates.append(Gate("mux-ry", key + (start + n - 1 - l,), tuple(angles)))
         if np.max(np.abs(self.tree.phases - 1.0)) > 1e-15:
             gates.append(
-                PhaseTableGate(start, n, phases=tuple(self.tree.phases))
+                Gate("phase-table", tuple(range(start, start + n)), tuple(self.tree.phases))
             )
         if not gates:
             return CircuitOp((), label="ua")
@@ -176,18 +172,22 @@ def load_data(path, fmt: str = "csv") -> np.ndarray:
     """
     path = Path(path)
     if fmt == "f64":
-        return np.fromfile(path, dtype="<f8").astype(np.complex128)
-    if fmt != "csv":
+        data = np.fromfile(path, dtype="<f8").astype(np.complex128)
+    elif fmt == "csv":
+        rows = []
+        for line in path.read_text().splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            re = float(parts[0])
+            im = float(parts[1]) if len(parts) > 1 and parts[1] else 0.0
+            rows.append(complex(re, im))
+        data = np.asarray(rows, dtype=np.complex128)
+    else:
         raise ValueError(f"unknown format {fmt!r}")
-    rows = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        re = float(parts[0])
-        im = float(parts[1]) if len(parts) > 1 and parts[1] else 0.0
-        rows.append(complex(re, im))
-    if not rows:
+    if not data.size:
         raise DimensionError(f"no data rows in {path}")
-    return np.asarray(rows, dtype=np.complex128)
+    if not np.all(np.isfinite(data)):
+        raise NormalizationError(f"{path} holds a non-finite value (NaN or inf)")
+    return data

@@ -18,18 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .circuits import (
-    PE_CTRL_TAG,
-    BasisOracleGate,
-    CircuitOp,
-    RegisterLayout,
-    SingleGate,
-    SwapGate,
-    ZeroReflectionGate,
-    phase_estimate_op,
-)
+from .circuits import CircuitOp, Gate, RegisterLayout, phase_estimate_op
 from .errors import ConfigError, ResourceLimitError
-from .fixedpoint import abs_recovery_oracle, real_recovery_oracle
+from .fixedpoint import FixedPointCodec, abs_recovery_oracle, real_recovery_oracle
 from .prep import UA_ENTRY_TAG, PrepTree, synthesize_ua
 
 _SQRT2 = math.sqrt(2.0)
@@ -100,7 +91,7 @@ def part_layout(n: int, m: int, g: int) -> RegisterLayout:
 
 def hadamard_layer(layout: RegisterLayout, name: str) -> CircuitOp:
     return CircuitOp(
-        tuple(SingleGate("h", q) for q in layout.qubits(name)), label=f"h-{name}"
+        tuple(Gate("h", (q,)) for q in layout.qubits(name)), label=f"h-{name}"
     )
 
 
@@ -111,7 +102,7 @@ def address_copy_op(layout: RegisterLayout) -> CircuitOp:
     n = layout.width("ad")
     return CircuitOp(
         tuple(
-            SingleGate("x", a + i, controls=((ad + i, 1),)) for i in range(n)
+            Gate("x", (a + i,), controls=((ad + i, 1),)) for i in range(n)
         ),
         label="copy-address",
     )
@@ -124,9 +115,9 @@ def v_from_prep(layout: RegisterLayout, prep: CircuitOp) -> CircuitOp:
     a = layout.start("a")
     n = layout.width("data")
     gates = list(prep.gates)
-    gates.append(SingleGate("h", b))
-    gates.extend(SwapGate(ds + i, a + i, controls=((b, 1),)) for i in range(n))
-    gates.append(SingleGate("h", b))
+    gates.append(Gate("h", (b,)))
+    gates.extend(Gate("swap", (ds + i, a + i), controls=((b, 1),)) for i in range(n))
+    gates.append(Gate("h", (b,)))
     return CircuitOp(tuple(gates), label="v")
 
 
@@ -143,10 +134,10 @@ def g_from_prep(layout: RegisterLayout, v_op: CircuitOp) -> CircuitOp:
     )
     copy = address_copy_op(layout).gates
     gates = (
-        (SingleGate("z", b),)
+        (Gate("z", (b,)),)
         + v_op.inverse().gates
         + copy
-        + (ZeroReflectionGate(zero_qubits),)
+        + (Gate("reflect", zero_qubits),)
         + copy
         + v_op.gates
     )
@@ -165,14 +156,14 @@ def w_from_prep(layout: RegisterLayout, prep: CircuitOp, imag: bool) -> CircuitO
     ds = layout.start("data")
     ad = layout.start("ad")
     n = layout.width("data")
-    gates = [SingleGate("h", b)]
+    gates = [Gate("h", (b,))]
     gates.extend(prep.controlled((b, 0)).gates)
     gates.extend(
-        SingleGate("x", ds + i, controls=((b, 1), (ad + i, 1))) for i in range(n)
+        Gate("x", (ds + i,), controls=((b, 1), (ad + i, 1))) for i in range(n)
     )
     if imag:
-        gates.append(SingleGate("phase", b, params=(math.pi / 2,)))
-    gates.append(SingleGate("h", b))
+        gates.append(Gate("phase", (b,), (math.pi / 2,)))
+    gates.append(Gate("h", (b,)))
     return CircuitOp(tuple(gates), label="w-imag" if imag else "w")
 
 
@@ -186,9 +177,9 @@ def g_prime_from_prep(layout: RegisterLayout, w_op: CircuitOp) -> CircuitOp:
     b = layout.start("b")
     zero_qubits = tuple(layout.qubits("data")) + (b,)
     gates = (
-        (SingleGate("z", b),)
+        (Gate("z", (b,)),)
         + w_op.inverse().gates
-        + (ZeroReflectionGate(zero_qubits),)
+        + (Gate("reflect", zero_qubits),)
         + w_op.gates
     )
     return CircuitOp(gates, label="g-prime")
@@ -218,18 +209,6 @@ class QadcResult:
     clean_probability: float
     controlled_ua_count: int
     true_values: np.ndarray
-
-
-@dataclass(frozen=True)
-class QadcIntermediate:
-    """State after the recovery write, before uncomputation."""
-
-    state: core.StateVector
-    uncompute_op: CircuitOp
-
-
-def qadc_uncompute(inter: QadcIntermediate, on_gate=None) -> core.StateVector:
-    return inter.uncompute_op.apply(inter.state, on_gate=on_gate)
 
 
 def abs_qadc(tree: PrepTree, n: int, m: int, g: int = 3,
@@ -277,15 +256,9 @@ def run_qadc(variant, prep_builder, true_values, n, m, g,
     if true_values.size != 1 << n:
         raise ConfigError("n", f"need {1 << n} true values, got {true_values.size}")
 
-    if variant == "abs":
-        layout = abs_layout(n, m, g)
-        oracle = abs_recovery_oracle(m, guard_bits=g)
-        spectra = [spectrum_oracle(r) for r in true_values]
-    else:
-        layout = part_layout(n, m, g)
-        oracle = real_recovery_oracle(m, guard_bits=g)
-        spectra = [part_spectrum(x) for x in true_values]
-    reg_width = oracle.out_codec.width
+    # the qubit cap also bounds the 2^t-entry recovery table: check it first
+    layout = abs_layout(n, m, g) if variant == "abs" else part_layout(n, m, g)
+    reg_width = FixedPointCodec(m, signed=variant != "abs").width
     total = layout.n_qubits + reg_width
     if total > cap:
         raise ResourceLimitError(
@@ -294,11 +267,15 @@ def run_qadc(variant, prep_builder, true_values, n, m, g,
 
     prep = prep_builder(layout.start("data"))
     if variant == "abs":
+        oracle = abs_recovery_oracle(m, guard_bits=g)
+        spectra = [spectrum_oracle(r) for r in true_values]
         v_op = v_from_prep(layout, prep)
         grover = g_from_prep(layout, v_op)
         front = hadamard_layer(layout, "ad") + address_copy_op(layout) + v_op
         back = v_op.inverse() + address_copy_op(layout)
     else:
+        oracle = real_recovery_oracle(m, guard_bits=g)
+        spectra = [part_spectrum(x) for x in true_values]
         w_op = w_from_prep(layout, prep, imag=(variant == "imag"))
         grover = g_prime_from_prep(layout, w_op)
         front = hadamard_layer(layout, "ad") + w_op
@@ -306,17 +283,9 @@ def run_qadc(variant, prep_builder, true_values, n, m, g,
 
     regp = layout.reg("regp")
     pe = phase_estimate_op(grover, regp)
-
-    counter = {"count": 0}
-    regp_lo, regp_w = regp
-
-    def on_gate(gate):
-        if gate.tag == UA_ENTRY_TAG and any(
-            regp_lo <= q < regp_lo + regp_w for q, _ in gate.controls
-        ):
-            counter["count"] += 1
-
-    state = (front + pe).apply(core.new_zero_state(layout.n_qubits), on_gate=on_gate)
+    estimate = front + pe
+    uncompute = pe.inverse() + back
+    state = estimate.apply(core.new_zero_state(layout.n_qubits))
 
     # phase-register statistics before anything is uncomputed
     inter_joint = core.register_distribution(state, [(0, n), regp])
@@ -328,24 +297,25 @@ def run_qadc(variant, prep_builder, true_values, n, m, g,
     reg_s = layout.n_qubits
     recover = CircuitOp(
         (
-            BasisOracleGate(
-                in_start=regp_lo,
-                in_width=t,
-                out_start=reg_s,
-                out_width=reg_width,
-                table=tuple(int(x) for x in oracle.table),
-                label=oracle.name,
-            ),
+            Gate("oracle", tuple(layout.qubits("regp")) + tuple(range(reg_s, total)),
+                 tuple(int(x) for x in oracle.table), label=oracle.name),
         ),
         label="recover",
     )
     state = recover.apply(state)
-    inter = QadcIntermediate(state, pe.inverse() + back)
-    state = qadc_uncompute(inter, on_gate=on_gate)
+    state = uncompute.apply(state)
 
+    # controlled-U applications: loader entries gated by a phase-register bit
+    regp_qubits = set(layout.qubits("regp"))
+    ua_count = sum(
+        1
+        for op in (estimate, uncompute)
+        for gate in op.gates
+        if gate.tag == UA_ENTRY_TAG and any(q in regp_qubits for q, _ in gate.controls)
+    )
     return _summarize(
         variant, m, g, state, n, reg_s, oracle.out_codec, true_values,
-        phase_success, counter["count"],
+        phase_success, ua_count,
     )
 
 

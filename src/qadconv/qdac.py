@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .circuits import (
-    BasisOracleGate,
-    CircuitOp,
-    MultiplexedRyGate,
-    PhaseTableGate,
-    SingleGate,
-)
+from .circuits import CircuitOp, Gate
 from .errors import ConfigError, RegisterError, ZeroSuccessError
 from .fixedpoint import FixedPointCodec, FunctionOracle
 
@@ -50,17 +44,10 @@ def make_digital_state(data, m: int, signed: bool = False) -> core.StateVector:
 
 def digital_load_op(codes, n_addr: int, value_width: int, start: int = 0) -> CircuitOp:
     """Hadamards on the address register, then the XOR table load."""
-    gates = [SingleGate("h", start + q) for q in range(n_addr)]
+    gates = [Gate("h", (start + q,)) for q in range(n_addr)]
     gates.append(
-        BasisOracleGate(
-            in_start=start,
-            in_width=n_addr,
-            out_start=start + n_addr,
-            out_width=value_width,
-            table=tuple(int(c) for c in codes),
-            label="load-data",
-            tag=UD_TAG,
-        )
+        Gate("oracle", tuple(range(start, start + n_addr + value_width)),
+             tuple(int(c) for c in codes), tag=UD_TAG, label="load-data")
     )
     return CircuitOp(tuple(gates), label="load-digital")
 
@@ -155,32 +142,18 @@ def conversion_suffix_op(
         phi_table.append(phi_code | (sign_bit << m))
         angles.append(2.0 * math.acos(mag))
 
-    phi_oracle = BasisOracleGate(
-        in_start=v_start,
-        in_width=w_v,
-        out_start=phi_start,
-        out_width=m + sign_w,
-        table=tuple(phi_table),
-        label="phi-sign",
-    )
+    phi_oracle = Gate("oracle", tuple(range(v_start, anc)), tuple(phi_table),
+                      label="phi-sign")
     gates = [
         phi_oracle,
-        MultiplexedRyGate(
-            key_start=v_start, key_width=w_v, target=anc, angles=tuple(angles)
-        ),
+        Gate("mux-ry", tuple(range(v_start, phi_start)) + (anc,), tuple(angles)),
     ]
     if signed_out:
-        gates.append(PhaseTableGate(phi_start + m, 1, phases=(1.0, -1.0)))
+        gates.append(Gate("phase-table", (phi_start + m,), (1.0, -1.0)))
     gates.append(phi_oracle)  # self-inverse uncompute
     gates.append(
-        BasisOracleGate(
-            in_start=start,
-            in_width=n_addr,
-            out_start=v_start,
-            out_width=w_v,
-            table=tuple(int(c) for c in d_codes),
-            label="unload-data",
-        )
+        Gate("oracle", tuple(range(start, phi_start)), tuple(int(c) for c in d_codes),
+             label="unload-data")
     )
     return CircuitOp(tuple(gates), label="qdac-suffix"), anc
 

@@ -153,10 +153,17 @@ def grover_probability(initial_success: float, rounds: int) -> float:
 
 
 def grover_optimal_rounds(initial_success: float) -> int:
+    """floor(pi / (4 asin sqrt a) - 1/2), never negative.
+
+    At a tie such as a = 1/4 the argument is a whole number in exact
+    arithmetic but can land just below it in floating point, so a value
+    within 1e-9 of a whole number counts as that number.
+    """
     if not 0.0 < initial_success <= 1.0:
         raise ValueError("initial success probability must be in (0, 1]")
-    ang = math.asin(math.sqrt(initial_success))
-    return max(0, int(math.floor(math.pi / (4.0 * ang) - 0.5)))
+    x = math.pi / (4.0 * math.asin(math.sqrt(initial_success))) - 0.5
+    nearest = round(x)
+    return max(0, nearest if abs(x - nearest) < 1e-9 else math.floor(x))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from qadconv import cli, core, reference
 from qadconv.circuits import (
     PE_CTRL_TAG,
     CircuitOp,
-    SingleGate,
-    count_tagged,
+    Gate,
     phase_estimate,
     phase_estimate_op,
 )
@@ -112,7 +111,7 @@ def test_03_function_mapped_conversion():
 
 def test_04_amplitude_amplification_law():
     # one qubit, good flag = |0>, starting success 1/4
-    prep = CircuitOp((SingleGate("ry", 0, params=(2 * math.pi / 3,)),))
+    prep = CircuitOp((Gate("ry", (0,), (2 * math.pi / 3,)),))
     theta = math.asin(0.5)
     worst = 0.0
     for rounds in range(4):
@@ -128,7 +127,7 @@ def test_04_amplitude_amplification_law():
 
 def test_05_phase_estimation():
     t = 4
-    unit = CircuitOp((SingleGate("phase", t, params=(2 * math.pi * 5 / 16,)),))
+    unit = CircuitOp((Gate("phase", (t,), (2 * math.pi * 5 / 16,)),))
     amps = np.zeros(1 << (t + 1), dtype=np.complex128)
     amps[1 << t] = 1.0
     state = phase_estimate(core.StateVector(t + 1, amps), unit, (0, t))
@@ -137,7 +136,7 @@ def test_05_phase_estimation():
     assert dyadic_dev < 1e-12
 
     t = 3
-    unit = CircuitOp((SingleGate("phase", t, params=(2 * math.pi / 3,)),))
+    unit = CircuitOp((Gate("phase", (t,), (2 * math.pi / 3,)),))
     amps = np.zeros(1 << (t + 1), dtype=np.complex128)
     amps[1 << t] = 1.0
     state = phase_estimate(core.StateVector(t + 1, amps), unit, (0, t))
@@ -146,15 +145,12 @@ def test_05_phase_estimation():
     assert closed_dev < 1e-10
 
     t = 5
-    unit = CircuitOp((SingleGate("phase", t, params=(1.0,)),))
-    amps = np.zeros(1 << (t + 1), dtype=np.complex128)
-    amps[1 << t] = 1.0
-    box, on_gate = count_tagged(PE_CTRL_TAG)
-    phase_estimate_op(unit, (0, t)).apply(core.StateVector(t + 1, amps),
-                                          on_gate=on_gate)
-    assert box["count"] == 2**t - 1
+    unit = CircuitOp((Gate("phase", (t,), (1.0,)),))
+    pe = phase_estimate_op(unit, (0, t))
+    count = sum(1 for g in pe.gates if g.tag == PE_CTRL_TAG)
+    assert count == 2**t - 1
     note(f"05 phase estimation: PASS (dyadic dev {dyadic_dev:.2e}, "
-         f"closed-form dev {closed_dev:.2e}, count {box['count']})")
+         f"closed-form dev {closed_dev:.2e}, count {count})")
 
 
 def test_06_iterate_spectrum():

@@ -1,17 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from qadconv import circuits, core, reference
-from qadconv.circuits import (
-    BasisOracleGate,
-    CircuitOp,
-    MultiplexedRyGate,
-    PhaseTableGate,
-    RegisterLayout,
-    SingleGate,
-    SwapGate,
-    ZeroReflectionGate,
-)
+from qadconv.circuits import CircuitOp, Gate, RegisterLayout
 from qadconv.errors import RegisterError
 
 
@@ -46,14 +39,14 @@ def test_circuit_inverse_roundtrip():
     st = random_state(3, seed=1)
     op = CircuitOp(
         (
-            SingleGate("h", 0),
-            SingleGate("ry", 1, params=(0.7,)),
-            SingleGate("phase", 2, params=(0.3,), controls=((0, 1),)),
-            SwapGate(0, 2),
-            ZeroReflectionGate((0, 1)),
-            PhaseTableGate(0, 2, phases=(1, 1j, -1, -1j)),
-            MultiplexedRyGate(0, 2, 2, angles=(0.1, 0.2, 0.3, 0.4)),
-            BasisOracleGate(0, 2, 2, 1, table=(0, 1, 1, 0)),
+            Gate("h", (0,)),
+            Gate("ry", (1,), (0.7,)),
+            Gate("phase", (2,), (0.3,), controls=((0, 1),)),
+            Gate("swap", (0, 2)),
+            Gate("reflect", (0, 1)),
+            Gate("phase-table", (0, 1), (1, 1j, -1, -1j)),
+            Gate("mux-ry", (0, 1, 2), (0.1, 0.2, 0.3, 0.4)),
+            Gate("oracle", (0, 1, 2), (0, 1, 1, 0)),
         )
     )
     back = (op + op.inverse()).apply(st)
@@ -62,19 +55,19 @@ def test_circuit_inverse_roundtrip():
 
 def test_circuit_then_composes_in_order():
     st = core.new_zero_state(1)
-    x_then_h = CircuitOp((SingleGate("x", 0),)).then(CircuitOp((SingleGate("h", 0),)))
+    x_then_h = CircuitOp((Gate("x", (0,)),)).then(CircuitOp((Gate("h", (0,)),)))
     got = x_then_h.apply(st)
     np.testing.assert_allclose(got.amps, [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-12)
 
 
 def test_controlled_adds_to_every_gate():
-    op = CircuitOp((SingleGate("x", 0), SwapGate(0, 1)))
+    op = CircuitOp((Gate("x", (0,)), Gate("swap", (0, 1))))
     cop = op.controlled((2, 1))
     assert all(g.controls == ((2, 1),) for g in cop.gates)
 
 
 def test_controlled_rejects_collision():
-    op = CircuitOp((SingleGate("x", 0),))
+    op = CircuitOp((Gate("x", (0,)),))
     with pytest.raises(RegisterError):
         op.controlled((0, 1))
 
@@ -120,7 +113,7 @@ def test_iqft_inverts_qft():
 
 
 def phase_unitary(theta, qubit=0):
-    return CircuitOp((SingleGate("phase", qubit, params=(2 * np.pi * theta,)),))
+    return CircuitOp((Gate("phase", (qubit,), (2 * np.pi * theta,)),))
 
 
 def test_phase_estimate_dyadic_is_exact():
@@ -145,10 +138,8 @@ def test_phase_estimate_matches_closed_form():
 
 def test_phase_estimate_application_count():
     t = 6
-    st = core.apply_single(core.new_zero_state(1 + t), 0, core.X_MATRIX)
-    box, cb = circuits.count_tagged(circuits.PE_CTRL_TAG)
-    circuits.phase_estimate_op(phase_unitary(1 / 3), (1, t)).apply(st, on_gate=cb)
-    assert box["count"] == 2**t - 1
+    op = circuits.phase_estimate_op(phase_unitary(1 / 3), (1, t))
+    assert sum(1 for g in op.gates if g.tag == circuits.PE_CTRL_TAG) == 2**t - 1
 
 
 def test_phase_estimate_rejects_dirty_register():
@@ -190,10 +181,10 @@ def test_round_guard_bits_oracle():
 
 def test_multiplexed_ry_gate_equals_controlled_rotations():
     st = random_state(3, seed=4)
-    gate = MultiplexedRyGate(0, 2, 2, angles=(0.3, 1.2, 0.0, 2.5))
+    gate = Gate("mux-ry", (0, 1, 2), (0.3, 1.2, 0.0, 2.5))
     got = CircuitOp((gate,)).apply(st)
     want = st
-    for v, ang in enumerate(gate.angles):
+    for v, ang in enumerate(gate.params):
         if ang == 0.0:
             continue
         ctl = tuple((b, (v >> b) & 1) for b in range(2))
@@ -202,8 +193,96 @@ def test_multiplexed_ry_gate_equals_controlled_rotations():
 
 
 def test_primitive_count_charges_tables_by_size():
-    gate = MultiplexedRyGate(0, 3, 3, angles=tuple(np.linspace(0, 1, 8)))
+    gate = Gate("mux-ry", (0, 1, 2, 3), tuple(np.linspace(0, 1, 8)))
     assert gate.primitive_count == 8
-    assert SingleGate("h", 0).primitive_count == 1
+    assert Gate("phase-table", (0, 1), (1, 1j, -1, -1j)).primitive_count == 4
+    assert Gate("h", (0,)).primitive_count == 1
     op = circuits.qft_op(0, 3)
     assert op.primitive_count() == len(op.gates)
+
+
+def test_unknown_gate_kind_is_rejected():
+    with pytest.raises(RegisterError):
+        Gate("cnot", (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# Every gate kind against an independently built 3-qubit matrix on qubits
+# 0..2, optionally controlled by qubit 3 of a 4-qubit register.
+
+
+def _embed_2x2(u, target):
+    m = np.zeros((8, 8), dtype=np.complex128)
+    for i in range(8):
+        for j in range(8):
+            if (i ^ j) & ~(1 << target) == 0:
+                m[i, j] = u[(i >> target) & 1, (j >> target) & 1]
+    return m
+
+
+def _permutation(f):
+    m = np.zeros((8, 8))
+    for i in range(8):
+        m[f(i), i] = 1.0
+    return m
+
+
+def _ry(a):
+    c, s = math.cos(a / 2), math.sin(a / 2)
+    return np.array([[c, -s], [s, c]])
+
+
+_R = 1 / math.sqrt(2)
+_MUX_ANGLES = (0.3, 1.2, 0.0, 2.5)
+_PHASES = tuple(np.exp(1j * np.array([0.0, 0.4, 1.9, -2.2])))
+_TABLE = (0, 1, 1, 0)
+
+
+def _mux_matrix():
+    m = np.zeros((8, 8), dtype=np.complex128)
+    for i in range(8):
+        for j in range(8):
+            if i & 3 == j & 3:
+                m[i, j] = _ry(_MUX_ANGLES[i & 3])[i >> 2, j >> 2]
+    return m
+
+
+KIND_CASES = {
+    "h": (Gate("h", (1,)), _embed_2x2(np.array([[_R, _R], [_R, -_R]]), 1)),
+    "x": (Gate("x", (1,)), _embed_2x2(np.array([[0, 1], [1, 0]]), 1)),
+    "y": (Gate("y", (1,)), _embed_2x2(np.array([[0, -1j], [1j, 0]]), 1)),
+    "z": (Gate("z", (1,)), _embed_2x2(np.diag([1, -1]), 1)),
+    "ry": (Gate("ry", (2,), (0.7,)), _embed_2x2(_ry(0.7), 2)),
+    "rz": (Gate("rz", (0,), (0.7,)),
+           _embed_2x2(np.diag([np.exp(-0.35j), np.exp(0.35j)]), 0)),
+    "phase": (Gate("phase", (2,), (0.7,)), _embed_2x2(np.diag([1, np.exp(0.7j)]), 2)),
+    "swap": (Gate("swap", (0, 2)),
+             _permutation(lambda i: (i & 2) | ((i & 1) << 2) | ((i >> 2) & 1))),
+    "reflect": (Gate("reflect", (0, 1)),
+                np.diag([-1.0 if i & 3 == 0 else 1.0 for i in range(8)])),
+    "phase-table": (Gate("phase-table", (1, 2), _PHASES),
+                    np.diag([_PHASES[i >> 1] for i in range(8)])),
+    "oracle": (Gate("oracle", (0, 1, 2), _TABLE),
+               _permutation(lambda i: i ^ (_TABLE[i & 3] << 2))),
+    "mux-ry": (Gate("mux-ry", (0, 1, 2), _MUX_ANGLES), _mux_matrix()),
+}
+
+
+def test_kind_cases_cover_every_kind():
+    assert set(KIND_CASES) == set(circuits.KINDS)
+
+
+@pytest.mark.parametrize("controlled", [False, True], ids=["plain", "controlled"])
+@pytest.mark.parametrize("kind", sorted(KIND_CASES))
+def test_gate_kind_matches_independent_matrix(kind, controlled):
+    gate, block = KIND_CASES[kind]
+    op = CircuitOp((gate,))
+    if controlled:
+        op = op.controlled((3, 1))
+        want = np.block([[np.eye(8), np.zeros((8, 8))], [np.zeros((8, 8)), block]])
+    else:
+        want = np.kron(np.eye(2), block)
+    u = reference.dense_unitary(op, 4)
+    assert np.max(np.abs(u - want)) <= 1e-12
+    inv = reference.dense_unitary(op.inverse(), 4)
+    assert np.max(np.abs(inv @ u - np.eye(16))) <= 1e-12

@@ -251,3 +251,21 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     record = json.loads(proc.stdout)
     assert record["kind"] == "spectrum"
+
+
+def test_non_finite_data_exits_2(tmp_path, capsys):
+    path = write_csv(tmp_path, "d.csv", ["nan", "0.5", "0.5", "0.5"])
+    assert cli.main(["prep", "--data", path]) == 2
+    assert "NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["qadc", "--variant", "abs"],
+    ["qadc", "--variant", "real"],
+    ["nonlinear"],
+    ["perceptron"],
+])
+def test_huge_m_hits_the_cap_before_building_tables(capsys, argv):
+    code = cli.main(argv + ["--random", "4", "--seed", "1", "--m", "61"])
+    assert code == 3
+    assert "exceeds the cap" in capsys.readouterr().err

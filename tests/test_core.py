@@ -250,3 +250,9 @@ def test_dump_lines_roundtrip():
     idx, re, im = lines[3].split(", ")
     assert int(idx) == 3
     assert complex(float(re), float(im)) == st.amps[3]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_from_amplitudes_rejects_non_finite(bad):
+    with pytest.raises(NormalizationError):
+        core.from_amplitudes([bad, 0.0])

@@ -56,11 +56,11 @@ def test_ansatz_ring_wiring():
     names = [type(gate).__name__ for gate in a.op().gates]
     # 3 ry, 3 rz, then the 3-cycle of controlled-z
     assert len(names) == 9
-    cz = [gate for gate in a.op().gates if gate.name == "z"]
+    cz = [gate for gate in a.op().gates if gate.kind == "z"]
     assert len(cz) == 3
     # a two-qubit register keeps a single entangler, not a doubled pair
     b = AnsatzCircuit(2, 1, rng.uniform(0.1, 1.0, size=(1, 2, 2)))
-    assert sum(1 for gate in b.op().gates if gate.name == "z") == 1
+    assert sum(1 for gate in b.op().gates if gate.kind == "z") == 1
 
 
 def test_tensor_encode_products():

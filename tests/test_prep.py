@@ -66,8 +66,8 @@ def test_with_leaf_matches_scratch_build():
     op_a = prep.synthesize_ua(updated).op()
     op_b = prep.synthesize_ua(scratch).op()
     for ga, gb in zip(op_a.gates, op_b.gates):
-        if hasattr(ga, "angles"):
-            assert ga.angles == gb.angles
+        if ga.kind == "mux-ry":
+            assert ga.params == gb.params
 
 
 def test_with_leaf_touch_count():
@@ -162,7 +162,7 @@ def test_zero_subtree_produces_identity_rotation():
     out = op.apply(core.new_zero_state(2))
     np.testing.assert_allclose(out.amps, data, atol=1e-12)
     # level-1 rotation under the dead branch is the identity angle
-    assert op.gates[1].angles[1] == 0.0
+    assert op.gates[1].params[1] == 0.0
 
 
 def test_gate_count_linear_bound():
@@ -198,3 +198,24 @@ def test_load_data_f64(tmp_path):
     np.asarray([0.6, 0.8], dtype="<f8").tofile(p)
     got = prep.load_data(p, fmt="f64")
     np.testing.assert_allclose(got, [0.6, 0.8])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_build_tree_rejects_non_finite(bad):
+    with pytest.raises(NormalizationError):
+        prep.build_tree([bad, 1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("row", ["nan", "inf", "0.5,nan"])
+def test_load_data_rejects_non_finite_csv(tmp_path, row):
+    p = tmp_path / "d.csv"
+    p.write_text(f"0.6\n{row}\n")
+    with pytest.raises(NormalizationError):
+        prep.load_data(p)
+
+
+def test_load_data_rejects_non_finite_f64(tmp_path):
+    p = tmp_path / "d.bin"
+    np.asarray([0.6, np.nan], dtype="<f8").tofile(p)
+    with pytest.raises(NormalizationError):
+        prep.load_data(p, fmt="f64")

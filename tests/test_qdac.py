@@ -207,10 +207,17 @@ def test_grover_rounds_formula():
 
 
 def test_amplitude_amplify_direct():
-    from qadconv.circuits import CircuitOp, SingleGate
+    from qadconv.circuits import CircuitOp, Gate
 
     # one qubit: Ry puts sqrt(0.25) on |0> (the good flag value)
     ang = 2 * np.arccos(np.sqrt(0.25))
-    proc = CircuitOp((SingleGate("ry", 0, params=(ang,)),))
+    proc = CircuitOp((Gate("ry", (0,), (ang,)),))
     st = qdac.amplitude_amplify(proc, 1, 0, rounds=1)
     assert abs(st.amps[0]) ** 2 == pytest.approx(1.0, abs=1e-10)
+
+
+def test_reference_rounds_agree_with_library():
+    assert reference.grover_optimal_rounds(0.25) == 1
+    ties = [np.sin(np.pi / (4 * k + 2)) ** 2 for k in range(1, 12)]
+    for p in list(np.linspace(1e-3, 1.0, 997)) + ties:
+        assert reference.grover_optimal_rounds(p) == qdac.grover_rounds(p), p
