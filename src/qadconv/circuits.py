@@ -2,9 +2,10 @@
 
 A CircuitOp is an immutable tuple of Gate records. Applying one copies the
 amplitude buffer once and then runs each record's in-place kernel, looked up
-by kind in KINDS, so a few thousand gates on a million amplitudes stay fast.
-Inversion, control wrapping, and gate counting all work structurally on the
-records through the same table.
+by kind in KINDS. Inversion, control wrapping, and gate counting all work
+structurally on the records through the same table. Phase estimation emits
+one "power" record per phase bit: the iterate raised to 2^j, compiled into
+per-key-value dense blocks by repeated squaring.
 """
 
 from __future__ import annotations
@@ -83,9 +84,11 @@ class RegisterLayout:
 #   phase-table   the register                       2^w unit phases
 #   oracle        input register + output register   2^w_in output values
 #   mux-ry        key register + (target,)           2^w_key angles
+#   power         key qubits + target qubits         PowerTable
 #
 # A table's length fixes its register's width, which is how oracle and
-# mux-ry records split their wires.
+# mux-ry records split their wires; a PowerTable's `keys` count splits a
+# power record's wires.
 
 
 def _reg(qubits) -> tuple[int, int]:
@@ -126,6 +129,19 @@ def _mux_ry(g, amps, n):
     )
 
 
+def _power(g, amps, n):
+    table = g.params
+    if table.blocks is None:
+        gates = [h.with_controls(g.controls) for h in table.iterate]
+        for _ in range(table.count):
+            for h in gates:
+                KINDS[h.kind].run(h, amps, n)
+    else:
+        core.apply_block_table_inplace(
+            amps, n, g.wires[:table.keys], g.wires[table.keys:], table.blocks, g.controls
+        )
+
+
 def _negate(params) -> tuple:
     return tuple(-a for a in params)
 
@@ -134,28 +150,62 @@ def _conjugate(params) -> tuple:
     return tuple(np.conj(p) for p in params)
 
 
+def _power_inverse(table):
+    blocks = None if table.blocks is None else table.blocks.conj().transpose(0, 2, 1)
+    iterate = tuple(g.dagger() for g in reversed(table.iterate))
+    return replace(table, iterate=iterate, blocks=blocks)
+
+
+def _power_cost(table) -> int:
+    return table.count * sum(g.primitive_count for g in table.iterate)
+
+
 class Kind(NamedTuple):
     category: str  # the bucket gate_counts reports
     run: Callable  # run(gate, amps, n): apply in place through core's kernel
     inverse: Callable | None  # params -> params of the inverse; None: self-inverse
-    per_entry: bool  # primitive cost is one per table entry instead of one
+    cost: Callable | None  # params -> logical primitive count; None: one
 
 
 KINDS = {
-    "h": Kind("single", _single(lambda: core.H_MATRIX), None, False),
-    "x": Kind("single", _single(lambda: core.X_MATRIX), None, False),
-    "y": Kind("single", _single(lambda: core.Y_MATRIX), None, False),
-    "z": Kind("single", _single(lambda: core.Z_MATRIX), None, False),
-    "ry": Kind("single", _single(core.ry_matrix), _negate, False),
-    "rz": Kind("single", _single(core.rz_matrix), _negate, False),
-    "phase": Kind("single", _single(core.phase_matrix), _negate, False),
-    "swap": Kind("swap", _swap, None, False),
-    "reflect": Kind("reflect", _reflect, None, False),
-    "phase-table": Kind("phase-table", _phase_table, _conjugate, True),
+    "h": Kind("single", _single(lambda: core.H_MATRIX), None, None),
+    "x": Kind("single", _single(lambda: core.X_MATRIX), None, None),
+    "y": Kind("single", _single(lambda: core.Y_MATRIX), None, None),
+    "z": Kind("single", _single(lambda: core.Z_MATRIX), None, None),
+    "ry": Kind("single", _single(core.ry_matrix), _negate, None),
+    "rz": Kind("single", _single(core.rz_matrix), _negate, None),
+    "phase": Kind("single", _single(core.phase_matrix), _negate, None),
+    "swap": Kind("swap", _swap, None, None),
+    "reflect": Kind("reflect", _reflect, None, None),
+    "phase-table": Kind("phase-table", _phase_table, _conjugate, len),
     # an oracle is charged as one black-box arithmetic call
-    "oracle": Kind("oracle", _oracle, None, False),
-    "mux-ry": Kind("mux-ry", _mux_ry, _negate, True),
+    "oracle": Kind("oracle", _oracle, None, None),
+    "mux-ry": Kind("mux-ry", _mux_ry, _negate, len),
+    "power": Kind("power", _power, _power_inverse, _power_cost),
 }
+
+
+@dataclass(frozen=True, eq=False)
+class PowerTable:
+    """Params of a power record: `iterate` (a gate tuple) applied `count`
+    times.
+
+    The iterate uses its first `keys` wires only as controls, so its power
+    is block-diagonal over their value: blocks[v] is the power on the other
+    (target) wires where the keys hold v. blocks is None when the tables
+    would exceed POWER_TABLE_BUDGET; the record then replays the iterate.
+    Tables compare by identity, never element by element.
+    """
+
+    iterate: tuple
+    count: int
+    keys: int
+    blocks: np.ndarray | None = None
+
+    def __str__(self) -> str:
+        if self.blocks is None:
+            return f"replay {len(self.iterate)} gates x{self.count}"
+        return "x".join(str(d) for d in self.blocks.shape) + f" blocks ^{self.count}"
 
 
 def _fmt(x) -> str:
@@ -188,7 +238,8 @@ class Gate:
 
     @property
     def primitive_count(self) -> int:
-        return len(self.params) if KINDS[self.kind].per_entry else 1
+        cost = KINDS[self.kind].cost
+        return 1 if cost is None else cost(self.params)
 
     def used_qubits(self) -> set:
         return set(self.wires) | {q for q, _ in self.controls}
@@ -204,7 +255,10 @@ class Gate:
         head = f"{self.kind} {self.label}" if self.label else self.kind
         wires = ",".join(str(q) for q in self.wires)
         ctrl = ",".join(f"{q}={v}" for q, v in self.controls)
-        params = ",".join(_fmt(x) for x in self.params)
+        if isinstance(self.params, tuple):
+            params = ",".join(_fmt(x) for x in self.params)
+        else:
+            params = str(self.params)
         return f"{head} w=[{wires}] c=[{ctrl}] p=[{params}]"
 
 
@@ -296,15 +350,67 @@ def iqft_op(start: int, width: int) -> CircuitOp:
 
 PE_CTRL_TAG = "pe-ctrl-entry"
 
+# Complex entries (16 bytes each) the block tables of one phase estimation
+# may hold in total; an iterate whose tables would not fit is replayed.
+POWER_TABLE_BUDGET = 1 << 20
+
+
+def power_records(unitary: CircuitOp, t: int) -> list:
+    """Power records of unitary^(2^j) for j = 0 .. t-1.
+
+    Key qubits are the ones the unitary only ever uses as controls; its
+    other qubits are targets. When t tables of 2^k blocks of 2^w x 2^w
+    entries fit POWER_TABLE_BUDGET, the unitary is materialized once per key
+    value and squared t-1 times; otherwise each record replays the unitary's
+    gates 2^j times.
+    """
+    if not unitary.gates:
+        raise RegisterError("cannot raise an empty circuit to a power")
+    wires: set = set()
+    ctrls: set = set()
+    for g in unitary.gates:
+        wires.update(g.wires)
+        ctrls.update(q for q, _ in g.controls)
+    keys = tuple(sorted(ctrls - wires))
+    targets = tuple(sorted(wires))
+    k, w = len(keys), len(targets)
+    fits = t << (k + 2 * w) <= POWER_TABLE_BUDGET
+    blocks = _materialize(unitary, keys, targets) if fits else None
+    records = []
+    for j in range(t):
+        if j and blocks is not None:
+            blocks = blocks @ blocks
+        table = PowerTable(unitary.gates, 1 << j, k, blocks)
+        records.append(Gate("power", keys + targets, table, label=unitary.label))
+    return records
+
+
+def _materialize(unitary: CircuitOp, keys, targets) -> np.ndarray:
+    """blocks[v][r, c]: amplitude of target basis state r after the unitary
+    acts on target state c with the key qubits holding v."""
+    k, w = len(keys), len(targets)
+    dim, kdim = 1 << w, 1 << k
+    # compact qubits: targets, keys, then w qubits holding the input column c
+    where = {q: i for i, q in enumerate(targets + keys)}
+    compact = CircuitOp(tuple(
+        replace(g, wires=tuple(where[q] for q in g.wires),
+                controls=tuple((where[q], v) for q, v in g.controls))
+        for g in unitary.gates
+    ))
+    cols = np.arange(dim)[:, None]
+    amps = np.zeros(dim * kdim * dim, dtype=np.complex128)
+    amps[(cols * kdim + np.arange(kdim)) * dim + cols] = 1.0
+    out = compact.apply(core.StateVector(2 * w + k, amps)).amps
+    return out.reshape(dim, kdim, dim).transpose(1, 2, 0).copy()
+
 
 def phase_estimate_op(unitary: CircuitOp, regp) -> CircuitOp:
-    """Textbook phase estimation as a flat circuit.
+    """Textbook phase estimation with compiled controlled powers.
 
-    Hadamards on the phase register, then controlled powers U^(2^j) with the
-    control on register bit j (the unitary is applied 2^j times, so the
-    controlled-unitary application count is exactly 2^t - 1), then the
-    inverse QFT. The first record of each controlled application carries
-    PE_CTRL_TAG, so counting tagged records counts the applications.
+    Hadamards on the phase register, then one power record U^(2^j) (see
+    power_records) controlled on register bit j, then the inverse QFT. The
+    power records carry PE_CTRL_TAG, and their params' logical counts 2^j
+    sum to the controlled-unitary application count 2^t - 1.
     """
     s, t = regp
     if t < 1:
@@ -312,15 +418,9 @@ def phase_estimate_op(unitary: CircuitOp, regp) -> CircuitOp:
     used = unitary.used_qubits()
     if used & set(range(s, s + t)):
         raise RegisterError("phase register collides with the unitary's qubits")
-    if not unitary.gates:
-        raise RegisterError("cannot phase-estimate an empty circuit")
     gates: list = [Gate("h", (s + j,)) for j in range(t)]
-    for j in range(t):
-        cg = unitary.controlled((s + j, 1))
-        entry = replace(cg.gates[0], tag=PE_CTRL_TAG)
-        block = (entry,) + cg.gates[1:]
-        for _ in range(1 << j):
-            gates.extend(block)
+    for j, rec in enumerate(power_records(unitary, t)):
+        gates.append(replace(rec, controls=((s + j, 1),), tag=PE_CTRL_TAG))
     gates.extend(iqft_op(s, t).gates)
     return CircuitOp(tuple(gates), label="phase-estimate")
 

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +216,10 @@ def _run_prep(cfg: ExperimentConfig) -> dict:
 def _run_qdac(cfg: ExperimentConfig) -> dict:
     values = np.asarray(_load_values(cfg).real, dtype=np.float64)
     signed = cfg.signed or bool((values < 0).any())
+    # address, value and phi registers, sign bit, ancilla: the cap also
+    # bounds the 2^(m+signed)-entry activation table, so check it first
+    n_addr = int(values.size).bit_length() - 1
+    core.check_qubit_cap(n_addr + 2 * (cfg.m + signed) + 1, cfg.cap)
     f = activation_oracle(cfg.f or "identity", cfg.m, in_signed=signed,
                           out_signed=signed)
     digital = make_digital_state(values, cfg.m, signed=signed)
@@ -501,6 +505,27 @@ def _check_pe_distribution() -> float:
     return worst
 
 
+def _check_compiled_pe() -> float:
+    """Phase estimation with the magnitude-readout iterate, its power
+    records compiled into blocks against the same records replaying the
+    iterate, forward and inverse, on a random state."""
+    rng = np.random.default_rng(20260102)
+    layout = abs_layout(1, 2, 1)
+    nq = layout.n_qubits
+    iterate = build_g(layout, build_tree([0.6, 0.8j], normalize="silent"))
+    amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
+    start = core.StateVector(nq, amps / np.linalg.norm(amps))
+    compiled = phase_estimate_op(iterate, layout.reg("regp"))
+    replay = CircuitOp(tuple(
+        replace(g, params=replace(g.params, blocks=None)) if g.kind == "power" else g
+        for g in compiled.gates
+    ))
+    worst = 0.0
+    for a, b in ((compiled, replay), (compiled.inverse(), replay.inverse())):
+        worst = max(worst, float(np.max(np.abs(a.apply(start).amps - b.apply(start).amps))))
+    return worst
+
+
 def _check_prep_trees() -> float:
     rng = np.random.default_rng(20260103)
     worst = 0.0
@@ -584,6 +609,7 @@ def _check_pipeline() -> float:
 ORACLE_CHECKS: tuple[tuple[str, float, object], ...] = (
     ("circuit-products", 1e-12, _check_circuit_products),
     ("pe-distribution", 1e-10, _check_pe_distribution),
+    ("compiled-pe", 1e-12, _check_compiled_pe),
     ("prep-trees", 1e-10, _check_prep_trees),
     ("spectrum", 1e-10, _check_spectrum),
     ("qdac-exact", 1e-10, _check_qdac_exact),

@@ -87,14 +87,20 @@ class MeasurementOutcome:
     collapsed: StateVector
 
 
+def check_qubit_cap(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
+    """Refuse a state of n_qubits above the cap, before anything of that
+    size (a state, or a table indexed by its registers) is built."""
+    if n_qubits > cap:
+        raise ResourceLimitError(
+            f"{n_qubits} qubits ({16 * 2**n_qubits / 2**20:.3g} MiB of amplitudes) "
+            f"exceeds the cap of {cap}"
+        )
+
+
 def new_zero_state(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     if n_qubits < 1:
         raise RegisterError("a state needs at least one qubit")
-    if n_qubits > cap:
-        raise ResourceLimitError(
-            f"{n_qubits} qubits exceeds the cap of {cap} "
-            f"(about {16 * 2**n_qubits / 2**20:.0f} MiB of amplitudes)"
-        )
+    check_qubit_cap(n_qubits, cap)
     amps = np.zeros(2**n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
@@ -106,8 +112,7 @@ def from_amplitudes(values, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     n = int(amps.size).bit_length() - 1
     if amps.size < 2 or amps.size != 2**n:
         raise DimensionError(f"amplitude count {amps.size} is not a power of two >= 2")
-    if n > cap:
-        raise ResourceLimitError(f"{n} qubits exceeds the cap of {cap}")
+    check_qubit_cap(n, cap)
     if not np.all(np.isfinite(amps)):
         raise NormalizationError("amplitudes must be finite (no NaN or inf)")
     nrm = np.linalg.norm(amps)
@@ -143,28 +148,39 @@ def _normalize_controls(n: int, controls, target_qubits) -> tuple:
     return tuple(out)
 
 
+def _controlled_view(amps, n, controls):
+    """The slice of amps where every control qubit holds its value, as a
+    (2, 2, ...) view, and the axis of each remaining qubit in it (the
+    highest qubit first, so registers keep C-order value layout)."""
+    idx = [slice(None)] * n
+    for q, v in controls:
+        idx[n - 1 - q] = v
+    free = [q for q in range(n - 1, -1, -1) if idx[n - 1 - q] == slice(None)]
+    return amps.reshape((2,) * n)[tuple(idx)], {q: a for a, q in enumerate(free)}
+
+
 # ---------------------------------------------------------------------------
 # In-place kernels. These edit an amplitude buffer through reshaped views and
 # are shared by the public functions below and by circuits.CircuitOp.
+
+# Amplitudes per piece in the block-table kernel: its matmul temporaries stay
+# this size whatever the state size, and a piece stays in cache.
+CHUNK = 1 << 13
 
 
 def apply_single_inplace(amps, n, target, u, controls=()):
     if not 0 <= target < n:
         raise RegisterError(f"target qubit {target} out of range for {n} qubits")
     controls = _normalize_controls(n, controls, (target,))
-    view = amps.reshape((2,) * n)
-    t_ax = n - 1 - target
-    view = np.moveaxis(view, t_ax, 0)
-    if controls:
-        idx = [slice(None)] * n
-        for q, v in controls:
-            ax = n - 1 - q
-            idx[ax + 1 if ax < t_ax else ax] = v
-        view = view[tuple(idx)]
-    a0 = view[0].copy()
-    a1 = view[1]
-    view[0] = u[0, 0] * a0 + u[0, 1] * a1
-    view[1] = u[1, 0] * a0 + u[1, 1] * a1
+    view, axis = _controlled_view(amps, n, controls)
+    view = np.moveaxis(view, axis[target], 0)
+    # in place: one copy of the |0> half and one half-sized temporary
+    a0, a1 = view[0, ...], view[1, ...]  # views, also when n == 1
+    c0 = a0.copy()
+    a0 *= u[0, 0]
+    a0 += u[0, 1] * a1
+    a1 *= u[1, 1]
+    a1 += u[1, 0] * c0
 
 
 def apply_swap_inplace(amps, n, q1, q2, controls=()):
@@ -206,13 +222,6 @@ def apply_zero_reflection_inplace(amps, n, qubits, controls=()):
     view[tuple(idx)] *= -1.0
 
 
-def _control_mask(n, idx, controls):
-    mask = np.ones(idx.size, dtype=bool)
-    for q, v in controls:
-        mask &= ((idx >> q) & 1) == v
-    return mask
-
-
 def apply_basis_oracle_inplace(amps, n, in_reg, out_reg, table, controls=()):
     """|a>|b> -> |a>|b XOR table[a]> on (in_reg, out_reg)."""
     in_s, in_w = in_reg
@@ -231,11 +240,20 @@ def apply_basis_oracle_inplace(amps, n, in_reg, out_reg, table, controls=()):
         )
     if table.size and (table.min() < 0 or table.max() >= (1 << out_w)):
         raise RegisterError("oracle output exceeds the output register width")
-    idx = np.arange(amps.size, dtype=np.int64)
-    shift = table[(idx >> in_s) & ((1 << in_w) - 1)] << out_s
-    if controls:
-        shift = np.where(_control_mask(n, idx, controls), shift, 0)
-    amps[:] = amps[idx ^ shift]
+    # per input value a, XOR-ing table[a] into the output register flips
+    # the output axes of its set bits on the slice where the input holds a
+    view, axis = _controlled_view(amps, n, controls)
+    ins = range(in_s, in_s + in_w)
+    left = {q: a - sum(axis[i] < a for i in ins) for q, a in axis.items()}
+    for a, c in enumerate(table.tolist()):
+        if not c:
+            continue
+        idx = [slice(None)] * view.ndim
+        for b, q in enumerate(ins):
+            idx[axis[q]] = (a >> b) & 1
+        sub = view[tuple(idx)]
+        flips = tuple(left[out_s + b] for b in range(out_w) if (c >> b) & 1)
+        sub[...] = np.flip(sub, flips).copy()
 
 
 def apply_phase_table_inplace(amps, n, reg, phases, controls=()):
@@ -248,11 +266,12 @@ def apply_phase_table_inplace(amps, n, reg, phases, controls=()):
     if np.max(np.abs(np.abs(phases) - 1.0)) > 1e-12:
         raise UnitaryError("phase table entries must have unit magnitude")
     controls = _normalize_controls(n, controls, tuple(range(s, s + w)))
-    idx = np.arange(amps.size, dtype=np.int64)
-    ph = phases[(idx >> s) & ((1 << w) - 1)]
-    if controls:
-        ph = np.where(_control_mask(n, idx, controls), ph, 1.0)
-    amps *= ph
+    view, axis = _controlled_view(amps, n, controls)
+    # the register's axes are adjacent, so its phases broadcast over the rest
+    shape = [1] * view.ndim
+    for q in range(s, s + w):
+        shape[axis[q]] = 2
+    view *= phases.reshape(shape)
 
 
 def apply_multiplexed_ry_inplace(amps, n, key_reg, target, angles, controls=()):
@@ -270,6 +289,42 @@ def apply_multiplexed_ry_inplace(amps, n, key_reg, target, angles, controls=()):
             continue
         key_controls = tuple((s + b, (v >> b) & 1) for b in range(w))
         apply_single_inplace(amps, n, target, ry_matrix(angles[v]), base + key_controls)
+
+
+def apply_block_table_inplace(amps, n, keys, targets, blocks, controls=()):
+    """Block-diagonal unitary: blocks[v] acts on the target qubits wherever
+    the key qubits hold value v (bit b of v on keys[b]; bit b of a block
+    index on targets[b])."""
+    keys, targets = tuple(keys), tuple(targets)
+    k, w = len(keys), len(targets)
+    if not w:
+        raise RegisterError("a block table needs at least one target qubit")
+    blocks = np.asarray(blocks, dtype=np.complex128)
+    if blocks.shape != (1 << k, 1 << w, 1 << w):
+        raise RegisterError(
+            f"block table has shape {blocks.shape}, expected {(1 << k, 1 << w, 1 << w)}"
+        )
+    for q in keys + targets:
+        if not 0 <= q < n:
+            raise RegisterError(f"block qubit {q} out of range for {n} qubits")
+    if len(set(keys + targets)) != k + w:
+        raise RegisterError("block key and target qubits must be distinct")
+    controls = _normalize_controls(n, controls, keys + targets)
+    # the control-selected slice, its axes ordered (keys, targets, rest)
+    # with the highest qubit of each group first, so a C-order flattening
+    # of each group gives its register value
+    view, axis = _controlled_view(amps, n, controls)
+    front = [axis[q] for q in reversed(keys)] + [axis[q] for q in reversed(targets)]
+    rest = [a for a in range(view.ndim) if a not in set(front)]
+    view = view.transpose(front + rest)
+    # loop over the outer rest axes, batch the inner ones
+    inner = min(len(rest), max(0, (CHUNK >> (k + w)).bit_length() - 1))
+    outer = len(rest) - inner
+    head = (slice(None),) * (k + w)
+    shape = (1 << k, 1 << w, 1 << inner)
+    for pos in np.ndindex(*view.shape[k + w:k + w + outer]):
+        sub = view[head + pos]
+        sub[...] = np.matmul(blocks, sub.reshape(shape)).reshape(sub.shape)
 
 
 def _check_reg(n, reg, what):
@@ -367,15 +422,15 @@ def postselect(state: StateVector, qubit: int, bit: int) -> tuple[StateVector, f
         raise RegisterError(f"qubit {qubit} out of range")
     if bit not in (0, 1):
         raise RegisterError("bit must be 0 or 1")
-    idx = np.arange(state.amps.size)
-    keep = ((idx >> qubit) & 1) == bit
-    prob = float(np.sum(np.abs(state.amps[keep]) ** 2))
+    branch = state.amps.reshape(-1, 2, 1 << qubit)[:, bit, :]
+    # np.abs makes a C-order copy, so the sum runs in index order
+    prob = float(np.sum((np.abs(branch) ** 2).ravel()))
     if prob < 1e-24:
         raise DegenerateBranchError(
             f"branch qubit{qubit}={bit} has probability {prob!r}"
         )
     amps = np.zeros_like(state.amps)
-    amps[keep] = state.amps[keep] / np.sqrt(prob)
+    np.divide(branch, np.sqrt(prob), out=amps.reshape(-1, 2, 1 << qubit)[:, bit, :])
     return StateVector(state.n_qubits, amps), prob
 
 
@@ -390,8 +445,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def tensor(a: StateVector, b: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     """Tensor product with a's qubits as the high-order bits of the index."""
     n = a.n_qubits + b.n_qubits
-    if n > cap:
-        raise ResourceLimitError(f"{n} qubits exceeds the cap of {cap}")
+    check_qubit_cap(n, cap)
     return StateVector(n, np.kron(a.amps, b.amps))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import core
 from .circuits import CircuitOp, Gate, phase_estimate_op
-from .errors import ConfigError, RegisterError, ResourceLimitError, ZeroSuccessError
+from .errors import ConfigError, RegisterError, ZeroSuccessError
 from .fixedpoint import (
     ACTIVATIONS,
     FixedPointCodec,
@@ -176,10 +176,7 @@ def _pipeline(prep_builder, source, n, f, m, g, rng, mode, shots, rounds, cap):
     mw = FixedPointCodec(m, signed=True).width
     anc = nb + _arity(f) * mw
     total = anc + 1
-    if total > cap:
-        raise ResourceLimitError(
-            f"{total} qubits ({(1 << total) * 16 / 2**20:.0f} MiB) exceeds the cap of {cap}"
-        )
+    core.check_qubit_cap(total, cap)
     f = _resolve_activation(f, m)
     target = _classical_target(source, f)
     fvals = np.clip(f.decoded_outputs(), -1.0, 1.0)

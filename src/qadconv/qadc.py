@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .circuits import CircuitOp, Gate, RegisterLayout, phase_estimate_op
-from .errors import ConfigError, ResourceLimitError
+from .circuits import PE_CTRL_TAG, CircuitOp, Gate, RegisterLayout, phase_estimate_op
+from .errors import ConfigError
 from .fixedpoint import FixedPointCodec, abs_recovery_oracle, real_recovery_oracle
 from .prep import UA_ENTRY_TAG, PrepTree, synthesize_ua
 
@@ -260,10 +260,7 @@ def run_qadc(variant, prep_builder, true_values, n, m, g,
     layout = abs_layout(n, m, g) if variant == "abs" else part_layout(n, m, g)
     reg_width = FixedPointCodec(m, signed=variant != "abs").width
     total = layout.n_qubits + reg_width
-    if total > cap:
-        raise ResourceLimitError(
-            f"{total} qubits ({(1 << total) * 16 / 2**20:.0f} MiB) exceeds the cap of {cap}"
-        )
+    core.check_qubit_cap(total, cap)
 
     prep = prep_builder(layout.start("data"))
     if variant == "abs":
@@ -305,13 +302,14 @@ def run_qadc(variant, prep_builder, true_values, n, m, g,
     state = recover.apply(state)
     state = uncompute.apply(state)
 
-    # controlled-U applications: loader entries gated by a phase-register bit
-    regp_qubits = set(layout.qubits("regp"))
-    ua_count = sum(
-        1
+    # controlled-U applications: loader entries per iterate times the
+    # logical iterate applications of the power records
+    ua_per_iterate = sum(1 for gate in grover.gates if gate.tag == UA_ENTRY_TAG)
+    ua_count = ua_per_iterate * sum(
+        gate.params.count
         for op in (estimate, uncompute)
         for gate in op.gates
-        if gate.tag == UA_ENTRY_TAG and any(q in regp_qubits for q, _ in gate.controls)
+        if gate.tag == PE_CTRL_TAG
     )
     return _summarize(
         variant, m, g, state, n, reg_s, oracle.out_codec, true_values,

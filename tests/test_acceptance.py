@@ -147,7 +147,8 @@ def test_05_phase_estimation():
     t = 5
     unit = CircuitOp((Gate("phase", (t,), (1.0,)),))
     pe = phase_estimate_op(unit, (0, t))
-    count = sum(1 for g in pe.gates if g.tag == PE_CTRL_TAG)
+    # logical controlled-U applications: the power records' counts 2^j
+    count = sum(g.params.count for g in pe.gates if g.tag == PE_CTRL_TAG)
     assert count == 2**t - 1
     note(f"05 phase estimation: PASS (dyadic dev {dyadic_dev:.2e}, "
          f"closed-form dev {closed_dev:.2e}, count {count})")

@@ -139,7 +139,9 @@ def test_phase_estimate_matches_closed_form():
 def test_phase_estimate_application_count():
     t = 6
     op = circuits.phase_estimate_op(phase_unitary(1 / 3), (1, t))
-    assert sum(1 for g in op.gates if g.tag == circuits.PE_CTRL_TAG) == 2**t - 1
+    tagged = [g for g in op.gates if g.tag == circuits.PE_CTRL_TAG]
+    assert [g.params.count for g in tagged] == [2**j for j in range(t)]
+    assert sum(g.params.count for g in tagged) == 2**t - 1
 
 
 def test_phase_estimate_rejects_dirty_register():
@@ -247,8 +249,33 @@ def _mux_matrix():
     return m
 
 
+_H = np.array([[_R, _R], [_R, -_R]])
+
+
+def _ctrl(u, qubit, value):
+    """u where qubit holds value, identity elsewhere (u must not move it)."""
+    hit = np.array([(i >> qubit) & 1 == value for i in range(8)])
+    return np.where(hit[:, None], u, np.eye(8))
+
+
+# a power record's iterate: qubit 0 is only ever a control (its key, with
+# value-0 and value-1 controls), qubits 1 and 2 are targets
+_ITERATE = CircuitOp((
+    Gate("ry", (1,), (0.7,), controls=((0, 0),)),
+    Gate("h", (2,), controls=((0, 1),)),
+    Gate("phase", (1,), (0.4,), controls=((2, 1),)),
+    Gate("swap", (1, 2), controls=((0, 0),)),
+))
+_ITERATE_MATRIX = (
+    _ctrl(_permutation(lambda i: (i & 1) | ((i & 2) << 1) | ((i & 4) >> 1)), 0, 0)
+    @ _ctrl(_embed_2x2(np.diag([1, np.exp(0.4j)]), 1), 2, 1)
+    @ _ctrl(_embed_2x2(_H, 2), 0, 1)
+    @ _ctrl(_embed_2x2(_ry(0.7), 1), 0, 0)
+)
+
+
 KIND_CASES = {
-    "h": (Gate("h", (1,)), _embed_2x2(np.array([[_R, _R], [_R, -_R]]), 1)),
+    "h": (Gate("h", (1,)), _embed_2x2(_H, 1)),
     "x": (Gate("x", (1,)), _embed_2x2(np.array([[0, 1], [1, 0]]), 1)),
     "y": (Gate("y", (1,)), _embed_2x2(np.array([[0, -1j], [1j, 0]]), 1)),
     "z": (Gate("z", (1,)), _embed_2x2(np.diag([1, -1]), 1)),
@@ -265,6 +292,8 @@ KIND_CASES = {
     "oracle": (Gate("oracle", (0, 1, 2), _TABLE),
                _permutation(lambda i: i ^ (_TABLE[i & 3] << 2))),
     "mux-ry": (Gate("mux-ry", (0, 1, 2), _MUX_ANGLES), _mux_matrix()),
+    "power": (circuits.power_records(_ITERATE, 3)[2],
+              np.linalg.matrix_power(_ITERATE_MATRIX, 4)),
 }
 
 
@@ -272,17 +301,56 @@ def test_kind_cases_cover_every_kind():
     assert set(KIND_CASES) == set(circuits.KINDS)
 
 
-@pytest.mark.parametrize("controlled", [False, True], ids=["plain", "controlled"])
+@pytest.mark.parametrize("control", [None, 1, 0],
+                         ids=["plain", "controlled", "controlled-0"])
 @pytest.mark.parametrize("kind", sorted(KIND_CASES))
-def test_gate_kind_matches_independent_matrix(kind, controlled):
+def test_gate_kind_matches_independent_matrix(kind, control):
     gate, block = KIND_CASES[kind]
     op = CircuitOp((gate,))
-    if controlled:
-        op = op.controlled((3, 1))
-        want = np.block([[np.eye(8), np.zeros((8, 8))], [np.zeros((8, 8)), block]])
-    else:
+    eye, zero = np.eye(8), np.zeros((8, 8))
+    if control is None:
         want = np.kron(np.eye(2), block)
+    else:
+        op = op.controlled((3, control))
+        want = (np.block([[eye, zero], [zero, block]]) if control
+                else np.block([[block, zero], [zero, eye]]))
     u = reference.dense_unitary(op, 4)
     assert np.max(np.abs(u - want)) <= 1e-12
     inv = reference.dense_unitary(op.inverse(), 4)
     assert np.max(np.abs(inv @ u - np.eye(16))) <= 1e-12
+
+
+def test_power_record_splits_keys_from_targets():
+    gate = KIND_CASES["power"][0]
+    assert gate.wires == (0, 1, 2)
+    assert gate.params.keys == 1  # one block per value of key qubit 0
+    assert gate.params.blocks.shape == (2, 4, 4)
+    assert gate.params.count == 4
+    assert gate.primitive_count == 4 * len(_ITERATE.gates)
+
+
+@pytest.mark.parametrize("control", [None, 1, 0])
+def test_power_replay_matches_blocks(monkeypatch, control):
+    compiled = circuits.power_records(_ITERATE, 3)[2]
+    monkeypatch.setattr(circuits, "POWER_TABLE_BUDGET", 0)
+    replay = circuits.power_records(_ITERATE, 3)[2]
+    assert replay.params.blocks is None
+    ops = [CircuitOp((g,)) for g in (compiled, replay)]
+    if control is not None:
+        ops = [op.controlled((3, control)) for op in ops]
+    a, b = (reference.dense_unitary(op, 4) for op in ops)
+    assert np.max(np.abs(a - b)) <= 1e-12
+    a_inv, b_inv = (reference.dense_unitary(op.inverse(), 4) for op in ops)
+    assert np.max(np.abs(a_inv - b_inv)) <= 1e-12
+
+
+def test_power_records_print_shapes_and_compare_by_identity(monkeypatch):
+    gate = KIND_CASES["power"][0]
+    assert gate.to_line() == "power w=[0,1,2] c=[] p=[2x4x4 blocks ^4]"
+    twin = circuits.power_records(_ITERATE, 3)[2]
+    monkeypatch.setattr(circuits, "POWER_TABLE_BUDGET", 0)
+    replay = circuits.power_records(_ITERATE, 2)[1]
+    assert replay.to_line() == "power w=[0,1,2] c=[] p=[replay 4 gates x2]"
+    assert gate == gate
+    assert gate != twin  # no elementwise ndarray comparison
+    assert len({gate, twin}) == 2

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qadconv import cli
+from qadconv import cli, core
 from qadconv.errors import ConfigError
 
 
@@ -208,6 +208,22 @@ def test_verify_failure_exits_4(capsys, monkeypatch):
     assert record["metrics"]["rows"][0]["pass"] is False
 
 
+def test_verify_compiled_pe_catches_a_broken_block_kernel(capsys, monkeypatch):
+    code, record = run_main(capsys, ["verify", "--scope", "compiled-pe"])
+    assert code == 0
+    assert record["metrics"]["rows"][0]["max_deviation"] <= 1e-12
+
+    good = core.apply_block_table_inplace
+
+    def transposed(amps, n, keys, targets, blocks, controls=()):
+        good(amps, n, keys, targets, blocks.transpose(0, 2, 1), controls)
+
+    monkeypatch.setattr(core, "apply_block_table_inplace", transposed)
+    code, record = run_main(capsys, ["verify", "--scope", "compiled-pe"])
+    assert code == 4
+    assert record["metrics"]["rows"][0]["pass"] is False
+
+
 def test_exit_codes(tmp_path, capsys):
     path = write_csv(tmp_path, "d.csv", ["0.1", "0.5", "0.7", "0.5"])
     assert cli.main(["qdac", "--data", path]) == 2  # missing m
@@ -264,6 +280,8 @@ def test_non_finite_data_exits_2(tmp_path, capsys):
     ["qadc", "--variant", "real"],
     ["nonlinear"],
     ["perceptron"],
+    ["qdac"],
+    ["qdac", "--signed"],
 ])
 def test_huge_m_hits_the_cap_before_building_tables(capsys, argv):
     code = cli.main(argv + ["--random", "4", "--seed", "1", "--m", "61"])

@@ -256,3 +256,93 @@ def test_dump_lines_roundtrip():
 def test_from_amplitudes_rejects_non_finite(bad):
     with pytest.raises(NormalizationError):
         core.from_amplitudes([bad, 0.0])
+
+
+def _bits(i, qubits):
+    return sum(((i >> q) & 1) << b for b, q in enumerate(qubits))
+
+
+@pytest.mark.parametrize("chunk", [core.CHUNK, 4])
+def test_block_table_matches_index_loop(monkeypatch, chunk):
+    # scattered key and target qubits, a value-0 control, and (with a tiny
+    # chunk) the outer loop over the remaining qubits
+    monkeypatch.setattr(core, "CHUNK", chunk)
+    rng = np.random.default_rng(7)
+    n, keys, targets, controls = 7, (5, 1), (0, 6, 3), ((4, 0),)
+    blocks = rng.normal(size=(4, 8, 8)) + 1j * rng.normal(size=(4, 8, 8))
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    want = amps.copy()
+    for i in range(1 << n):
+        if (i >> 4) & 1:
+            continue
+        base = i & ~sum(1 << q for q in targets)
+        v, r = _bits(i, keys), _bits(i, targets)
+        want[i] = sum(
+            blocks[v][r, c] * amps[base | sum(((c >> b) & 1) << q for b, q in enumerate(targets))]
+            for c in range(8)
+        )
+    got = amps.copy()
+    core.apply_block_table_inplace(got, n, keys, targets, blocks, controls)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_block_table_validation():
+    amps = np.zeros(8, dtype=np.complex128)
+    eye = np.eye(2, dtype=np.complex128)[None]
+    with pytest.raises(RegisterError):
+        core.apply_block_table_inplace(amps, 3, (0,), (1,), eye)  # needs 2 blocks
+    with pytest.raises(RegisterError):
+        core.apply_block_table_inplace(amps, 3, (1,), (1,), np.stack([eye[0]] * 2))
+    with pytest.raises(RegisterError):
+        core.apply_block_table_inplace(amps, 3, (), (3,), eye)
+    with pytest.raises(RegisterError):
+        core.apply_block_table_inplace(amps, 3, (), (0,), eye, controls=((0, 1),))
+
+
+def _index_loop_oracle(amps, in_reg, out_reg, table, controls):
+    out = amps.copy()
+    for i in range(amps.size):
+        if any((i >> q) & 1 != v for q, v in controls):
+            continue
+        a = (i >> in_reg[0]) & ((1 << in_reg[1]) - 1)
+        out[i] = amps[i ^ (table[a] << out_reg[0])]
+    return out
+
+
+@pytest.mark.parametrize("in_reg,out_reg", [((0, 2), (3, 3)), ((4, 2), (0, 3)), ((0, 0), (1, 2))])
+def test_basis_oracle_matches_index_loop(in_reg, out_reg):
+    # input below or above the output register, or empty; a value-0 control
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=1 << 7) + 1j * rng.normal(size=1 << 7)
+    table = [int(x) for x in rng.integers(0, 1 << out_reg[1], size=1 << in_reg[1])]
+    controls = ((6, 0),)
+    got = amps.copy()
+    core.apply_basis_oracle_inplace(got, 7, in_reg, out_reg, table, controls)
+    np.testing.assert_array_equal(got, _index_loop_oracle(amps, in_reg, out_reg, table, controls))
+
+
+def test_phase_table_matches_index_loop():
+    rng = np.random.default_rng(12)
+    amps = rng.normal(size=1 << 6) + 1j * rng.normal(size=1 << 6)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=8))
+    got = amps.copy()
+    core.apply_phase_table_inplace(got, 6, (2, 3), phases, controls=((0, 0), (5, 1)))
+    want = np.array([
+        a * phases[(i >> 2) & 7] if (i & 1) == 0 and (i >> 5) & 1 else a
+        for i, a in enumerate(amps)
+    ])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("target", [0, 3, 6])
+def test_single_gate_with_controls_matches_kron(target):
+    st = random_state(7, seed=target)
+    u = core.ry_matrix(0.8) @ core.rz_matrix(0.3)
+    full = np.kron(np.kron(np.eye(1 << (6 - target)), u), np.eye(1 << target))
+    for controls in ((), (((target + 3) % 7, 0),)):
+        got = core.apply_single(st, target, u, controls=controls)
+        want = full @ st.amps
+        if controls:
+            skip = ((np.arange(1 << 7) >> ((target + 3) % 7)) & 1) == 1
+            want[skip] = st.amps[skip]
+        np.testing.assert_allclose(got.amps, want, rtol=0, atol=1e-12)
