@@ -31,7 +31,7 @@ from .nonlinear import (
     train_demo,
 )
 from .prep import PrepTree, build_tree, load_data, synthesize_ua
-from .qadc import QadcResult, abs_qadc, imag_qadc, real_qadc
+from .qadc import QadcResult, abs_qadc, imag_qadc, real_qadc, run_qadc
 from .qdac import QdacOutcome, make_digital_state, qdac_run
 
 __all__ = [
@@ -66,6 +66,7 @@ __all__ = [
     "perceptron_run",
     "qdac_run",
     "real_qadc",
+    "run_qadc",
     "swap_test_readout",
     "synthesize_ua",
     "tensor_encode",

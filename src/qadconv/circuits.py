@@ -440,24 +440,3 @@ def register_distribution_zero_mass(state: core.StateVector, reg) -> float:
     """Probability that the register is NOT all zeros."""
     dist = core.register_distribution(state, [reg]).ravel()
     return float(1.0 - dist[0])
-
-
-def round_guard_table(t: int, m: int) -> np.ndarray:
-    """Round a t-bit phase fraction to the nearest m-bit fraction, half up.
-
-    The result wraps modulo 2**m: a pattern just below 1 rounds to 0, which
-    is the right thing for phases living on the unit circle.
-    """
-    if not 0 < m <= t:
-        raise RegisterError(f"need 0 < m <= t, got m={m}, t={t}")
-    g = t - m
-    b = np.arange(1 << t, dtype=np.int64)
-    return ((b + ((1 << g) >> 1)) >> g) % (1 << m)
-
-
-def round_guard_bits(state: core.StateVector, regp, reg_out) -> core.StateVector:
-    """XOR the rounded m-bit estimate of the regp fraction into reg_out."""
-    t = regp[1]
-    m = reg_out[1]
-    table = round_guard_table(t, m)
-    return core.apply_basis_oracle(state, regp, reg_out, table)

@@ -34,13 +34,11 @@ from .nonlinear import AnsatzCircuit, nonlinear_transform, perceptron_run, swap_
 from .prep import build_tree, load_data, synthesize_ua
 from .qadc import (
     abs_layout,
-    abs_qadc,
-    build_g,
-    build_v,
-    imag_qadc,
+    g_from_prep,
     part_spectrum,
-    real_qadc,
+    run_qadc,
     spectrum_oracle,
+    v_from_prep,
 )
 from .qdac import make_digital_state, predict_success, qdac_run
 
@@ -222,10 +220,10 @@ def _run_qdac(cfg: ExperimentConfig) -> dict:
     core.check_qubit_cap(n_addr + 2 * (cfg.m + signed) + 1, cfg.cap)
     f = activation_oracle(cfg.f or "identity", cfg.m, in_signed=signed,
                           out_signed=signed)
-    digital = make_digital_state(values, cfg.m, signed=signed)
+    digital = make_digital_state(values, cfg.m, signed=signed, cap=cfg.cap)
     rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
     out = qdac_run(digital, f, cfg.m, rng=rng, mode=cfg.mode,
-                   shots=cfg.shots, rounds=cfg.rounds)
+                   shots=cfg.shots, rounds=cfg.rounds, cap=cfg.cap)
     codec = f.in_codecs[0]
     f_vals = f.out_codec.decode_array([f.table[codec.encode(v)] for v in values])
     target = f_vals / np.linalg.norm(f_vals)
@@ -245,16 +243,13 @@ def _run_qdac(cfg: ExperimentConfig) -> dict:
     }
 
 
-_QADC_RUNNERS = {"qadc-abs": abs_qadc, "qadc-real": real_qadc, "qadc-imag": imag_qadc}
-
-
 def _run_qadc(cfg: ExperimentConfig) -> dict:
     values = _load_values(cfg)
     tree, _ = _normalized_tree(values)
-    runner = _QADC_RUNNERS[cfg.kind]
+    variant = cfg.kind.removeprefix("qadc-")
 
     def one(m: int) -> dict:
-        res = runner(tree, tree.depth, m, g=cfg.g, cap=cfg.cap)
+        res = run_qadc(tree, variant, tree.depth, m, g=cfg.g, cap=cfg.cap)
         return {
             "m": m,
             "g": cfg.g,
@@ -512,7 +507,9 @@ def _check_compiled_pe() -> float:
     rng = np.random.default_rng(20260102)
     layout = abs_layout(1, 2, 1)
     nq = layout.n_qubits
-    iterate = build_g(layout, build_tree([0.6, 0.8j], normalize="silent"))
+    tree = build_tree([0.6, 0.8j], normalize="silent")
+    prep = synthesize_ua(tree).op(start=layout.start("data"))
+    iterate = g_from_prep(layout, v_from_prep(layout, prep))
     amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
     start = core.StateVector(nq, amps / np.linalg.norm(amps))
     compiled = phase_estimate_op(iterate, layout.reg("regp"))
@@ -548,8 +545,8 @@ def _check_spectrum() -> float:
     for r in rng.uniform(0.02, 0.98, size=30):
         spec = spectrum_oracle(float(r))
         tree = build_tree([r, math.sqrt(1.0 - r * r)], normalize="silent")
-        v = build_v(layout, tree)
-        gop = build_g(layout, tree)
+        v = v_from_prep(layout, synthesize_ua(tree).op(start=layout.start("data")))
+        gop = g_from_prep(layout, v)
         start = v.apply(core.new_zero_state(nq)).amps
         idx = np.arange(start.size)
         branches = []

@@ -144,10 +144,6 @@ class FunctionOracle:
     def arity(self) -> int:
         return len(self.in_codecs)
 
-    @property
-    def in_width(self) -> int:
-        return sum(c.width for c in self.in_codecs)
-
     def evaluate(self, *values) -> float:
         """Double-precision value of the underlying function, domain-checked."""
         if len(values) != self.arity:

@@ -18,17 +18,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core
-from .circuits import CircuitOp, Gate, phase_estimate_op
+# phase_estimate_op is unused here, but perfbench's tracer test looks it up on this module
+from .circuits import CircuitOp, Gate, phase_estimate_op  # noqa: F401
 from .errors import ConfigError, RegisterError, ZeroSuccessError
 from .fixedpoint import (
     ACTIVATIONS,
     FixedPointCodec,
     FunctionOracle,
     activation_oracle,
-    real_recovery_oracle,
 )
 from .prep import PrepTree, synthesize_ua
-from .qadc import g_prime_from_prep, hadamard_layer, part_layout, w_from_prep
+from .qadc import hadamard_layer, part_layout, readout_block, run_stages
 from .qdac import amplitude_amplify, grover_rounds
 
 MODES = ("postselect", "sample", "amplify")
@@ -150,24 +150,14 @@ def nonlinear_transform(tree: PrepTree, f, n: int, m: int, g: int,
                         rounds=None, cap: int = core.DEFAULT_QUBIT_CAP) -> NonlinearOutcome:
     if n != tree.depth:
         raise ConfigError("n", f"tree has {tree.depth} address qubits, got n={n}")
-    ua = synthesize_ua(tree)
-    return _pipeline(lambda start: ua.op(start=start), tree.amplitudes(), n, f, m, g,
+    return _pipeline(synthesize_ua(tree).op(start=n), tree.amplitudes(), n, f, m, g,
                      rng=rng, mode=mode, shots=shots, rounds=rounds, cap=cap)
 
 
-def _run_stages(state: core.StateVector, stages) -> core.StateVector:
-    """Apply (extra, op) stages in order; each first tensors `extra` fresh
-    zero qubits on top, so registers join the state as late as possible."""
-    for extra, op in stages:
-        if extra:
-            state = core.tensor(core.new_zero_state(extra), state)
-        state = op.apply(state)
-    return state
-
-
-def _pipeline(prep_builder, source, n, f, m, g, rng, mode, shots, rounds, cap):
-    """Convert, evaluate f, revert. `source` holds the amplitudes the
-    classical target applies f to."""
+def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
+    """Convert, evaluate f, revert. prep loads the data register (qubits
+    n .. 2n-1); `source` holds the amplitudes the classical target applies
+    f to."""
     if mode not in MODES:
         raise ConfigError("mode", f"unknown mode {mode!r}")
     # the qubit cap also bounds every 2^m-sized table: check it before building any
@@ -183,34 +173,22 @@ def _pipeline(prep_builder, source, n, f, m, g, rng, mode, shots, rounds, cap):
     if not np.any(fvals):
         raise ZeroSuccessError("every quantized activation value is zero")
 
-    prep = prep_builder(base.start("data"))
-    rec = real_recovery_oracle(m, guard_bits=g)
-    regp = base.reg("regp")
-    table = tuple(int(x) for x in rec.table)
-
-    def readout(imag: bool, out_start: int) -> list:
-        """Load, estimate, copy the value out, un-estimate, un-load."""
-        w = w_from_prep(base, prep, imag=imag)
-        pe = phase_estimate_op(g_prime_from_prep(base, w), regp)
-        wires = tuple(base.qubits("regp")) + tuple(range(out_start, out_start + mw))
-        copy_out = CircuitOp((Gate("oracle", wires, table, label=rec.name),),
-                             label="recover")
-        return [(0, w + pe), (mw, copy_out), (0, pe.inverse() + w.inverse())]
-
     # each readout block is its own inverse, so reverting replays them backwards
-    blocks = [readout(False, nb)]
+    blocks = [readout_block(base, prep, "real", m, g, nb)]
     if f.arity == 2:
-        blocks.append(readout(True, nb + mw))
+        blocks.append(readout_block(base, prep, "imag", m, g, nb + mw))
     forward = [(0, hadamard_layer(base, "ad"))] + [st for b in blocks for st in b]
     mux = Gate("mux-ry", tuple(range(nb, total)), tuple(2.0 * np.arccos(fvals)))
     rest = [(1, CircuitOp((mux,), label="f-rotation"))]
     rest += [(0, op) for b in reversed(blocks) for _, op in b]
 
-    state = _run_stages(core.new_zero_state(nb), forward)
+    # popped into run_stages, so the converted state is not kept alive
+    # while the rotation and the revert run
+    held = [run_stages(core.new_zero_state(nb, cap=cap), forward, cap=cap)]
     # success probability predicted from the pipeline's own registers
-    key_joint = core.register_distribution(state, [(0, n), (nb, anc - nb)])
+    key_joint = core.register_distribution(held[0], [(0, n), (nb, anc - nb)])
     predicted = float((key_joint.reshape(1 << n, -1) @ (fvals**2)).sum())
-    state = _run_stages(state, rest)
+    state = run_stages(held.pop(), rest, cap=cap)
 
     branch, p_exact = core.postselect(state, anc, 0)
     clean, clean_mass = core.clean_component(branch, [(0, n)])
@@ -228,7 +206,7 @@ def _pipeline(prep_builder, source, n, f, m, g, rng, mode, shots, rounds, cap):
     else:
         r = grover_rounds(p_exact) if rounds is None else int(rounds)
         procedure = CircuitOp(tuple(gate for _, op in forward + rest for gate in op.gates))
-        boosted = amplitude_amplify(procedure, total, anc, r)
+        boosted = amplitude_amplify(procedure, total, anc, r, cap=cap)
         boost_branch, p_boost = core.postselect(boosted, anc, 0)
         clean, clean_mass = core.clean_component(boost_branch, [(0, n)])
         amps = clean.amps
@@ -269,9 +247,9 @@ def perceptron_run(tree: PrepTree, ansatz: AnsatzCircuit, sigma, m: int, g: int,
     if _arity(sigma) != 1:
         raise ConfigError("sigma", "the perceptron activation takes one argument")
     ua = synthesize_ua(tree)
-    rotated = (ua.op(0) + ansatz.op(0)).apply(core.new_zero_state(n))
+    rotated = (ua.op(0) + ansatz.op(0)).apply(core.new_zero_state(n, cap=cap))
     return _pipeline(
-        lambda start: ua.op(start=start) + ansatz.op(start=start),
+        ua.op(start=n) + ansatz.op(start=n),
         rotated.amps, n, sigma, m, g, rng=rng, mode=mode, shots=shots, rounds=None,
         cap=cap,
     )

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core
 from .circuits import CircuitOp, Gate
 from .errors import DimensionError, NormalizationError, RegisterError
 
@@ -145,24 +144,6 @@ class PrepCircuit:
 def synthesize_ua(tree: PrepTree) -> PrepCircuit:
     n = tree.depth
     return PrepCircuit(tree, n)
-
-
-def apply_ua(state: core.StateVector, reg, tree: PrepTree) -> core.StateVector:
-    s, w = reg
-    if w != tree.depth:
-        raise RegisterError(
-            f"register width {w} does not match tree depth {tree.depth}"
-        )
-    return synthesize_ua(tree).op(start=s).apply(state)
-
-
-def apply_ua_inverse(state: core.StateVector, reg, tree: PrepTree) -> core.StateVector:
-    s, w = reg
-    if w != tree.depth:
-        raise RegisterError(
-            f"register width {w} does not match tree depth {tree.depth}"
-        )
-    return synthesize_ua(tree).op(start=s).inverse().apply(state)
 
 
 def load_data(path, fmt: str = "csv") -> np.ndarray:

@@ -7,7 +7,8 @@ quarter-wave plate on the test qubit). Each variant builds a reflection
 operator whose restriction to one address acts as a plane rotation by
 2 pi theta_k, estimates theta_k into a phase register, converts the phase
 pattern to the recovered value with a lookup oracle, and uncomputes
-everything except the address and value registers.
+everything except the address and value registers. readout_block builds
+that sequence once; run_qadc and the nonlinear pipeline both run it.
 """
 
 from __future__ import annotations
@@ -121,10 +122,6 @@ def v_from_prep(layout: RegisterLayout, prep: CircuitOp) -> CircuitOp:
     return CircuitOp(tuple(gates), label="v")
 
 
-def build_v(layout: RegisterLayout, tree: PrepTree) -> CircuitOp:
-    return v_from_prep(layout, synthesize_ua(tree).op(start=layout.start("data")))
-
-
 def g_from_prep(layout: RegisterLayout, v_op: CircuitOp) -> CircuitOp:
     """The magnitude-variant reflection: Z_B, V^-1, fan-in, flip about zero,
     fan-in, V (applied left to right)."""
@@ -142,10 +139,6 @@ def g_from_prep(layout: RegisterLayout, v_op: CircuitOp) -> CircuitOp:
         + v_op.gates
     )
     return CircuitOp(gates, label="g")
-
-
-def build_g(layout: RegisterLayout, tree: PrepTree) -> CircuitOp:
-    return g_from_prep(layout, build_v(layout, tree))
 
 
 def w_from_prep(layout: RegisterLayout, prep: CircuitOp, imag: bool) -> CircuitOp:
@@ -167,12 +160,6 @@ def w_from_prep(layout: RegisterLayout, prep: CircuitOp, imag: bool) -> CircuitO
     return CircuitOp(tuple(gates), label="w-imag" if imag else "w")
 
 
-def build_w(layout: RegisterLayout, tree: PrepTree, imag: bool = False) -> CircuitOp:
-    return w_from_prep(
-        layout, synthesize_ua(tree).op(start=layout.start("data")), imag
-    )
-
-
 def g_prime_from_prep(layout: RegisterLayout, w_op: CircuitOp) -> CircuitOp:
     b = layout.start("b")
     zero_qubits = tuple(layout.qubits("data")) + (b,)
@@ -185,8 +172,46 @@ def g_prime_from_prep(layout: RegisterLayout, w_op: CircuitOp) -> CircuitOp:
     return CircuitOp(gates, label="g-prime")
 
 
-def build_g_prime(layout: RegisterLayout, tree: PrepTree, imag: bool = False) -> CircuitOp:
-    return g_prime_from_prep(layout, build_w(layout, tree, imag))
+def readout_block(layout: RegisterLayout, prep: CircuitOp, variant: str,
+                  m: int, g: int, out_start: int) -> list:
+    """One readout as (extra_qubits, op) stages for run_stages.
+
+    Load and estimate; copy the recovered value into a value register of
+    fresh qubits at out_start (m bits for abs, m + 1 signed bits for real
+    and imag); un-estimate and un-load. The copy is self-inverse and the
+    stages around it mirror each other, so the block is its own inverse.
+    prep is the data-load circuit on the layout's data register.
+    """
+    if variant == "abs":
+        v_op = v_from_prep(layout, prep)
+        load = address_copy_op(layout) + v_op
+        iterate = g_from_prep(layout, v_op)
+        oracle = abs_recovery_oracle(m, guard_bits=g)
+    elif variant in ("real", "imag"):
+        load = w_from_prep(layout, prep, imag=variant == "imag")
+        iterate = g_prime_from_prep(layout, load)
+        oracle = real_recovery_oracle(m, guard_bits=g)
+    else:
+        raise ConfigError("variant", f"unknown variant {variant!r}")
+    pe = phase_estimate_op(iterate, layout.reg("regp"))
+    width = oracle.out_codec.width
+    wires = tuple(layout.qubits("regp")) + tuple(range(out_start, out_start + width))
+    recover = CircuitOp(
+        (Gate("oracle", wires, tuple(int(x) for x in oracle.table), label=oracle.name),),
+        label="recover",
+    )
+    return [(0, load + pe), (width, recover), (0, pe.inverse() + load.inverse())]
+
+
+def run_stages(state: core.StateVector, stages,
+               cap: int = core.DEFAULT_QUBIT_CAP) -> core.StateVector:
+    """Apply (extra, op) stages in order; each first tensors `extra` fresh
+    zero qubits on top, so registers join the state as late as possible."""
+    for extra, op in stages:
+        if extra:
+            state = core.tensor(core.new_zero_state(extra, cap=cap), state, cap=cap)
+        state = op.apply(state)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -211,109 +236,64 @@ class QadcResult:
     true_values: np.ndarray
 
 
+# The benchmark (perfbench/workloads.py, perfbench/tracing.py) reaches these
+# three forwards by name; they go with its next change.
 def abs_qadc(tree: PrepTree, n: int, m: int, g: int = 3,
              cap: int = core.DEFAULT_QUBIT_CAP) -> QadcResult:
-    c = tree.amplitudes()
-    return run_qadc(
-        "abs",
-        lambda start: synthesize_ua(tree).op(start=start),
-        np.abs(c),
-        n, m, g, cap=cap,
-    )
+    return run_qadc(tree, "abs", n, m, g, cap=cap)
 
 
 def real_qadc(tree: PrepTree, n: int, m: int, g: int = 3,
               cap: int = core.DEFAULT_QUBIT_CAP) -> QadcResult:
-    c = tree.amplitudes()
-    return run_qadc(
-        "real",
-        lambda start: synthesize_ua(tree).op(start=start),
-        c.real.copy(),
-        n, m, g, cap=cap,
-    )
+    return run_qadc(tree, "real", n, m, g, cap=cap)
 
 
 def imag_qadc(tree: PrepTree, n: int, m: int, g: int = 3,
               cap: int = core.DEFAULT_QUBIT_CAP) -> QadcResult:
-    c = tree.amplitudes()
-    return run_qadc(
-        "imag",
-        lambda start: synthesize_ua(tree).op(start=start),
-        c.imag.copy(),
-        n, m, g, cap=cap,
-    )
+    return run_qadc(tree, "imag", n, m, g, cap=cap)
 
 
-def run_qadc(variant, prep_builder, true_values, n, m, g,
+def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
              cap: int = core.DEFAULT_QUBIT_CAP) -> QadcResult:
-    """Drive one conversion. prep_builder(start) must return the data-load
-    circuit at the given offset; true_values are the exact quantities the
-    variant is reading out (used for spectra and accuracy reporting)."""
-    if variant not in ("abs", "real", "imag"):
+    """Read one part of the tree's amplitudes into an m-bit value register:
+    "abs" the magnitudes |c_k|, "real" and "imag" the signed parts."""
+    parts = {"abs": np.abs, "real": np.real, "imag": np.imag}
+    if variant not in parts:
         raise ConfigError("variant", f"unknown variant {variant!r}")
-    t = m + g
-    true_values = np.asarray(true_values, dtype=np.float64)
-    if true_values.size != 1 << n:
-        raise ConfigError("n", f"need {1 << n} true values, got {true_values.size}")
+    if n != tree.depth:
+        raise ConfigError("n", f"tree has {tree.depth} address qubits, got n={n}")
+    true_values = np.array(parts[variant](tree.amplitudes()), dtype=np.float64)
+    spectrum = spectrum_oracle if variant == "abs" else part_spectrum
+    thetas = [spectrum(x).theta for x in true_values]
 
     # the qubit cap also bounds the 2^t-entry recovery table: check it first
     layout = abs_layout(n, m, g) if variant == "abs" else part_layout(n, m, g)
-    reg_width = FixedPointCodec(m, signed=variant != "abs").width
-    total = layout.n_qubits + reg_width
-    core.check_qubit_cap(total, cap)
+    codec = FixedPointCodec(m, signed=variant != "abs")
+    reg_s = layout.n_qubits
+    core.check_qubit_cap(reg_s + codec.width, cap)
 
-    prep = prep_builder(layout.start("data"))
-    if variant == "abs":
-        oracle = abs_recovery_oracle(m, guard_bits=g)
-        spectra = [spectrum_oracle(r) for r in true_values]
-        v_op = v_from_prep(layout, prep)
-        grover = g_from_prep(layout, v_op)
-        front = hadamard_layer(layout, "ad") + address_copy_op(layout) + v_op
-        back = v_op.inverse() + address_copy_op(layout)
-    else:
-        oracle = real_recovery_oracle(m, guard_bits=g)
-        spectra = [part_spectrum(x) for x in true_values]
-        w_op = w_from_prep(layout, prep, imag=(variant == "imag"))
-        grover = g_prime_from_prep(layout, w_op)
-        front = hadamard_layer(layout, "ad") + w_op
-        back = w_op.inverse()
-
-    regp = layout.reg("regp")
-    pe = phase_estimate_op(grover, regp)
-    estimate = front + pe
-    uncompute = pe.inverse() + back
-    state = estimate.apply(core.new_zero_state(layout.n_qubits))
+    stages = readout_block(layout, synthesize_ua(tree).op(start=n), variant, m, g, reg_s)
+    estimate = hadamard_layer(layout, "ad") + stages[0][1]
+    # held in a list that is popped into run_stages, so no reference to the
+    # pre-recover state stays alive while the later stages run
+    held = [estimate.apply(core.new_zero_state(reg_s, cap=cap))]
 
     # phase-register statistics before anything is uncomputed
-    inter_joint = core.register_distribution(state, [(0, n), regp])
-    inter_joint = inter_joint.reshape(1 << n, 1 << t)
-    phase_success = _phase_success(inter_joint, [sp.theta for sp in spectra], t, m)
+    t = m + g
+    joint = core.register_distribution(held[0], [(0, n), layout.reg("regp")])
+    phase_success = _phase_success(joint.reshape(1 << n, 1 << t), thetas, t, m)
+    state = run_stages(held.pop(), stages[1:], cap=cap)
 
-    # write the recovered value, then run the uncompute tail
-    state = core.tensor(core.new_zero_state(reg_width), state)
-    reg_s = layout.n_qubits
-    recover = CircuitOp(
-        (
-            Gate("oracle", tuple(layout.qubits("regp")) + tuple(range(reg_s, total)),
-                 tuple(int(x) for x in oracle.table), label=oracle.name),
-        ),
-        label="recover",
-    )
-    state = recover.apply(state)
-    state = uncompute.apply(state)
-
-    # controlled-U applications: loader entries per iterate times the
-    # logical iterate applications of the power records
-    ua_per_iterate = sum(1 for gate in grover.gates if gate.tag == UA_ENTRY_TAG)
-    ua_count = ua_per_iterate * sum(
-        gate.params.count
-        for op in (estimate, uncompute)
+    # controlled-U applications: the power records' logical iterate counts
+    # times the loader entries in one iterate
+    ua_count = sum(
+        gate.params.count * sum(1 for h in gate.params.iterate if h.tag == UA_ENTRY_TAG)
+        for _, op in stages
         for gate in op.gates
         if gate.tag == PE_CTRL_TAG
     )
     return _summarize(
-        variant, m, g, state, n, reg_s, oracle.out_codec, true_values,
-        phase_success, ua_count,
+        variant, m, g, state, n, reg_s, codec, true_values, phase_success, ua_count,
     )
 
 

@@ -33,13 +33,14 @@ class QdacOutcome:
     residual_mass: float = 0.0
 
 
-def make_digital_state(data, m: int, signed: bool = False) -> core.StateVector:
+def make_digital_state(data, m: int, signed: bool = False,
+                       cap: int = core.DEFAULT_QUBIT_CAP) -> core.StateVector:
     """(1/sqrt(N)) sum_j |j>|code(d_j)> with the address in the low qubits."""
     codec = FixedPointCodec(m, signed=signed)
     codes = [codec.encode(v) for v in np.asarray(data, dtype=np.float64)]
     n_addr = _address_width(len(codes))
     op = digital_load_op(codes, n_addr, codec.width)
-    return op.apply(core.new_zero_state(n_addr + codec.width))
+    return op.apply(core.new_zero_state(n_addr + codec.width, cap=cap))
 
 
 def digital_load_op(codes, n_addr: int, value_width: int, start: int = 0) -> CircuitOp:
@@ -77,13 +78,6 @@ def extract_codes(state: core.StateVector, n_addr: int, value_width: int) -> lis
             )
         codes.append(v)
     return codes
-
-
-def moments(data) -> tuple[float, float]:
-    """(mean, population variance) of the raw data."""
-    d = np.asarray(data, dtype=np.float64)
-    mu = float(d.mean())
-    return mu, float(((d - mu) ** 2).mean())
 
 
 def predict_success(data, f=None, m: int | None = None) -> float:
@@ -166,6 +160,7 @@ def qdac_run(
     mode: str = "postselect",
     shots: int = 2048,
     rounds: int | None = None,
+    cap: int = core.DEFAULT_QUBIT_CAP,
 ) -> QdacOutcome:
     """Convert a digital state to the analog encoding of f over its values."""
     if f.arity != 1:
@@ -176,6 +171,9 @@ def qdac_run(
     n_addr = state.n_qubits - w_v
     if n_addr < 0:
         raise RegisterError("state is narrower than the oracle's input register")
+    sign_w = 1 if f.out_codec.signed else 0
+    extra = m + sign_w + 1
+    core.check_qubit_cap(state.n_qubits + extra, cap)
     d_codes = extract_codes(state, n_addr, w_v)
 
     f_vals = f.out_codec.decode_array([f.table[c] for c in d_codes])
@@ -184,9 +182,7 @@ def qdac_run(
         raise ZeroSuccessError("f~ vanishes on every data value")
 
     suffix, anc = conversion_suffix_op(f, d_codes, n_addr)
-    sign_w = 1 if f.out_codec.signed else 0
-    extra = m + sign_w + 1
-    full = suffix.apply(core.tensor(core.new_zero_state(extra), state))
+    full = suffix.apply(core.tensor(core.new_zero_state(extra, cap=cap), state, cap=cap))
 
     if mode == "postselect":
         return _finish(full, anc, n_addr, predicted, attempts=1, success=True,
@@ -204,7 +200,7 @@ def qdac_run(
         procedure = prep.then(suffix, label="qdac-full")
         p0 = float(core.register_distribution(full, [(anc, 1)])[0])
         r = grover_rounds(p0) if rounds is None else int(rounds)
-        boosted = amplitude_amplify(procedure, anc + 1, anc, r)
+        boosted = amplitude_amplify(procedure, anc + 1, anc, r, cap=cap)
         return _finish(boosted, anc, n_addr, predicted, attempts=1 + 2 * r,
                        success=True, empirical=None)
     raise ConfigError("mode", f"unknown mode {mode!r}")
@@ -238,14 +234,15 @@ def grover_rounds(initial_success: float) -> int:
 
 
 def amplitude_amplify(
-    procedure: CircuitOp, n_qubits: int, flag: int, rounds: int
+    procedure: CircuitOp, n_qubits: int, flag: int, rounds: int,
+    cap: int = core.DEFAULT_QUBIT_CAP,
 ) -> core.StateVector:
     """Grover-boost the flag=0 component of procedure|0...0>.
 
     One round is -A R0 A^-1 Rgood; the leading minus keeps the boosted state
     in phase with the plain postselected branch.
     """
-    state = procedure.apply(core.new_zero_state(n_qubits))
+    state = procedure.apply(core.new_zero_state(n_qubits, cap=cap))
     p0 = float(core.register_distribution(state, [(flag, 1)])[0])
     if p0 < 1e-24:
         raise ZeroSuccessError("procedure never sets the flag to 0")

@@ -134,14 +134,6 @@ def code_distribution(theta: float, t: int, m: int, signed: bool) -> dict:
     return agg
 
 
-def modal_value(agg: dict) -> float:
-    return max(agg, key=agg.get)
-
-
-def within_bound_mass(agg: dict, true_value: float, bound: float) -> float:
-    return float(sum(p for v, p in agg.items() if abs(v - true_value) <= bound))
-
-
 # ---------------------------------------------------------------------------
 # Amplitude amplification.
 
@@ -167,34 +159,6 @@ def grover_optimal_rounds(initial_success: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The two-dimensional rotation block and its spectrum.
-
-
-def rotation_block(theta: float) -> np.ndarray:
-    c, s = math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta)
-    return np.array([[c, s], [-s, c]])
-
-
-def spectrum_closed_form(theta: float) -> dict:
-    """Eigen-structure of the rotation block in the start-state's plane.
-
-    The start state decomposes as sin(pi theta)|e0> + cos(pi theta)|e1>,
-    and the rotation's eigenvectors are (|e0> +- i|e1>)/sqrt(2) with
-    eigenvalues exp(+-2 pi i theta).
-    """
-    return {
-        "theta": theta,
-        "alpha": math.sin(math.pi * theta),
-        "beta": math.cos(math.pi * theta),
-        "lambda_plus": np.exp(2j * np.pi * theta),
-        "lambda_minus": np.exp(-2j * np.pi * theta),
-        "coef_plus": -1j * np.exp(1j * np.pi * theta) / math.sqrt(2),
-        "coef_minus": 1j * np.exp(-1j * np.pi * theta) / math.sqrt(2),
-        "degenerate": abs(math.sin(2 * math.pi * theta)) < 1e-12,
-    }
-
-
-# ---------------------------------------------------------------------------
 # End-to-end predictions for the digital->analog and nonlinear pipelines.
 
 
@@ -211,15 +175,6 @@ def qdac_prediction(values, m: int | None = None, signed: bool = False):
     if p <= 0.0:
         return np.zeros_like(v), 0.0
     return v / math.sqrt(float((v**2).sum())), p
-
-
-def nonlinear_target(values, f) -> np.ndarray:
-    """Ideal (unquantized) output amplitudes: f applied pointwise, normalized."""
-    fv = np.asarray([f(float(x)) for x in values], dtype=np.float64)
-    norm = float(np.sqrt((fv**2).sum()))
-    if norm == 0.0:
-        raise ValueError("f vanishes on every input value")
-    return fv / norm
 
 
 def pipeline_prediction(values, f, m: int, g: int) -> dict:

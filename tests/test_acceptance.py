@@ -28,7 +28,15 @@ from qadconv.nonlinear import (
     train_demo,
 )
 from qadconv.prep import build_tree, synthesize_ua
-from qadconv.qadc import abs_layout, abs_qadc, build_g, build_v, imag_qadc, real_qadc, spectrum_oracle
+from qadconv.qadc import (
+    abs_layout,
+    abs_qadc,
+    g_from_prep,
+    imag_qadc,
+    real_qadc,
+    spectrum_oracle,
+    v_from_prep,
+)
 from qadconv.qdac import amplitude_amplify, make_digital_state, predict_success, qdac_run
 
 
@@ -165,8 +173,8 @@ def test_06_iterate_spectrum():
         r = float(min(r, 0.999999))
         spec = spectrum_oracle(r)
         tree = build_tree([r, math.sqrt(max(0.0, 1.0 - r * r))], normalize="silent")
-        v = build_v(layout, tree)
-        gop = build_g(layout, tree)
+        v = v_from_prep(layout, synthesize_ua(tree).op(start=layout.start("data")))
+        gop = g_from_prep(layout, v)
         start = v.apply(core.new_zero_state(nq)).amps
         branches = []
         for bit in (0, 1):

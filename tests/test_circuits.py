@@ -156,31 +156,6 @@ def test_phase_estimate_rejects_overlap():
         circuits.phase_estimate_op(phase_unitary(0.25, qubit=1), (1, 3))
 
 
-def test_round_guard_table_half_up():
-    table = circuits.round_guard_table(3, 2)
-    np.testing.assert_array_equal(table, [0, 1, 1, 2, 2, 3, 3, 0])
-
-
-def test_round_guard_table_brute_force():
-    t, m = 6, 3
-    table = circuits.round_guard_table(t, m)
-    for b in range(1 << t):
-        best = round(b / 2 ** (t - m) + 1e-12)  # ties go up
-        assert table[b] == best % (1 << m)
-
-
-def test_round_guard_bits_oracle():
-    t, m = 4, 2
-    st = core.new_zero_state(t + m)
-    for q in range(t):
-        st = core.apply_single(st, q, core.H_MATRIX)
-    out = circuits.round_guard_bits(st, (0, t), (t, m))
-    joint = core.register_distribution(out, [(0, t), (t, m)])
-    table = circuits.round_guard_table(t, m)
-    for b in range(1 << t):
-        assert joint[b, table[b]] == pytest.approx(1 / 2**t, abs=1e-12)
-
-
 def test_multiplexed_ry_gate_equals_controlled_rotations():
     st = random_state(3, seed=4)
     gate = Gate("mux-ry", (0, 1, 2), (0.3, 1.2, 0.0, 2.5))

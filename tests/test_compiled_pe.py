@@ -5,6 +5,8 @@ then the iterate controlled on phase bit j and repeated 2^j times, then the
 inverse QFT. Every comparison is to 1e-12.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -31,15 +33,18 @@ def random_state(n, seed):
 
 
 def readout_ops(variant, tree, n, m, g):
-    """(layout, front, iterate) exactly as run_qadc builds them."""
+    """(layout, front, iterate) taken from the readout block run_qadc runs:
+    the Hadamard layer plus the load that precedes phase estimation, and
+    the iterate its power records raise."""
     layout = (qadc.abs_layout if variant == "abs" else qadc.part_layout)(n, m, g)
     prep = synthesize_ua(tree).op(start=layout.start("data"))
-    h = qadc.hadamard_layer(layout, "ad")
-    if variant == "abs":
-        v = qadc.v_from_prep(layout, prep)
-        return layout, h + qadc.address_copy_op(layout) + v, qadc.g_from_prep(layout, v)
-    w = qadc.w_from_prep(layout, prep, imag=variant == "imag")
-    return layout, h + w, qadc.g_prime_from_prep(layout, w)
+    estimate = qadc.readout_block(layout, prep, variant, m, g, layout.n_qubits)[0][1]
+    regp = set(layout.qubits("regp"))
+    load = tuple(itertools.takewhile(lambda gate: not gate.used_qubits() & regp,
+                                     estimate.gates))
+    power = next(gate for gate in estimate.gates if gate.kind == "power")
+    front = qadc.hadamard_layer(layout, "ad") + CircuitOp(load)
+    return layout, front, CircuitOp(power.params.iterate, label=power.label)
 
 
 def max_dev(a, b):
@@ -100,8 +105,8 @@ def test_phase_estimate_is_linear_in_t():
 def test_amplify_inverts_the_compiled_pipeline(monkeypatch):
     tree = build_tree(np.array([0.6, 0.8]))
     runs = []
-    for builder in (phase_estimate_op, flat_phase_estimate_op):
-        monkeypatch.setattr(nonlinear, "phase_estimate_op", builder)
+    for make_pe in (phase_estimate_op, flat_phase_estimate_op):
+        monkeypatch.setattr(qadc, "phase_estimate_op", make_pe)
         runs.append(nonlinear.nonlinear_transform(tree, "square", 1, 2, 1,
                                                   mode="amplify", rounds=2))
     got, want = runs

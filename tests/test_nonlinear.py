@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qadconv import core, reference
-from qadconv.errors import ConfigError, RegisterError, ZeroSuccessError
+from qadconv.errors import ConfigError, RegisterError, ResourceLimitError, ZeroSuccessError
 from qadconv.fixedpoint import activation_oracle
 from qadconv.nonlinear import (
     AnsatzCircuit,
@@ -155,6 +155,21 @@ def test_amplify_rounds_override_keeps_conditional_state():
     overlap = abs(np.vdot(out.amplitudes, plain.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-9)
     assert out.leakage == pytest.approx(plain.leakage, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["postselect", "amplify"])
+def test_pipeline_honours_the_callers_cap(caps_checked, mode):
+    # ad, data, b, 3 phase bits, 3-bit signed value, ancilla: 10 qubits
+    tree = build_tree(np.array([0.6, 0.8]))
+    with pytest.raises(ResourceLimitError, match="cap of 9"):
+        nonlinear_transform(tree, "square", 1, 2, 1, mode=mode, cap=9)
+    caps_checked.clear()
+    out = nonlinear_transform(tree, "square", 1, 2, 1, mode=mode, cap=10)
+    assert out.output.n_qubits == 1
+    assert caps_checked and set(caps_checked) == {10}
+    caps_checked.clear()
+    perceptron_run(tree, AnsatzCircuit.zeros(1, 1), "tanh", 2, 1, mode=mode, cap=10)
+    assert caps_checked and set(caps_checked) == {10}
 
 
 def test_two_argument_activation_on_imaginary_data():

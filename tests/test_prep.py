@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qadconv import core, prep, reference
-from qadconv.errors import DimensionError, NormalizationError, RegisterError
+from qadconv.errors import DimensionError, NormalizationError
 
 
 def random_vector(n, seed, complex_data=True):
@@ -111,7 +111,7 @@ def test_preparation_fidelity_sweep():
             seed += 1
             tree = prep.build_tree(data, normalize="silent")
             w = tree.depth
-            out = prep.apply_ua(core.new_zero_state(max(w, 1)), (0, w), tree)
+            out = prep.synthesize_ua(tree).op(start=0).apply(core.new_zero_state(max(w, 1)))
             target = core.from_amplitudes(data)
             assert core.fidelity(out, target) >= 1 - 1e-10
 
@@ -119,21 +119,15 @@ def test_preparation_fidelity_sweep():
 def test_apply_ua_inverse_roundtrip():
     data = random_vector(8, seed=11)
     tree = prep.build_tree(data, normalize="silent")
-    st = prep.apply_ua(core.new_zero_state(3), (0, 3), tree)
-    back = prep.apply_ua_inverse(st, (0, 3), tree)
+    ua = prep.synthesize_ua(tree).op(start=0)
+    back = ua.inverse().apply(ua.apply(core.new_zero_state(3)))
     assert abs(back.amps[0]) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_apply_ua_width_check():
-    tree = prep.build_tree([0.6, 0.8])
-    with pytest.raises(RegisterError):
-        prep.apply_ua(core.new_zero_state(3), (0, 2), tree)
 
 
 def test_apply_ua_on_offset_register():
     data = random_vector(4, seed=12)
     tree = prep.build_tree(data, normalize="silent")
-    st = prep.apply_ua(core.new_zero_state(4), (1, 2), tree)
+    st = prep.synthesize_ua(tree).op(start=1).apply(core.new_zero_state(4))
     dist = core.register_distribution(st, [(1, 2)])
     np.testing.assert_allclose(dist, np.abs(data) ** 2, atol=1e-12)
 
@@ -141,16 +135,15 @@ def test_apply_ua_on_offset_register():
 def test_two_registers_give_product_amplitudes():
     data = np.asarray(random_vector(4, seed=13))
     tree = prep.build_tree(data, normalize="silent")
-    st = core.new_zero_state(4)
-    st = prep.apply_ua(st, (0, 2), tree)
-    st = prep.apply_ua(st, (2, 2), tree)
+    ua = prep.synthesize_ua(tree)
+    st = (ua.op(start=0) + ua.op(start=2)).apply(core.new_zero_state(4))
     want = np.kron(data, data)  # high register index varies first in kron
     np.testing.assert_allclose(st.amps, want, atol=1e-12)
 
 
 def test_measurement_probability_after_prep():
     tree = prep.build_tree([0.6, 0.8])
-    st = prep.apply_ua(core.new_zero_state(1), (0, 1), tree)
+    st = prep.synthesize_ua(tree).op(start=0).apply(core.new_zero_state(1))
     dist = core.register_distribution(st, [(0, 1)])
     assert dist[0] == pytest.approx(0.36, abs=1e-12)
 

@@ -4,28 +4,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qadconv import core, reference
 from qadconv.circuits import CircuitOp, RegisterLayout
-from qadconv.errors import ConfigError
+from qadconv.errors import ConfigError, ResourceLimitError
 from qadconv.fixedpoint import abs_recovery_oracle
-from qadconv.prep import build_tree
+from qadconv.prep import build_tree, synthesize_ua
 from qadconv.qadc import (
     GroverSpectrum,
     abs_layout,
     abs_qadc,
     address_copy_op,
-    build_g,
-    build_g_prime,
-    build_v,
-    build_w,
+    g_from_prep,
+    g_prime_from_prep,
     hadamard_layer,
     imag_qadc,
+    part_layout,
     part_spectrum,
+    readout_block,
     real_qadc,
+    run_qadc,
     spectrum_oracle,
+    v_from_prep,
+    w_from_prep,
 )
 from qadconv.reference import dense_unitary
+
+
+def _loader(layout, tree):
+    return synthesize_ua(tree).op(start=layout.start("data"))
 
 
 def test_spectrum_oracle_anchors():
@@ -76,7 +84,7 @@ def _abs_branches(r):
     """Start state V|0> for a two-leaf tree with |c_0| = r, split on B."""
     tree = build_tree(np.array([r, math.sqrt(1 - r * r)]))
     layout = _small_layout()
-    psi = build_v(layout, tree).apply(core.new_zero_state(4))
+    psi = v_from_prep(layout, _loader(layout, tree)).apply(core.new_zero_state(4))
     b_bit = (np.arange(16) >> 3) & 1
     v0 = np.where(b_bit == 0, psi.amps, 0)
     v1 = np.where(b_bit == 1, psi.amps, 0)
@@ -90,7 +98,7 @@ def test_v_branch_norms_random_complex():
     c /= np.linalg.norm(c)
     tree = build_tree(c)
     layout = abs_layout(2, 1, 1)
-    op = hadamard_layer(layout, "ad") + address_copy_op(layout) + build_v(layout, tree)
+    op = hadamard_layer(layout, "ad") + address_copy_op(layout) + v_from_prep(layout, _loader(layout, tree))
     state = op.apply(core.new_zero_state(layout.n_qubits))
     joint = core.register_distribution(state, [layout.reg("ad"), layout.reg("b")])
     for k in range(4):
@@ -107,7 +115,7 @@ def test_g_block_matches_spectrum_for_random_r():
         s = spectrum_oracle(r)
         e0 = v0 / np.linalg.norm(v0)
         e1 = v1 / np.linalg.norm(v1)
-        gmat = dense_unitary(build_g(layout, tree), 4)
+        gmat = dense_unitary(g_from_prep(layout, v_from_prep(layout, _loader(layout, tree))), 4)
         block = np.array(
             [
                 [e0.conj() @ gmat @ e0, e0.conj() @ gmat @ e1],
@@ -142,7 +150,7 @@ def test_g_block_quarter_turn_at_r_zero():
     layout, tree, psi, v0, v1 = _abs_branches(0.0)
     e0 = v0 / np.linalg.norm(v0)
     e1 = v1 / np.linalg.norm(v1)
-    gmat = dense_unitary(build_g(layout, tree), 4)
+    gmat = dense_unitary(g_from_prep(layout, v_from_prep(layout, _loader(layout, tree))), 4)
     block = np.array(
         [
             [e0.conj() @ gmat @ e0, e0.conj() @ gmat @ e1],
@@ -156,7 +164,7 @@ def test_g_block_quarter_turn_at_r_zero():
 
 def test_g_flips_start_state_at_r_one():
     layout, tree, psi, _, _ = _abs_branches(1.0)
-    out = build_g(layout, tree).apply(core.StateVector(4, psi.copy()))
+    out = g_from_prep(layout, v_from_prep(layout, _loader(layout, tree))).apply(core.StateVector(4, psi.copy()))
     assert np.max(np.abs(out.amps + psi)) < 1e-10
 
 
@@ -172,7 +180,7 @@ def test_g_prime_block_matches_part_spectrum(imag):
     for x in rng.uniform(-0.95, 0.95, size=40):
         c = [1j * x, math.sqrt(1 - x * x)] if imag else [x, math.sqrt(1 - x * x)]
         layout, tree = _part_branches(c)
-        w = build_w(layout, tree, imag=imag)
+        w = w_from_prep(layout, _loader(layout, tree), imag)
         psi = w.apply(core.new_zero_state(3)).amps
         b_bit = (np.arange(8) >> 2) & 1
         v0 = np.where(b_bit == 0, psi, 0)
@@ -181,7 +189,7 @@ def test_g_prime_block_matches_part_spectrum(imag):
         assert np.linalg.norm(v0) ** 2 == pytest.approx((1 + x) / 2, abs=1e-12)
         e0 = v0 / np.linalg.norm(v0)
         e1 = v1 / np.linalg.norm(v1)
-        gmat = dense_unitary(build_g_prime(layout, tree, imag=imag), 3)
+        gmat = dense_unitary(g_prime_from_prep(layout, w), 3)
         block = np.array(
             [
                 [e0.conj() @ gmat @ e0, e0.conj() @ gmat @ e1],
@@ -329,3 +337,77 @@ def test_estimates_stay_in_codec_range():
     assert np.all(res.per_address_estimates <= 0.875)
     assert res.variant == "real"
     assert (res.m, res.g) == (3, 2)
+
+
+# ---------------------------------------------------------------------------
+# The shared readout block and the single entry point.
+
+VARIANTS = ("abs", "real", "imag")
+small_readouts = dict(
+    variant=st.sampled_from(VARIANTS),
+    n=st.integers(1, 2),
+    m=st.integers(1, 3),
+    g=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _random_tree(n, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return build_tree(c / np.linalg.norm(c))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**small_readouts)
+def test_readout_block_is_its_own_inverse(variant, n, m, g, seed):
+    layout = (abs_layout if variant == "abs" else part_layout)(n, m, g)
+    prep = _loader(layout, _random_tree(n, seed))
+    stages = readout_block(layout, prep, variant, m, g, layout.n_qubits)
+    width = m if variant == "abs" else m + 1
+    assert [extra for extra, _ in stages] == [0, width, 0]
+    assert stages[1][1].label == "recover"
+    block = CircuitOp(tuple(gate for _, op in stages for gate in op.gates))
+    nq = layout.n_qubits + width
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
+    start = core.from_amplitudes(amps / np.linalg.norm(amps))
+    twice = block.apply(block.apply(start))
+    assert np.max(np.abs(twice.amps - start.amps)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(**small_readouts)
+def test_phase_success_matches_reference(variant, n, m, g, seed):
+    tree = _random_tree(n, seed)
+    res = run_qadc(tree, variant, n, m, g)
+    part = {"abs": np.abs, "real": np.real, "imag": np.imag}[variant]
+    np.testing.assert_array_equal(res.true_values, part(tree.amplitudes()))
+    theta_of = reference.theta_from_abs if variant == "abs" else reference.theta_from_part
+    want = [reference.phase_success_mass(theta_of(float(x)), m + g, m)
+            for x in res.true_values]
+    np.testing.assert_allclose(res.per_address_phase_success, want, rtol=0, atol=1e-9)
+
+
+def test_run_qadc_rejects_bad_arguments():
+    tree = build_tree(np.array([0.6, 0.8]))
+    with pytest.raises(ConfigError):
+        run_qadc(tree, "phase", 1, 2, 1)
+    with pytest.raises(ConfigError):
+        run_qadc(tree, "abs", 2, 2, 1)
+    with pytest.raises(ConfigError):
+        readout_block(part_layout(1, 2, 1), _loader(part_layout(1, 2, 1), tree),
+                      "phase", 2, 1, 6)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_qadc_honours_the_callers_cap(caps_checked, variant):
+    # abs: ad, data, mirror, b, 3 phase bits, 2-bit value; real/imag: ad,
+    # data, b, 3 phase bits, 3-bit signed value; 9 qubits either way
+    tree = build_tree(np.array([0.6, 0.8]))
+    with pytest.raises(ResourceLimitError, match="cap of 8"):
+        run_qadc(tree, variant, 1, 2, 1, cap=8)
+    caps_checked.clear()
+    res = run_qadc(tree, variant, 1, 2, 1, cap=9)
+    assert res.controlled_ua_count == 4 * (2**3 - 1)
+    assert caps_checked and set(caps_checked) == {9}

@@ -6,6 +6,7 @@ from qadconv.errors import (
     CodecRangeError,
     ConfigError,
     RegisterError,
+    ResourceLimitError,
     ZeroSuccessError,
 )
 from qadconv.fixedpoint import FixedPointCodec, activation_oracle
@@ -61,15 +62,13 @@ def test_moments_and_identity_prediction():
     rng = np.random.default_rng(1)
     for _ in range(50):
         data = rng.uniform(0, 1, size=8)
-        mu, v = qdac.moments(data)
+        mu, v = data.mean(), data.var()
         assert qdac.predict_success(data) == pytest.approx(v + mu * mu, abs=1e-12)
 
 
 def test_predict_success_examples():
     assert qdac.predict_success([0.3, 0.3, 0.3, 0.3]) == pytest.approx(0.09)
     assert qdac.predict_success([0.0, 1.0]) == pytest.approx(0.5)
-    mu, v = qdac.moments([0.0, 1.0])
-    assert (mu, v) == (0.5, 0.25)
 
 
 def test_predict_success_quantized_matches_oracle_path():
@@ -221,3 +220,37 @@ def test_reference_rounds_agree_with_library():
     ties = [np.sin(np.pi / (4 * k + 2)) ** 2 for k in range(1, 12)]
     for p in list(np.linspace(1e-3, 1.0, 997)) + ties:
         assert reference.grover_optimal_rounds(p) == qdac.grover_rounds(p), p
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("m", [2, 4, 7])
+def test_postselect_matches_reference_prediction(m, signed):
+    rng = np.random.default_rng(40 + m + 10 * signed)
+    for size in (2, 4, 8):
+        data = rng.uniform(-0.9 if signed else 0.05, 0.9, size=size)
+        st = qdac.make_digital_state(data, m, signed=signed)
+        out = qdac.qdac_run(st, identity_oracle(m, signed), m)
+        amps, p = reference.qdac_prediction(data, m, signed=signed)
+        assert out.empirical_probability == pytest.approx(p, abs=1e-12)
+        np.testing.assert_allclose(out.output.amps, amps, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["postselect", "amplify"])
+def test_qdac_run_honours_the_callers_cap(caps_checked, mode):
+    # 2 address + 4 value + 4 phi qubits + ancilla = 11 qubits
+    st = qdac.make_digital_state([0.3, 0.4, 0.5, 0.6], m=4)
+    orc = identity_oracle(4)
+    with pytest.raises(ResourceLimitError, match="cap of 10"):
+        qdac.qdac_run(st, orc, m=4, mode=mode, cap=10)
+    caps_checked.clear()
+    out = qdac.qdac_run(st, orc, m=4, mode=mode, cap=11)
+    assert out.output.n_qubits == 2
+    assert caps_checked and set(caps_checked) == {11}
+
+
+def test_make_digital_state_honours_the_callers_cap(caps_checked):
+    with pytest.raises(ResourceLimitError, match="cap of 5"):
+        qdac.make_digital_state([0.3, 0.4, 0.5, 0.6], m=4, cap=5)
+    caps_checked.clear()
+    assert qdac.make_digital_state([0.3, 0.4, 0.5, 0.6], m=4, cap=6).n_qubits == 6
+    assert caps_checked == [6]
