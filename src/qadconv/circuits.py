@@ -424,19 +424,3 @@ def phase_estimate_op(unitary: CircuitOp, regp) -> CircuitOp:
     gates.extend(iqft_op(s, t).gates)
     return CircuitOp(tuple(gates), label="phase-estimate")
 
-
-def phase_estimate(state: core.StateVector, unitary: CircuitOp, regp) -> core.StateVector:
-    """Apply phase estimation to a state whose phase register is |0..0>."""
-    s, t = regp
-    mass = register_distribution_zero_mass(state, regp)
-    if mass > 1e-12:
-        raise RegisterError(
-            f"phase register [{s}:{s + t}) carries probability {mass:.3e}, expected 0"
-        )
-    return phase_estimate_op(unitary, regp).apply(state)
-
-
-def register_distribution_zero_mass(state: core.StateVector, reg) -> float:
-    """Probability that the register is NOT all zeros."""
-    dist = core.register_distribution(state, [reg]).ravel()
-    return float(1.0 - dist[0])

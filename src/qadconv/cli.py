@@ -214,10 +214,10 @@ def _run_prep(cfg: ExperimentConfig) -> dict:
 def _run_qdac(cfg: ExperimentConfig) -> dict:
     values = np.asarray(_load_values(cfg).real, dtype=np.float64)
     signed = cfg.signed or bool((values < 0).any())
-    # address, value and phi registers, sign bit, ancilla: the cap also
-    # bounds the 2^(m+signed)-entry activation table, so check it first
+    # address and value registers, ancilla: the cap also bounds the
+    # 2^(m+signed)-entry activation table, so check it first
     n_addr = int(values.size).bit_length() - 1
-    core.check_qubit_cap(n_addr + 2 * (cfg.m + signed) + 1, cfg.cap)
+    core.check_qubit_cap(n_addr + (cfg.m + signed) + 1, cfg.cap)
     f = activation_oracle(cfg.f or "identity", cfg.m, in_signed=signed,
                           out_signed=signed)
     digital = make_digital_state(values, cfg.m, signed=signed, cap=cfg.cap)
@@ -574,11 +574,15 @@ def _check_spectrum() -> float:
 
 
 def _check_qdac_exact() -> float:
-    values = np.array([0.6, 0.8])
-    f = activation_oracle("identity", 6)
-    digital = make_digital_state(values, 6)
-    out = qdac_run(digital, f, 6)
-    return abs(out.empirical_probability - out.predicted_probability)
+    worst = 0.0
+    for values, signed in (([0.6, 0.8], False), ([-0.6, 0.8], True)):
+        f = activation_oracle("identity", 6, in_signed=signed, out_signed=signed)
+        out = qdac_run(make_digital_state(values, 6, signed=signed), f, 6)
+        amps, p = reference.qdac_prediction(values, 6, signed=signed)
+        worst = max(worst, abs(out.empirical_probability - out.predicted_probability),
+                    abs(out.empirical_probability - p),
+                    float(np.max(np.abs(out.output.amps - amps))))
+    return worst
 
 
 def _check_moment_identity() -> float:

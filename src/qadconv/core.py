@@ -34,7 +34,6 @@ H_MATRIX = np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQ2
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 Y_MATRIX = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 Z_MATRIX = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-S_MATRIX = np.array([[1, 0], [0, 1j]], dtype=np.complex128)
 
 
 def ry_matrix(angle: float) -> np.ndarray:

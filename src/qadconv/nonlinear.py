@@ -29,7 +29,7 @@ from .fixedpoint import (
 )
 from .prep import PrepTree, synthesize_ua
 from .qadc import hadamard_layer, part_layout, readout_block, run_stages
-from .qdac import amplitude_amplify, grover_rounds
+from .qdac import amplitude_amplify, grover_rounds, value_rotation
 
 MODES = ("postselect", "sample", "amplify")
 
@@ -178,8 +178,7 @@ def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
     if f.arity == 2:
         blocks.append(readout_block(base, prep, "imag", m, g, nb + mw))
     forward = [(0, hadamard_layer(base, "ad"))] + [st for b in blocks for st in b]
-    mux = Gate("mux-ry", tuple(range(nb, total)), tuple(2.0 * np.arccos(fvals)))
-    rest = [(1, CircuitOp((mux,), label="f-rotation"))]
+    rest = [(1, CircuitOp((value_rotation(f, nb),), label="f-rotation"))]
     rest += [(0, op) for b in reversed(blocks) for _, op in b]
 
     # popped into run_stages, so the converted state is not kept alive

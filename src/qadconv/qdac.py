@@ -1,11 +1,12 @@
 """Digital-to-analog conversion: rotate a looked-up value onto an ancilla.
 
-The input is a digital state (1/sqrt(N)) sum_j |j>|code_j>. A bookkeeping
-register takes (2/pi) arccos |f~| and a sign bit, the ancilla rotation is
-keyed directly on the value register with double-precision angles so the
-|0>-ancilla amplitude is exactly f~(d_j), the sign bit contributes a -1
-phase, and everything except the address register is uncomputed. Success
-means the ancilla reads 0.
+The input is a digital state (1/sqrt(N)) sum_j |j>|code_j>. The paper
+writes theta = arccos f~(d_j) into a register and rotates an ancilla
+controlled on it; here the ancilla, directly above the value register,
+is rotated by Ry(2 arccos f~(v)) keyed on the value register itself, with
+double-precision angles. Its |0> amplitude is then exactly f~(d_j), sign
+included, and unloading the data clears the value register. The state
+spans address + value + ancilla qubits. Success means the ancilla reads 0.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from . import core
 from .circuits import CircuitOp, Gate
 from .errors import ConfigError, RegisterError, ZeroSuccessError
 from .fixedpoint import FixedPointCodec, FunctionOracle
-
-UD_TAG = "ud"
-
 
 @dataclass(frozen=True)
 class QdacOutcome:
@@ -48,7 +46,7 @@ def digital_load_op(codes, n_addr: int, value_width: int, start: int = 0) -> Cir
     gates = [Gate("h", (start + q,)) for q in range(n_addr)]
     gates.append(
         Gate("oracle", tuple(range(start, start + n_addr + value_width)),
-             tuple(int(c) for c in codes), tag=UD_TAG, label="load-data")
+             tuple(int(c) for c in codes), label="load-data")
     )
     return CircuitOp(tuple(gates), label="load-digital")
 
@@ -107,49 +105,31 @@ def predict_success(data, f=None, m: int | None = None) -> float:
     return float(np.mean(vals**2))
 
 
+def value_rotation(f: FunctionOracle, start: int) -> Gate:
+    """Ry(2 arccos f~(v)) on the qubit just above f's input registers, which
+    start at `start`, keyed on their value v. The rotated qubit's |0>
+    amplitude is f~(v); a negative f~ needs no sign bit, since
+    cos(arccos f~) = f~."""
+    width = sum(c.width for c in f.in_codecs)
+    angles = 2.0 * np.arccos(np.clip(f.decoded_outputs(), -1.0, 1.0))
+    return Gate("mux-ry", tuple(range(start, start + width + 1)), tuple(angles))
+
+
 def conversion_suffix_op(
     f: FunctionOracle, d_codes, n_addr: int, start: int = 0
 ) -> tuple[CircuitOp, int]:
     """Gates that turn an already-loaded digital state into the analog one.
 
-    Layout above `start`: value register (f's input width), then m phi bits,
-    then a sign bit when f outputs signed codes, then the ancilla. Returns
-    the circuit and the ancilla qubit index.
+    Layout above `start`: the address register, the value register (f's
+    input width), then the ancilla. The ancilla is rotated by
+    value_rotation, then the data are unloaded. Returns the circuit and the
+    ancilla qubit index.
     """
-    w_v = f.in_codecs[0].width
-    m = f.out_codec.m
-    signed_out = f.out_codec.signed
-    phi_codec = FixedPointCodec(m)
     v_start = start + n_addr
-    phi_start = v_start + w_v
-    sign_w = 1 if signed_out else 0
-    anc = phi_start + m + sign_w
-
-    f_vals = f.decoded_outputs()
-    phi_table = []
-    angles = []
-    for v in range(1 << w_v):
-        fv = float(f_vals[v])
-        mag = min(abs(fv), 1.0)
-        phi_code = phi_codec.encode((2.0 / math.pi) * math.acos(mag))
-        sign_bit = 1 if fv < 0 else 0
-        phi_table.append(phi_code | (sign_bit << m))
-        angles.append(2.0 * math.acos(mag))
-
-    phi_oracle = Gate("oracle", tuple(range(v_start, anc)), tuple(phi_table),
-                      label="phi-sign")
-    gates = [
-        phi_oracle,
-        Gate("mux-ry", tuple(range(v_start, phi_start)) + (anc,), tuple(angles)),
-    ]
-    if signed_out:
-        gates.append(Gate("phase-table", (phi_start + m,), (1.0, -1.0)))
-    gates.append(phi_oracle)  # self-inverse uncompute
-    gates.append(
-        Gate("oracle", tuple(range(start, phi_start)), tuple(int(c) for c in d_codes),
-             label="unload-data")
-    )
-    return CircuitOp(tuple(gates), label="qdac-suffix"), anc
+    anc = v_start + f.in_codecs[0].width
+    unload = Gate("oracle", tuple(range(start, anc)), tuple(int(c) for c in d_codes),
+                  label="unload-data")
+    return CircuitOp((value_rotation(f, v_start), unload), label="qdac-suffix"), anc
 
 
 def qdac_run(
@@ -171,9 +151,7 @@ def qdac_run(
     n_addr = state.n_qubits - w_v
     if n_addr < 0:
         raise RegisterError("state is narrower than the oracle's input register")
-    sign_w = 1 if f.out_codec.signed else 0
-    extra = m + sign_w + 1
-    core.check_qubit_cap(state.n_qubits + extra, cap)
+    core.check_qubit_cap(state.n_qubits + 1, cap)
     d_codes = extract_codes(state, n_addr, w_v)
 
     f_vals = f.out_codec.decode_array([f.table[c] for c in d_codes])
@@ -182,7 +160,7 @@ def qdac_run(
         raise ZeroSuccessError("f~ vanishes on every data value")
 
     suffix, anc = conversion_suffix_op(f, d_codes, n_addr)
-    full = suffix.apply(core.tensor(core.new_zero_state(extra, cap=cap), state, cap=cap))
+    full = suffix.apply(core.tensor(core.new_zero_state(1, cap=cap), state, cap=cap))
 
     if mode == "postselect":
         return _finish(full, anc, n_addr, predicted, attempts=1, success=True,
@@ -246,10 +224,12 @@ def amplitude_amplify(
     p0 = float(core.register_distribution(state, [(flag, 1)])[0])
     if p0 < 1e-24:
         raise ZeroSuccessError("procedure never sets the flag to 0")
+    grover = CircuitOp(
+        (Gate("reflect", (flag,)),) + procedure.inverse().gates
+        + (Gate("reflect", tuple(range(n_qubits))),) + procedure.gates,
+        label="grover-round",
+    )
     for _ in range(int(rounds)):
-        state = core.apply_zero_reflection(state, [flag])
-        state = procedure.inverse().apply(state)
-        state = core.apply_zero_reflection(state, range(n_qubits))
-        state = procedure.apply(state)
-        state = core.StateVector(state.n_qubits, -state.amps)
+        state = grover.apply(state)
+        np.negative(state.amps, out=state.amps)
     return state

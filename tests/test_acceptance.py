@@ -16,7 +16,6 @@ from qadconv.circuits import (
     PE_CTRL_TAG,
     CircuitOp,
     Gate,
-    phase_estimate,
     phase_estimate_op,
 )
 from qadconv.fixedpoint import FixedPointCodec, activation_oracle
@@ -138,7 +137,7 @@ def test_05_phase_estimation():
     unit = CircuitOp((Gate("phase", (t,), (2 * math.pi * 5 / 16,)),))
     amps = np.zeros(1 << (t + 1), dtype=np.complex128)
     amps[1 << t] = 1.0
-    state = phase_estimate(core.StateVector(t + 1, amps), unit, (0, t))
+    state = phase_estimate_op(unit, (0, t)).apply(core.StateVector(t + 1, amps))
     dist = core.register_distribution(state, [(0, t)])
     dyadic_dev = float(abs(dist[5] - 1.0))
     assert dyadic_dev < 1e-12
@@ -147,7 +146,7 @@ def test_05_phase_estimation():
     unit = CircuitOp((Gate("phase", (t,), (2 * math.pi / 3,)),))
     amps = np.zeros(1 << (t + 1), dtype=np.complex128)
     amps[1 << t] = 1.0
-    state = phase_estimate(core.StateVector(t + 1, amps), unit, (0, t))
+    state = phase_estimate_op(unit, (0, t)).apply(core.StateVector(t + 1, amps))
     got = core.register_distribution(state, [(0, t)])
     closed_dev = float(np.max(np.abs(got - reference.pe_distribution(1 / 3, t))))
     assert closed_dev < 1e-10

@@ -120,7 +120,7 @@ def test_phase_estimate_dyadic_is_exact():
     t = 4
     for theta in (0.0, 1 / 16, 5 / 16, 15 / 16):
         st = core.apply_single(core.new_zero_state(1 + t), 0, core.X_MATRIX)
-        out = circuits.phase_estimate(st, phase_unitary(theta), (1, t))
+        out = circuits.phase_estimate_op(phase_unitary(theta), (1, t)).apply(st)
         dist = core.register_distribution(out, [(1, t)]).ravel()
         assert dist[int(theta * 16)] == pytest.approx(1.0, abs=1e-12)
 
@@ -129,7 +129,7 @@ def test_phase_estimate_matches_closed_form():
     t = 5
     for theta in (1 / 3, 0.2137, 0.77):
         st = core.apply_single(core.new_zero_state(1 + t), 0, core.X_MATRIX)
-        out = circuits.phase_estimate(st, phase_unitary(theta), (1, t))
+        out = circuits.phase_estimate_op(phase_unitary(theta), (1, t)).apply(st)
         dist = core.register_distribution(out, [(1, t)]).ravel()
         np.testing.assert_allclose(
             dist, reference.pe_distribution(theta, t), atol=1e-12
@@ -142,13 +142,6 @@ def test_phase_estimate_application_count():
     tagged = [g for g in op.gates if g.tag == circuits.PE_CTRL_TAG]
     assert [g.params.count for g in tagged] == [2**j for j in range(t)]
     assert sum(g.params.count for g in tagged) == 2**t - 1
-
-
-def test_phase_estimate_rejects_dirty_register():
-    t = 3
-    st = core.apply_single(core.new_zero_state(1 + t), 2, core.H_MATRIX)
-    with pytest.raises(RegisterError):
-        circuits.phase_estimate(st, phase_unitary(0.25), (1, t))
 
 
 def test_phase_estimate_rejects_overlap():

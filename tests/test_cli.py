@@ -287,3 +287,13 @@ def test_huge_m_hits_the_cap_before_building_tables(capsys, argv):
     code = cli.main(argv + ["--random", "4", "--seed", "1", "--m", "61"])
     assert code == 3
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_qdac_state_is_address_value_and_ancilla(capsys):
+    # 2 address + 8 value qubits + ancilla = 11: the cap fits the whole state
+    assert cli.main(["qdac", "--random", "4", "--seed", "1", "--m", "8",
+                     "--cap", "11"]) == 0
+    capsys.readouterr()
+    assert cli.main(["qdac", "--random", "4", "--seed", "1", "--m", "8",
+                     "--cap", "10"]) == 3
+    assert "exceeds the cap of 10" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from qadconv.errors import (
     ResourceLimitError,
     ZeroSuccessError,
 )
-from qadconv.fixedpoint import FixedPointCodec, activation_oracle
+from qadconv.fixedpoint import ACTIVATIONS, FixedPointCodec, activation_oracle
 
 
 def identity_oracle(m, signed=False):
@@ -225,27 +225,49 @@ def test_reference_rounds_agree_with_library():
 @pytest.mark.parametrize("signed", [False, True])
 @pytest.mark.parametrize("m", [2, 4, 7])
 def test_postselect_matches_reference_prediction(m, signed):
+    quantize = reference.quantize_signed if signed else reference.quantize_unsigned
     rng = np.random.default_rng(40 + m + 10 * signed)
     for size in (2, 4, 8):
         data = rng.uniform(-0.9 if signed else 0.05, 0.9, size=size)
         st = qdac.make_digital_state(data, m, signed=signed)
-        out = qdac.qdac_run(st, identity_oracle(m, signed), m)
-        amps, p = reference.qdac_prediction(data, m, signed=signed)
-        assert out.empirical_probability == pytest.approx(p, abs=1e-12)
-        np.testing.assert_allclose(out.output.amps, amps, atol=1e-12)
+        for name in ("identity", "square", "tanh", "relu-capped"):
+            fn = ACTIVATIONS[name][0]
+            orc = activation_oracle(name, m, in_signed=signed, out_signed=signed)
+            fq = quantize([fn(float(x)) for x in quantize(data, m)], m)
+            amps, p = reference.qdac_prediction(fq)
+            if p == 0.0:
+                with pytest.raises(ZeroSuccessError):
+                    qdac.qdac_run(st, orc, m)
+                continue
+            out = qdac.qdac_run(st, orc, m)
+            assert out.empirical_probability == pytest.approx(p, abs=1e-12), name
+            np.testing.assert_allclose(out.output.amps, amps, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_conversion_suffix_is_rotation_then_unload(signed):
+    orc = identity_oracle(3, signed)
+    suffix, anc = qdac.conversion_suffix_op(orc, [1, 2], n_addr=1)
+    assert anc == 1 + orc.in_codecs[0].width
+    assert [g.kind for g in suffix.gates] == ["mux-ry", "oracle"]
+    rot = suffix.gates[0]
+    assert rot.wires == tuple(range(1, anc + 1))
+    # the ancilla's |0> amplitude is f~ of the value register, sign included
+    np.testing.assert_allclose(np.cos(np.asarray(rot.params) / 2), orc.decoded_outputs(),
+                               atol=1e-15)
 
 
 @pytest.mark.parametrize("mode", ["postselect", "amplify"])
 def test_qdac_run_honours_the_callers_cap(caps_checked, mode):
-    # 2 address + 4 value + 4 phi qubits + ancilla = 11 qubits
+    # 2 address + 4 value qubits + ancilla = 7 qubits
     st = qdac.make_digital_state([0.3, 0.4, 0.5, 0.6], m=4)
     orc = identity_oracle(4)
-    with pytest.raises(ResourceLimitError, match="cap of 10"):
-        qdac.qdac_run(st, orc, m=4, mode=mode, cap=10)
+    with pytest.raises(ResourceLimitError, match="cap of 6"):
+        qdac.qdac_run(st, orc, m=4, mode=mode, cap=6)
     caps_checked.clear()
-    out = qdac.qdac_run(st, orc, m=4, mode=mode, cap=11)
+    out = qdac.qdac_run(st, orc, m=4, mode=mode, cap=7)
     assert out.output.n_qubits == 2
-    assert caps_checked and set(caps_checked) == {11}
+    assert caps_checked and set(caps_checked) == {7}
 
 
 def test_make_digital_state_honours_the_callers_cap(caps_checked):
