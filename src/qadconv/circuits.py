@@ -5,7 +5,11 @@ amplitude buffer once and then runs each record's in-place kernel, looked up
 by kind in KINDS. Inversion, control wrapping, and gate counting all work
 structurally on the records through the same table. Phase estimation emits
 one "power" record per phase bit: the iterate raised to 2^j, compiled into
-per-key-value dense blocks by repeated squaring.
+per-key-value dense blocks by repeated squaring. fuse compiles runs of
+ordinary gates the same way, into count-1 power records of at most
+FUSE_QUBITS qubits; a fused record keeps its source gates, so its inverse
+(conjugate-transposed blocks) and its logical count come from the same
+rules as any power record.
 """
 
 from __future__ import annotations
@@ -355,6 +359,17 @@ PE_CTRL_TAG = "pe-ctrl-entry"
 POWER_TABLE_BUDGET = 1 << 20
 
 
+def _key_split(gates) -> tuple[tuple, tuple]:
+    """(keys, targets): the qubits the gates only ever use as controls, and
+    all their wires, each sorted."""
+    wires: set = set()
+    ctrls: set = set()
+    for g in gates:
+        wires.update(g.wires)
+        ctrls.update(q for q, _ in g.controls)
+    return tuple(sorted(ctrls - wires)), tuple(sorted(wires))
+
+
 def power_records(unitary: CircuitOp, t: int) -> list:
     """Power records of unitary^(2^j) for j = 0 .. t-1.
 
@@ -366,16 +381,10 @@ def power_records(unitary: CircuitOp, t: int) -> list:
     """
     if not unitary.gates:
         raise RegisterError("cannot raise an empty circuit to a power")
-    wires: set = set()
-    ctrls: set = set()
-    for g in unitary.gates:
-        wires.update(g.wires)
-        ctrls.update(q for q, _ in g.controls)
-    keys = tuple(sorted(ctrls - wires))
-    targets = tuple(sorted(wires))
+    keys, targets = _key_split(unitary.gates)
     k, w = len(keys), len(targets)
     fits = t << (k + 2 * w) <= POWER_TABLE_BUDGET
-    blocks = _materialize(unitary, keys, targets) if fits else None
+    blocks = _materialize(unitary.gates, keys, targets) if fits else None
     records = []
     for j in range(t):
         if j and blocks is not None:
@@ -385,23 +394,66 @@ def power_records(unitary: CircuitOp, t: int) -> list:
     return records
 
 
-def _materialize(unitary: CircuitOp, keys, targets) -> np.ndarray:
-    """blocks[v][r, c]: amplitude of target basis state r after the unitary
-    acts on target state c with the key qubits holding v."""
+def _materialize(gates, keys, targets) -> np.ndarray:
+    """blocks[v][r, c]: amplitude of target basis state r after the gates
+    act on target state c with the key qubits holding v."""
     k, w = len(keys), len(targets)
     dim, kdim = 1 << w, 1 << k
     # compact qubits: targets, keys, then w qubits holding the input column c
     where = {q: i for i, q in enumerate(targets + keys)}
-    compact = CircuitOp(tuple(
-        replace(g, wires=tuple(where[q] for q in g.wires),
-                controls=tuple((where[q], v) for q, v in g.controls))
-        for g in unitary.gates
-    ))
     cols = np.arange(dim)[:, None]
     amps = np.zeros(dim * kdim * dim, dtype=np.complex128)
     amps[(cols * kdim + np.arange(kdim)) * dim + cols] = 1.0
-    out = compact.apply(core.StateVector(2 * w + k, amps)).amps
-    return out.reshape(dim, kdim, dim).transpose(1, 2, 0).copy()
+    n = 2 * w + k
+    for g in gates:
+        local = replace(g, wires=tuple(where[q] for q in g.wires),
+                        controls=tuple((where[q], v) for q, v in g.controls))
+        KINDS[g.kind].run(local, amps, n)
+    return amps.reshape(dim, kdim, dim).transpose(1, 2, 0).copy()
+
+
+# Most qubits (wires plus controls) one fused record may span. Its blocks
+# then hold at most 2^(2 * FUSE_QUBITS) entries, and applying it costs
+# about one matmul pass over the state.
+FUSE_QUBITS = 6
+
+
+def fuse(op: CircuitOp) -> CircuitOp:
+    """Compile runs of gates into count-1 power records.
+
+    Read left to right, consecutive non-power gates merge while their joint
+    support (wires plus controls) stays within FUSE_QUBITS. A run of two or
+    more becomes one power record: the run is its iterate, its keys are the
+    run's control-only qubits, and its blocks are the run materialized per
+    key value, exactly as power_records makes them. Single gates and power
+    records pass through, and a power record ends the run.
+    """
+    out: list = []
+    run: list = []
+    support: set = set()
+
+    def flush():
+        if len(run) == 1:
+            out.append(run[0])
+        elif run:
+            keys, targets = _key_split(run)
+            iterate = tuple(run)
+            table = PowerTable(iterate, 1, len(keys), _materialize(iterate, keys, targets))
+            out.append(Gate("power", keys + targets, table, label="fused"))
+        run.clear()
+        support.clear()
+
+    for g in op.gates:
+        used = g.used_qubits()
+        if g.kind == "power" or len(support | used) > FUSE_QUBITS:
+            flush()
+        if g.kind == "power":
+            out.append(g)
+        else:
+            run.append(g)
+            support |= used
+    flush()
+    return CircuitOp(tuple(out), op.label)
 
 
 def phase_estimate_op(unitary: CircuitOp, regp) -> CircuitOp:

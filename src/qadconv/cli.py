@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, reference
-from .circuits import CircuitOp, Gate, phase_estimate_op
+from .circuits import PE_CTRL_TAG, CircuitOp, Gate, phase_estimate_op
 from .errors import (
     ConfigError,
     QadconvError,
@@ -35,7 +35,9 @@ from .prep import build_tree, load_data, synthesize_ua
 from .qadc import (
     abs_layout,
     g_from_prep,
+    part_layout,
     part_spectrum,
+    readout_block,
     run_qadc,
     spectrum_oracle,
     v_from_prep,
@@ -142,7 +144,10 @@ def _threads() -> int | None:
     raw = os.environ.get("QADCONV_THREADS", "").strip()
     if not raw:
         return None
-    count = int(raw)
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ConfigError("QADCONV_THREADS", f"expected an integer, got {raw!r}") from None
     if count < 1:
         raise ConfigError("QADCONV_THREADS", "thread count must be positive")
     return count
@@ -437,6 +442,7 @@ _RUNNERS = {
 
 def run(config: ExperimentConfig) -> ResultRecord:
     config.validate()
+    _threads()  # a bad QADCONV_THREADS fails here, before any work runs
     t0 = time.perf_counter()
     metrics = _RUNNERS[config.kind](config)
     wall = time.perf_counter() - t0
@@ -520,6 +526,30 @@ def _check_compiled_pe() -> float:
     worst = 0.0
     for a, b in ((compiled, replay), (compiled.inverse(), replay.inverse())):
         worst = max(worst, float(np.max(np.abs(a.apply(start).amps - b.apply(start).amps))))
+    return worst
+
+
+def _check_fused_blocks() -> float:
+    """The fused load + estimate stage of the abs and real readout blocks,
+    and its structural inverse, against the same records with every fused
+    record expanded back into its source gates, on a random state."""
+    rng = np.random.default_rng(20260109)
+    tree = build_tree([0.6, 0.8j], normalize="silent")
+    worst = 0.0
+    for variant, layout in (("abs", abs_layout(1, 2, 1)), ("real", part_layout(1, 2, 1))):
+        nq = layout.n_qubits
+        prep = synthesize_ua(tree).op(start=layout.start("data"))
+        stages = readout_block(layout, prep, variant, 2, 1, nq)
+        amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
+        start = core.StateVector(nq, amps / np.linalg.norm(amps))
+        for op in (stages[0][1], stages[2][1]):
+            flat = CircuitOp(tuple(
+                h for g in op.gates
+                for h in (g.params.iterate if g.kind == "power" and g.tag != PE_CTRL_TAG
+                          else (g,))
+            ))
+            dev = np.max(np.abs(op.apply(start).amps - flat.apply(start).amps))
+            worst = max(worst, float(dev))
     return worst
 
 
@@ -611,6 +641,7 @@ ORACLE_CHECKS: tuple[tuple[str, float, object], ...] = (
     ("circuit-products", 1e-12, _check_circuit_products),
     ("pe-distribution", 1e-10, _check_pe_distribution),
     ("compiled-pe", 1e-12, _check_compiled_pe),
+    ("fused-blocks", 1e-12, _check_fused_blocks),
     ("prep-trees", 1e-10, _check_prep_trees),
     ("spectrum", 1e-10, _check_spectrum),
     ("qdac-exact", 1e-10, _check_qdac_exact),

@@ -65,25 +65,8 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amps.copy())
-
-    def dump_lines(self) -> list[str]:
-        """Debug dump: one "index, re, im" line per amplitude."""
-        return [
-            f"{i}, {float(a.real)!r}, {float(a.imag)!r}"
-            for i, a in enumerate(self.amps)
-        ]
-
-
-@dataclass
-class MeasurementOutcome:
-    bit: int
-    probability: float
-    collapsed: StateVector
 
 
 def check_qubit_cap(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
@@ -400,21 +383,6 @@ def apply_multiplexed_ry(state: StateVector, key_reg, target: int, angles) -> St
     return StateVector(state.n_qubits, amps)
 
 
-def measure(state: StateVector, qubit: int, rng: np.random.Generator) -> MeasurementOutcome:
-    """Born-rule measurement of one qubit, collapsing the state."""
-    if not 0 <= qubit < state.n_qubits:
-        raise RegisterError(f"qubit {qubit} out of range")
-    idx = np.arange(state.amps.size)
-    sel1 = ((idx >> qubit) & 1) == 1
-    p1 = float(np.sum(np.abs(state.amps[sel1]) ** 2))
-    bit = 1 if rng.random() < p1 else 0
-    prob = p1 if bit == 1 else 1.0 - p1
-    keep = sel1 if bit == 1 else ~sel1
-    amps = np.zeros_like(state.amps)
-    amps[keep] = state.amps[keep] / np.sqrt(prob)
-    return MeasurementOutcome(bit, prob, StateVector(state.n_qubits, amps))
-
-
 def postselect(state: StateVector, qubit: int, bit: int) -> tuple[StateVector, float]:
     """Project onto qubit == bit and renormalize; returns the exact branch probability."""
     if not 0 <= qubit < state.n_qubits:
@@ -466,14 +434,6 @@ def register_distribution(state: StateVector, regs) -> np.ndarray:
     rest = [ax for ax in range(n) if ax not in set(front)]
     p = p.transpose(front + rest)
     return p.reshape([1 << w for _, w in regs] + [-1]).sum(axis=-1)
-
-
-def sample_register(state: StateVector, reg, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Born-rule samples of a register's value, without collapse."""
-    dist = register_distribution(state, [reg]).ravel()
-    dist = np.clip(dist, 0.0, None)
-    dist = dist / dist.sum()
-    return rng.choice(dist.size, size=shots, p=dist)
 
 
 def clean_component(state: StateVector, regs) -> tuple[StateVector, float]:

@@ -8,7 +8,11 @@ operator whose restriction to one address acts as a plane rotation by
 2 pi theta_k, estimates theta_k into a phase register, converts the phase
 pattern to the recovered value with a lookup oracle, and uncomputes
 everything except the address and value registers. readout_block builds
-that sequence once; run_qadc and the nonlinear pipeline both run it.
+that sequence once; run_qadc and the nonlinear pipeline both run it. Its
+load and estimate stage is fused into dense block records (circuits.fuse:
+count-1 power records next to the phase-estimation powers), and the
+uncompute stage is that stage's structural inverse, so the fusion is built
+once per block.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .circuits import PE_CTRL_TAG, CircuitOp, Gate, RegisterLayout, phase_estimate_op
+from .circuits import PE_CTRL_TAG, CircuitOp, Gate, RegisterLayout, fuse, phase_estimate_op
 from .errors import ConfigError
 from .fixedpoint import FixedPointCodec, abs_recovery_oracle, real_recovery_oracle
 from .prep import UA_ENTRY_TAG, PrepTree, synthesize_ua
@@ -178,9 +182,11 @@ def readout_block(layout: RegisterLayout, prep: CircuitOp, variant: str,
 
     Load and estimate; copy the recovered value into a value register of
     fresh qubits at out_start (m bits for abs, m + 1 signed bits for real
-    and imag); un-estimate and un-load. The copy is self-inverse and the
-    stages around it mirror each other, so the block is its own inverse.
-    prep is the data-load circuit on the layout's data register.
+    and imag); un-estimate and un-load. Load and estimate are fused once
+    (circuits.fuse) into block records, and the un-estimate stage is their
+    structural inverse. The copy is self-inverse and the stages around it
+    mirror each other, so the block is its own inverse. prep is the
+    data-load circuit on the layout's data register.
     """
     if variant == "abs":
         v_op = v_from_prep(layout, prep)
@@ -200,7 +206,8 @@ def readout_block(layout: RegisterLayout, prep: CircuitOp, variant: str,
         (Gate("oracle", wires, tuple(int(x) for x in oracle.table), label=oracle.name),),
         label="recover",
     )
-    return [(0, load + pe), (width, recover), (0, pe.inverse() + load.inverse())]
+    fwd = fuse(load + pe)
+    return [(0, fwd), (width, recover), (0, fwd.inverse())]
 
 
 def run_stages(state: core.StateVector, stages,

@@ -224,6 +224,34 @@ def test_verify_compiled_pe_catches_a_broken_block_kernel(capsys, monkeypatch):
     assert record["metrics"]["rows"][0]["pass"] is False
 
 
+def test_verify_fused_blocks_catches_a_broken_block_kernel(capsys, monkeypatch):
+    code, record = run_main(capsys, ["verify", "--scope", "fused-blocks"])
+    assert code == 0
+    assert record["metrics"]["rows"][0]["max_deviation"] <= 1e-12
+
+    good = core.apply_block_table_inplace
+
+    def transposed(amps, n, keys, targets, blocks, controls=()):
+        good(amps, n, keys, targets, blocks.transpose(0, 2, 1), controls)
+
+    monkeypatch.setattr(core, "apply_block_table_inplace", transposed)
+    code, record = run_main(capsys, ["verify", "--scope", "fused-blocks"])
+    assert code == 4
+    assert record["metrics"]["rows"][0]["pass"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--sweep", "0:1:0.5"],
+    ["spectrum", "--r", "0.5"],
+], ids=["sweep", "single"])
+@pytest.mark.parametrize("threads", ["abc", "2.5", "0"])
+def test_bad_thread_count_exits_2_before_any_work(capsys, monkeypatch, argv, threads):
+    monkeypatch.setenv("QADCONV_THREADS", threads)
+    monkeypatch.setattr(cli, "_RUNNERS", {})  # any work past the boundary raises
+    assert cli.main(argv) == 2
+    assert "QADCONV_THREADS" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, capsys):
     path = write_csv(tmp_path, "d.csv", ["0.1", "0.5", "0.7", "0.5"])
     assert cli.main(["qdac", "--data", path]) == 2  # missing m

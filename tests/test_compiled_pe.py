@@ -5,8 +5,6 @@ then the iterate controlled on phase bit j and repeated 2^j times, then the
 inverse QFT. Every comparison is to 1e-12.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -33,17 +31,18 @@ def random_state(n, seed):
 
 
 def readout_ops(variant, tree, n, m, g):
-    """(layout, front, iterate) taken from the readout block run_qadc runs:
-    the Hadamard layer plus the load that precedes phase estimation, and
-    the iterate its power records raise."""
+    """(layout, front, iterate): the Hadamard layer plus the unfused load
+    that precedes phase estimation in the readout block run_qadc runs, and
+    the iterate that block's phase-estimation power records raise."""
     layout = (qadc.abs_layout if variant == "abs" else qadc.part_layout)(n, m, g)
     prep = synthesize_ua(tree).op(start=layout.start("data"))
     estimate = qadc.readout_block(layout, prep, variant, m, g, layout.n_qubits)[0][1]
-    regp = set(layout.qubits("regp"))
-    load = tuple(itertools.takewhile(lambda gate: not gate.used_qubits() & regp,
-                                     estimate.gates))
-    power = next(gate for gate in estimate.gates if gate.kind == "power")
-    front = qadc.hadamard_layer(layout, "ad") + CircuitOp(load)
+    power = next(gate for gate in estimate.gates if gate.tag == circuits.PE_CTRL_TAG)
+    if variant == "abs":
+        load = qadc.address_copy_op(layout) + qadc.v_from_prep(layout, prep)
+    else:
+        load = qadc.w_from_prep(layout, prep, imag=variant == "imag")
+    front = qadc.hadamard_layer(layout, "ad") + load
     return layout, front, CircuitOp(power.params.iterate, label=power.label)
 
 

@@ -164,24 +164,6 @@ def test_multiplexed_ry_selects_angle_by_register():
     assert abs(got.amps[0b01]) < 1e-12
 
 
-def test_measure_collapses_and_normalizes():
-    st = core.new_zero_state(1)
-    st = core.apply_single(st, 0, core.ry_matrix(2 * np.arccos(np.sqrt(0.3))))
-    rng = np.random.default_rng(11)
-    outcome = core.measure(st, 0, rng)
-    assert outcome.bit in (0, 1)
-    expected_p = 0.3 if outcome.bit == 0 else 0.7
-    assert outcome.probability == pytest.approx(expected_p)
-    assert outcome.collapsed.norm() == pytest.approx(1.0)
-
-
-def test_measure_statistics():
-    st = core.apply_single(core.new_zero_state(1), 0, core.H_MATRIX)
-    rng = np.random.default_rng(2)
-    bits = [core.measure(st, 0, rng).bit for _ in range(400)]
-    assert 140 < sum(bits) < 260
-
-
 def test_postselect():
     st = core.apply_single(core.new_zero_state(2), 0, core.H_MATRIX)
     kept, prob = core.postselect(st, 0, 1)
@@ -234,22 +216,6 @@ def test_clean_component_extracts_zero_slice():
     expect = st.amps[:4]
     np.testing.assert_allclose(sub.amps * np.sqrt(mass), expect)
     assert mass == pytest.approx(float(np.sum(np.abs(expect) ** 2)))
-
-
-def test_sample_register_is_seed_stable():
-    st = random_state(3, seed=12)
-    a = core.sample_register(st, (0, 3), 50, np.random.default_rng(5))
-    b = core.sample_register(st, (0, 3), 50, np.random.default_rng(5))
-    np.testing.assert_array_equal(a, b)
-
-
-def test_dump_lines_roundtrip():
-    st = random_state(2, seed=13)
-    lines = st.dump_lines()
-    assert len(lines) == 4
-    idx, re, im = lines[3].split(", ")
-    assert int(idx) == 3
-    assert complex(float(re), float(im)) == st.amps[3]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
