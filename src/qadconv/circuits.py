@@ -6,10 +6,10 @@ by kind in KINDS. Inversion, control wrapping, and gate counting all work
 structurally on the records through the same table. Phase estimation emits
 one "power" record per phase bit: the iterate raised to 2^j, compiled into
 per-key-value dense blocks by repeated squaring. fuse compiles runs of
-ordinary gates the same way, into count-1 power records of at most
-FUSE_QUBITS qubits; a fused record keeps its source gates, so its inverse
-(conjugate-transposed blocks) and its logical count come from the same
-rules as any power record.
+gates the same way, compiled powers included, into count-1 power records
+whose block tables hold at most 4^FUSE_QUBITS entries; a fused record
+keeps its source gates, so its inverse (conjugate-transposed blocks) and
+its logical count come from the same rules as any power record.
 """
 
 from __future__ import annotations
@@ -146,18 +146,27 @@ def _power(g, amps, n):
         )
 
 
-def _negate(params) -> tuple:
+def _negate(params, _memo) -> tuple:
     return tuple(-a for a in params)
 
 
-def _conjugate(params) -> tuple:
+def _conjugate(params, _memo) -> tuple:
     return tuple(np.conj(p) for p in params)
 
 
-def _power_inverse(table):
+def _inverse_gates(gates, memo) -> tuple:
+    return tuple(g.dagger(memo) for g in reversed(gates))
+
+
+def _power_inverse(table, memo):
+    """memo maps id(iterate) to (iterate, its inverse) within one inversion,
+    so the records of a phase estimation, which share one iterate, also
+    share one daggered iterate. It holds the iterate so the id stays its."""
+    key = id(table.iterate)
+    if key not in memo:
+        memo[key] = (table.iterate, _inverse_gates(table.iterate, memo))
     blocks = None if table.blocks is None else table.blocks.conj().transpose(0, 2, 1)
-    iterate = tuple(g.dagger() for g in reversed(table.iterate))
-    return replace(table, iterate=iterate, blocks=blocks)
+    return replace(table, iterate=memo[key][1], blocks=blocks)
 
 
 def _power_cost(table) -> int:
@@ -167,7 +176,7 @@ def _power_cost(table) -> int:
 class Kind(NamedTuple):
     category: str  # the bucket gate_counts reports
     run: Callable  # run(gate, amps, n): apply in place through core's kernel
-    inverse: Callable | None  # params -> params of the inverse; None: self-inverse
+    inverse: Callable | None  # (params, memo) -> params of the inverse; None: self-inverse
     cost: Callable | None  # params -> logical primitive count; None: one
 
 
@@ -251,9 +260,12 @@ class Gate:
     def with_controls(self, extra) -> "Gate":
         return replace(self, controls=self.controls + tuple(extra))
 
-    def dagger(self) -> "Gate":
+    def dagger(self, memo=None) -> "Gate":
+        """The inverse gate; memo is shared across one CircuitOp.inverse."""
         inverse = KINDS[self.kind].inverse
-        return self if inverse is None else replace(self, params=inverse(self.params))
+        if inverse is None:
+            return self
+        return replace(self, params=inverse(self.params, {} if memo is None else memo))
 
     def to_line(self) -> str:
         head = f"{self.kind} {self.label}" if self.label else self.kind
@@ -281,8 +293,7 @@ class CircuitOp:
 
     def inverse(self) -> "CircuitOp":
         return CircuitOp(
-            tuple(g.dagger() for g in reversed(self.gates)),
-            f"{self.label}^-1" if self.label else "",
+            _inverse_gates(self.gates, {}), f"{self.label}^-1" if self.label else ""
         )
 
     def controlled(self, *controls) -> "CircuitOp":
@@ -359,14 +370,22 @@ PE_CTRL_TAG = "pe-ctrl-entry"
 POWER_TABLE_BUDGET = 1 << 20
 
 
+def _roles(g) -> tuple[set, set]:
+    """(wires, controls) of one gate as qubit sets. A power record reads its
+    first params.keys wires only as controls."""
+    k = g.params.keys if g.kind == "power" else 0
+    return set(g.wires[k:]), set(g.wires[:k]) | {q for q, _ in g.controls}
+
+
 def _key_split(gates) -> tuple[tuple, tuple]:
     """(keys, targets): the qubits the gates only ever use as controls, and
-    all their wires, each sorted."""
+    all their other wires, each sorted."""
     wires: set = set()
     ctrls: set = set()
     for g in gates:
-        wires.update(g.wires)
-        ctrls.update(q for q, _ in g.controls)
+        gw, gc = _roles(g)
+        wires |= gw
+        ctrls |= gc
     return tuple(sorted(ctrls - wires)), tuple(sorted(wires))
 
 
@@ -399,41 +418,52 @@ def _materialize(gates, keys, targets) -> np.ndarray:
     act on target state c with the key qubits holding v."""
     k, w = len(keys), len(targets)
     dim, kdim = 1 << w, 1 << k
-    # compact qubits: targets, keys, then w qubits holding the input column c
-    where = {q: i for i, q in enumerate(targets + keys)}
+    # compact qubits: w low qubits holding the input column c, then the
+    # keys, then the targets; the gates act only on the upper qubits, where
+    # the single-qubit kernel is fastest
+    where = {q: w + i for i, q in enumerate(keys + targets)}
     cols = np.arange(dim)[:, None]
     amps = np.zeros(dim * kdim * dim, dtype=np.complex128)
     amps[(cols * kdim + np.arange(kdim)) * dim + cols] = 1.0
     n = 2 * w + k
     for g in gates:
-        local = replace(g, wires=tuple(where[q] for q in g.wires),
-                        controls=tuple((where[q], v) for q, v in g.controls))
+        local = Gate(g.kind, tuple(where[q] for q in g.wires), g.params,
+                     tuple((where[q], v) for q, v in g.controls))
         KINDS[g.kind].run(local, amps, n)
-    return amps.reshape(dim, kdim, dim).transpose(1, 2, 0).copy()
+    return amps.reshape(dim, kdim, dim).transpose(1, 0, 2).copy()
 
 
-# Most qubits (wires plus controls) one fused record may span. Its blocks
-# then hold at most 2^(2 * FUSE_QUBITS) entries, and applying it costs
-# about one matmul pass over the state.
+# Bound on a fused record's block table: keys + 2 * targets stays within
+# 2 * FUSE_QUBITS, so its blocks hold at most 4^FUSE_QUBITS entries (64 KiB)
+# and applying it costs about one matmul pass over the state.
 FUSE_QUBITS = 6
+
+
+def _table_fits(wires: set, ctrls: set) -> bool:
+    return len(ctrls - wires) + 2 * len(wires) <= 2 * FUSE_QUBITS
 
 
 def fuse(op: CircuitOp) -> CircuitOp:
     """Compile runs of gates into count-1 power records.
 
-    Read left to right, consecutive non-power gates merge while their joint
-    support (wires plus controls) stays within FUSE_QUBITS. A run of two or
-    more becomes one power record: the run is its iterate, its keys are the
-    run's control-only qubits, and its blocks are the run materialized per
-    key value, exactly as power_records makes them. Single gates and power
-    records pass through, and a power record ends the run.
+    Read left to right, a gate joins the current run while the run's block
+    table stays within the FUSE_QUBITS bound (keys + 2 * targets <=
+    2 * FUSE_QUBITS); otherwise the run is closed and the gate starts the
+    next one. Each run becomes one power record: the run is its iterate,
+    its keys are the run's control-only qubits (a power record's key wires
+    count as controls), and its blocks are the run materialized per key
+    value, exactly as power_records makes them. Compiled power records join
+    runs like any other gate, and a run that is one compiled power record
+    passes through as it is. Replay power records (no blocks) and gates
+    that alone exceed the bound pass through and close the run.
     """
     out: list = []
     run: list = []
-    support: set = set()
+    wires: set = set()
+    ctrls: set = set()
 
     def flush():
-        if len(run) == 1:
+        if len(run) == 1 and run[0].kind == "power":
             out.append(run[0])
         elif run:
             keys, targets = _key_split(run)
@@ -441,17 +471,20 @@ def fuse(op: CircuitOp) -> CircuitOp:
             table = PowerTable(iterate, 1, len(keys), _materialize(iterate, keys, targets))
             out.append(Gate("power", keys + targets, table, label="fused"))
         run.clear()
-        support.clear()
+        wires.clear()
+        ctrls.clear()
 
     for g in op.gates:
-        used = g.used_qubits()
-        if g.kind == "power" or len(support | used) > FUSE_QUBITS:
+        gw, gc = _roles(g)
+        replay = g.kind == "power" and g.params.blocks is None
+        if replay or not _table_fits(wires | gw, ctrls | gc):
             flush()
-        if g.kind == "power":
+        if replay or not _table_fits(gw, gc):
             out.append(g)
         else:
             run.append(g)
-            support |= used
+            wires |= gw
+            ctrls |= gc
     flush()
     return CircuitOp(tuple(out), op.label)
 

@@ -30,7 +30,14 @@ from .errors import (
     VerificationError,
 )
 from .fixedpoint import ACTIVATIONS, activation_oracle
-from .nonlinear import AnsatzCircuit, nonlinear_transform, perceptron_run, swap_test_readout, train_demo
+from .nonlinear import (
+    AnsatzCircuit,
+    check_ansatz_cap,
+    nonlinear_transform,
+    perceptron_run,
+    swap_test_readout,
+    train_demo,
+)
 from .prep import build_tree, load_data, synthesize_ua
 from .qadc import (
     abs_layout,
@@ -108,6 +115,8 @@ class ExperimentConfig:
             raise ConfigError("seed", "the perceptron draws its angles from --seed")
         if self.shots < 1:
             raise ConfigError("shots", "need at least one shot")
+        if self.layers < 0:
+            raise ConfigError("layers", "the layer count cannot be negative")
         if self.kind == "spectrum" and self.r is None and self.sweep is None:
             raise ConfigError("r", "give --r or --sweep")
         if self.cap < 1:
@@ -327,6 +336,7 @@ def _run_perceptron(cfg: ExperimentConfig) -> dict:
     values = _load_values(cfg)
     tree, _ = _normalized_tree(values)
     n = tree.depth
+    check_ansatz_cap(n, cfg.layers)
     rng = np.random.default_rng(cfg.seed)
     theta = rng.uniform(-math.pi / 2, math.pi / 2, size=(cfg.layers, n, 2))
     ansatz = AnsatzCircuit(n, cfg.layers, theta)
@@ -529,6 +539,16 @@ def _check_compiled_pe() -> float:
     return worst
 
 
+def _unfuse(gates) -> tuple:
+    """gates with every fused record expanded, recursively, back into its
+    source gates; the phase-estimation power records stay compiled."""
+    return tuple(
+        h for g in gates
+        for h in (_unfuse(g.params.iterate) if g.kind == "power" and g.tag != PE_CTRL_TAG
+                  else (g,))
+    )
+
+
 def _check_fused_blocks() -> float:
     """The fused load + estimate stage of the abs and real readout blocks,
     and its structural inverse, against the same records with every fused
@@ -543,11 +563,7 @@ def _check_fused_blocks() -> float:
         amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
         start = core.StateVector(nq, amps / np.linalg.norm(amps))
         for op in (stages[0][1], stages[2][1]):
-            flat = CircuitOp(tuple(
-                h for g in op.gates
-                for h in (g.params.iterate if g.kind == "power" and g.tag != PE_CTRL_TAG
-                          else (g,))
-            ))
+            flat = CircuitOp(_unfuse(op.gates))
             dev = np.max(np.abs(op.apply(start).amps - flat.apply(start).amps))
             worst = max(worst, float(dev))
     return worst

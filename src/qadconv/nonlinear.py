@@ -20,7 +20,7 @@ import numpy as np
 from . import core
 # phase_estimate_op is unused here, but perfbench's tracer test looks it up on this module
 from .circuits import CircuitOp, Gate, phase_estimate_op  # noqa: F401
-from .errors import ConfigError, RegisterError, ZeroSuccessError
+from .errors import ConfigError, RegisterError, ResourceLimitError, ZeroSuccessError
 from .fixedpoint import (
     ACTIVATIONS,
     FixedPointCodec,
@@ -32,6 +32,24 @@ from .qadc import hadamard_layer, part_layout, readout_block, run_stages
 from .qdac import amplitude_amplify, grover_rounds, value_rotation
 
 MODES = ("postselect", "sample", "amplify")
+
+
+# Most gate records an ansatz may hold. Every readout iterate carries the
+# ansatz twice, and each of its records is built and materialized once per
+# readout block, so a run's time grows with this count.
+ANSATZ_RECORD_CAP = 1 << 12
+
+
+def check_ansatz_cap(n_qubits: int, layers: int) -> None:
+    """Refuse an ansatz whose gate records would exceed ANSATZ_RECORD_CAP,
+    before its angles or any circuit are built."""
+    ring = n_qubits if n_qubits > 2 else n_qubits - 1
+    records = layers * (2 * n_qubits + ring)
+    if records > ANSATZ_RECORD_CAP:
+        raise ResourceLimitError(
+            f"{layers} ansatz layers on {n_qubits} qubits ({records} gate records) "
+            f"exceeds the cap of {ANSATZ_RECORD_CAP} records"
+        )
 
 
 @dataclass(frozen=True)
@@ -49,6 +67,7 @@ class AnsatzCircuit:
     params: np.ndarray
 
     def __post_init__(self):
+        check_ansatz_cap(self.n_qubits, self.layers)
         p = np.asarray(self.params, dtype=np.float64)
         want = (self.layers, self.n_qubits, 2)
         if p.shape != want:

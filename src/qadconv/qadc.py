@@ -10,7 +10,8 @@ pattern to the recovered value with a lookup oracle, and uncomputes
 everything except the address and value registers. readout_block builds
 that sequence once; run_qadc and the nonlinear pipeline both run it. Its
 load and estimate stage is fused into dense block records (circuits.fuse:
-count-1 power records next to the phase-estimation powers), and the
+count-1 power records whose tables stay within 4^FUSE_QUBITS entries; the
+phase-estimation powers nest inside them where they fit), and the
 uncompute stage is that stage's structural inverse, so the fusion is built
 once per block.
 """
@@ -291,17 +292,24 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     phase_success = _phase_success(joint.reshape(1 << n, 1 << t), thetas, t, m)
     state = run_stages(held.pop(), stages[1:], cap=cap)
 
-    # controlled-U applications: the power records' logical iterate counts
-    # times the loader entries in one iterate
-    ua_count = sum(
-        gate.params.count * sum(1 for h in gate.params.iterate if h.tag == UA_ENTRY_TAG)
-        for _, op in stages
-        for gate in op.gates
-        if gate.tag == PE_CTRL_TAG
-    )
+    ua_count = sum(_controlled_ua_count(op.gates) for _, op in stages)
     return _summarize(
         variant, m, g, state, n, reg_s, codec, true_values, phase_success, ua_count,
     )
+
+
+def _controlled_ua_count(gates) -> int:
+    """Controlled-U applications: each phase-estimation power record's
+    logical iterate count times the loader entries in one iterate, found
+    also inside the fused records that hold those power records."""
+    total = 0
+    for gate in gates:
+        if gate.tag == PE_CTRL_TAG:
+            iterate = gate.params.iterate
+            total += gate.params.count * sum(1 for h in iterate if h.tag == UA_ENTRY_TAG)
+        elif gate.kind == "power":
+            total += gate.params.count * _controlled_ua_count(gate.params.iterate)
+    return total
 
 
 def _phase_success(joint: np.ndarray, thetas, t: int, m: int) -> np.ndarray:

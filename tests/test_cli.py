@@ -317,6 +317,25 @@ def test_huge_m_hits_the_cap_before_building_tables(capsys, argv):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+def test_huge_layer_count_hits_the_record_cap_before_building(capsys, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("built past the boundary")
+
+    monkeypatch.setattr(cli, "AnsatzCircuit", built)
+    monkeypatch.setattr(cli, "perceptron_run", built)
+    code = cli.main(["perceptron", "--random", "4", "--seed", "1", "--m", "2",
+                     "--layers", "300000"])
+    assert code == 3
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_negative_layer_count_exits_2(capsys):
+    code = cli.main(["perceptron", "--random", "4", "--seed", "1", "--m", "2",
+                     "--layers", "-1"])
+    assert code == 2
+    assert "layers" in capsys.readouterr().err
+
+
 def test_qdac_state_is_address_value_and_ancilla(capsys):
     # 2 address + 8 value qubits + ancilla = 11: the cap fits the whole state
     assert cli.main(["qdac", "--random", "4", "--seed", "1", "--m", "8",

@@ -30,6 +30,16 @@ def random_state(n, seed):
     return core.from_amplitudes(v / np.linalg.norm(v))
 
 
+def pe_records(gates):
+    """The phase-estimation power records among gates, also those nested in
+    the fused records that hold them."""
+    for gate in gates:
+        if gate.tag == circuits.PE_CTRL_TAG:
+            yield gate
+        elif gate.kind == "power":
+            yield from pe_records(gate.params.iterate)
+
+
 def readout_ops(variant, tree, n, m, g):
     """(layout, front, iterate): the Hadamard layer plus the unfused load
     that precedes phase estimation in the readout block run_qadc runs, and
@@ -37,7 +47,7 @@ def readout_ops(variant, tree, n, m, g):
     layout = (qadc.abs_layout if variant == "abs" else qadc.part_layout)(n, m, g)
     prep = synthesize_ua(tree).op(start=layout.start("data"))
     estimate = qadc.readout_block(layout, prep, variant, m, g, layout.n_qubits)[0][1]
-    power = next(gate for gate in estimate.gates if gate.tag == circuits.PE_CTRL_TAG)
+    power = next(pe_records(estimate.gates))
     if variant == "abs":
         load = qadc.address_copy_op(layout) + qadc.v_from_prep(layout, prep)
     else:

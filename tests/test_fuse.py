@@ -1,9 +1,12 @@
 """Fused block records against the flat gate list they compile.
 
-circuits.fuse merges runs of gates into count-1 power records. The flat
-CircuitOp stays the reference: every comparison applies both to the same
-state and asks for agreement to 1e-12.
+circuits.fuse merges runs of gates, compiled power records included, into
+count-1 power records whose block tables stay within 4^FUSE_QUBITS entries.
+The flat CircuitOp stays the reference: every comparison applies both to
+the same state and asks for agreement to 1e-12.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,17 +67,22 @@ def records(draw, n):
 
 
 @st.composite
-def circuits_with_a_power(draw):
-    """A random circuit on 5-8 qubits with a compiled power record in the
-    middle, optionally controlled."""
+def circuits_with_a_cascade(draw):
+    """A random circuit on 5-8 qubits with a power_records cascade in the
+    middle: U^(2^j) for j < t, each optionally controlled on its own qubit
+    above U's, as phase estimation lays them out; sometimes replayed."""
     n = draw(st.integers(5, 8))
+    t = draw(st.integers(1, min(3, n - 4)))
     before = draw(st.lists(records(n), min_size=1, max_size=12))
     after = draw(st.lists(records(n), min_size=1, max_size=12))
-    unitary = CircuitOp(tuple(draw(st.lists(records(n - 1), min_size=1, max_size=3))))
-    power = power_records(unitary, 2)[1]
+    unitary = CircuitOp(tuple(draw(st.lists(records(n - t), min_size=1, max_size=3))))
+    cascade = power_records(unitary, t)
     if draw(st.booleans()):
-        power = power.with_controls(((n - 1, draw(st.integers(0, 1))),))
-    return n, CircuitOp(tuple(before) + (power,) + tuple(after), label="random")
+        cascade = [replace(p, params=replace(p.params, blocks=None)) for p in cascade]
+    for j, p in enumerate(cascade):
+        if draw(st.booleans()):
+            cascade[j] = p.with_controls(((n - t + j, draw(st.integers(0, 1))),))
+    return n, CircuitOp(tuple(before) + tuple(cascade) + tuple(after), label="random")
 
 
 def random_state(n, seed):
@@ -91,8 +99,48 @@ def is_fused(gate):
     return gate.kind == "power" and gate.label == "fused"
 
 
+def is_replay(gate):
+    return gate.kind == "power" and gate.params.blocks is None
+
+
+def table_size(gates):
+    """keys + 2 * targets of the block table that would fuse gates: a
+    power record's first params.keys wires are read only as controls."""
+    wires, ctrls = set(), set()
+    for gate in gates:
+        k = gate.params.keys if gate.kind == "power" else 0
+        wires |= set(gate.wires[k:])
+        ctrls |= set(gate.wires[:k]) | {q for q, _ in gate.controls}
+    return len(ctrls - wires) + 2 * len(wires)
+
+
+def fits(gates):
+    return table_size(gates) <= 2 * FUSE_QUBITS
+
+
+def unfuse(gates):
+    """The source gates of fused records, recursively; others as they are."""
+    for gate in gates:
+        if is_fused(gate):
+            yield from unfuse(gate.params.iterate)
+        else:
+            yield gate
+
+
+def pe_iterates(gates):
+    """ids of the iterates of the phase-estimation records among gates,
+    also those nested in fused records."""
+    ids = set()
+    for gate in gates:
+        if gate.tag == circuits.PE_CTRL_TAG:
+            ids.add(id(gate.params.iterate))
+        elif gate.kind == "power":
+            ids |= pe_iterates(gate.params.iterate)
+    return ids
+
+
 @settings(max_examples=60, deadline=None)
-@given(circuits_with_a_power(), st.integers(0, 2**32 - 1))
+@given(circuits_with_a_cascade(), st.integers(0, 2**32 - 1))
 def test_fused_equals_flat(case, seed):
     n, op = case
     fused = fuse(op)
@@ -101,28 +149,63 @@ def test_fused_equals_flat(case, seed):
     assert max_dev(fused.inverse().apply(start), op.inverse().apply(start)) <= TOL
     assert fused.primitive_count() == op.primitive_count()
     assert fused.label == op.label
-    # fused records are runs of two or more gates within FUSE_QUBITS; every
-    # other record passes through as the same object, in order
-    flat = []
-    for gate in fused.gates:
-        if is_fused(gate):
-            table = gate.params
-            assert table.count == 1 and len(table.iterate) >= 2
-            assert len(gate.used_qubits()) <= FUSE_QUBITS
-            assert len(CircuitOp(table.iterate).used_qubits()) <= FUSE_QUBITS
-            flat.extend(table.iterate)
-        else:
-            flat.append(gate)
+    # the records expand back to the original gates, the same objects in order
+    flat = list(unfuse(fused.gates))
     assert len(flat) == len(op.gates)
     assert all(a is b for a, b in zip(flat, op.gates))
+    runs = []
+    for gate in fused.gates:
+        if is_fused(gate):
+            # a fused run: count 1 and within the table bound; a run that
+            # is one compiled power record is that record, not a fused one
+            table = gate.params
+            assert table.count == 1 and fits(table.iterate)
+            assert table.blocks.size <= 4**FUSE_QUBITS
+            assert not (len(table.iterate) == 1 and table.iterate[0].kind == "power")
+            runs.append(list(table.iterate))
+        elif is_replay(gate) or not fits([gate]):
+            runs.append(None)  # passed through, closing the run before it
+        else:
+            assert gate.kind == "power"  # a lone compiled power record
+            runs.append([gate])
+    # greedy: a run closes only where the next record's first gate would
+    # break the bound
+    for run, nxt in zip(runs, runs[1:]):
+        if run is not None and nxt is not None:
+            assert not fits(run + nxt[:1])
 
 
 def test_fuse_passes_wide_gates_and_powers_through():
-    wide = Gate("reflect", tuple(range(FUSE_QUBITS + 1)))
-    power = power_records(CircuitOp((Gate("h", (0,)),)), 1)[0]
-    op = CircuitOp((Gate("h", (0,)), wide, Gate("x", (1,)), power, Gate("z", (2,))))
-    assert fuse(op).gates == op.gates
+    wide = Gate("reflect", tuple(range(FUSE_QUBITS + 1)))  # 2 * 7 > 12
+    compiled = power_records(CircuitOp((Gate("h", (0,)),)), 1)[0]
+    replay = replace(compiled, params=replace(compiled.params, blocks=None))
+    z = Gate("z", (2,))
+    op = CircuitOp((Gate("h", (0,)), wide, Gate("x", (1,)), replay, z, compiled))
+    out = fuse(op).gates
+    # lone fitting gates become block records, wide and replay records pass
+    # through, and a compiled power joins a run like any other gate
+    assert [is_fused(gate) for gate in out] == [True, False, True, False, True]
+    assert out[0].params.iterate == (op.gates[0],)
+    assert out[0].params.blocks.shape == (1, 2, 2)
+    assert out[1] is wide and out[3] is replay
+    assert out[4].params.iterate[0] is z and out[4].params.iterate[1] is compiled
+    # a run that is one compiled power record stays that record
+    assert fuse(CircuitOp((compiled,))).gates[0] is compiled
     assert fuse(CircuitOp(())).gates == ()
+
+
+def test_runs_close_at_the_table_bound():
+    # a key qubit counts once, a target twice: 10 keys and 1 target fit
+    # (10 + 2 = 12), and the 11th key closes the run
+    keyed = tuple(Gate("x", (0,), controls=((q, 1),)) for q in range(1, 12))
+    first, second = fuse(CircuitOp(keyed)).gates
+    assert len(first.params.iterate) == 10 and first.params.blocks.shape == (1 << 10, 2, 2)
+    assert second.params.iterate == keyed[10:]
+    # FUSE_QUBITS targets fit, one more closes the run
+    hs = tuple(Gate("h", (q,)) for q in range(FUSE_QUBITS + 1))
+    first, second = fuse(CircuitOp(hs)).gates
+    assert first.params.blocks.shape == (1, 1 << FUSE_QUBITS, 1 << FUSE_QUBITS)
+    assert second.params.iterate == hs[FUSE_QUBITS:]
 
 
 def test_fused_record_keys_are_control_only_qubits():
@@ -135,6 +218,19 @@ def test_fused_record_keys_are_control_only_qubits():
     assert gate.params.keys == 1
     assert gate.params.blocks.shape == (2, 4, 4)
     assert gate.to_line() == "power fused w=[0,1,2] c=[] p=[2x4x4 blocks ^1]"
+
+
+def test_a_power_records_key_wires_stay_keys_when_fused():
+    # U acts on qubit 2 under key qubit 1; its power records, controlled on
+    # qubits 3 and 4 as in phase estimation, fuse with keys 1, 3 and 4
+    unitary = CircuitOp((Gate("ry", (2,), (0.7,), controls=((1, 1),)),))
+    cascade = [p.with_controls(((3 + j, 1),)) for j, p in enumerate(power_records(unitary, 2))]
+    op = CircuitOp((Gate("h", (0,)),) + tuple(cascade))
+    (gate,) = fuse(op).gates
+    assert gate.wires == (1, 3, 4, 0, 2)
+    assert gate.params.keys == 3
+    start = random_state(5, 1)
+    assert max_dev(fuse(op).apply(start), op.apply(start)) <= TOL
 
 
 @pytest.mark.parametrize("variant", ["abs", "real", "imag"])
@@ -164,3 +260,35 @@ def test_readout_block_fuses_load_and_estimate_once(variant):
     start = random_state(layout.n_qubits, 3)
     assert max_dev(fwd.apply(start), flat.apply(start)) <= TOL
     assert max_dev(back.apply(start), flat.inverse().apply(start)) <= TOL
+
+
+@pytest.mark.parametrize("variant", ["abs", "real"])
+def test_readout_stages_are_all_block_records(variant):
+    # a gate left out of a block record would run through the single-qubit
+    # kernel, whose half-state temporaries raise the peak memory of a readout
+    n, m, g = 2, 4, 3
+    layout = (qadc.abs_layout if variant == "abs" else qadc.part_layout)(n, m, g)
+    prep = synthesize_ua(build_tree(np.array([0.1, 0.5j, -0.7, 0.5]))).op(
+        start=layout.start("data"))
+    stages = qadc.readout_block(layout, prep, variant, m, g, layout.n_qubits)
+    for _, op in (stages[0], stages[2]):
+        assert all(gate.kind == "power" and gate.params.blocks is not None
+                   for gate in op.gates)
+
+
+@pytest.mark.parametrize("variant", ["abs", "real", "imag"])
+def test_one_daggered_iterate_per_phase_estimation(variant):
+    n, m, g = 2, 4, 3
+    layout = (qadc.abs_layout if variant == "abs" else qadc.part_layout)(n, m, g)
+    prep = synthesize_ua(build_tree(np.array([0.1, 0.5j, -0.7, 0.5]))).op(
+        start=layout.start("data"))
+    stages = qadc.readout_block(layout, prep, variant, m, g, layout.n_qubits)
+    assert len(pe_iterates(stages[0][1].gates)) == 1
+    assert len(pe_iterates(stages[2][1].gates)) == 1
+
+
+def test_inverse_daggers_a_shared_iterate_once():
+    unitary = CircuitOp((Gate("ry", (1,), (0.7,), controls=((0, 1),)),))
+    pe = circuits.phase_estimate_op(unitary, (2, 4))
+    assert len(pe_iterates(pe.gates)) == 1
+    assert len(pe_iterates(pe.inverse().gates)) == 1

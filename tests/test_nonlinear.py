@@ -9,6 +9,7 @@ from qadconv import core, reference
 from qadconv.errors import ConfigError, RegisterError, ResourceLimitError, ZeroSuccessError
 from qadconv.fixedpoint import activation_oracle
 from qadconv.nonlinear import (
+    ANSATZ_RECORD_CAP,
     AnsatzCircuit,
     PerceptronReadout,
     nonlinear_transform,
@@ -29,6 +30,16 @@ def test_ansatz_parameter_bookkeeping():
     assert a.params.shape == (2, 3, 2)
     with pytest.raises(ConfigError):
         AnsatzCircuit(2, 2, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ansatz_record_cap_counts_the_records_op_builds(n):
+    per_layer = len(AnsatzCircuit(n, 1, np.ones((1, n, 2))).op().gates)
+    layers = ANSATZ_RECORD_CAP // per_layer
+    at_cap = AnsatzCircuit(n, layers, np.ones((layers, n, 2)))
+    assert len(at_cap.op().gates) == layers * per_layer <= ANSATZ_RECORD_CAP
+    with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+        AnsatzCircuit(n, layers + 1, np.ones((layers + 1, n, 2)))
 
 
 def test_ansatz_is_unitary():
