@@ -24,7 +24,6 @@ from .nonlinear import (
     AnsatzCircuit,
     NonlinearOutcome,
     nonlinear_transform,
-    perceptron_forward,
     perceptron_run,
     swap_test_readout,
     tensor_encode,
@@ -62,7 +61,6 @@ __all__ = [
     "load_data",
     "make_digital_state",
     "nonlinear_transform",
-    "perceptron_forward",
     "perceptron_run",
     "qdac_run",
     "real_qadc",

@@ -66,13 +66,6 @@ class RegisterLayout:
         s, w = self.reg(name)
         return range(s, s + w)
 
-    def value(self, index: int, name: str) -> int:
-        s, w = self.reg(name)
-        return (index >> s) & ((1 << w) - 1)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(nm for nm, _, _ in self.registers)
-
 
 # ---------------------------------------------------------------------------
 # Gate records.

@@ -49,7 +49,7 @@ from .qadc import (
     spectrum_oracle,
     v_from_prep,
 )
-from .qdac import make_digital_state, predict_success, qdac_run
+from .qdac import MODES, make_digital_state, predict_success, qdac_run
 
 SCHEMA = "qadconv/v1"
 KINDS = ("prep", "qdac", "qadc-abs", "qadc-real", "qadc-imag",
@@ -107,7 +107,7 @@ class ExperimentConfig:
             raise ConfigError("m", "need at least one fraction bit")
         if self.g < 0:
             raise ConfigError("g", "guard bits cannot be negative")
-        if self.mode not in ("postselect", "sample", "amplify"):
+        if self.mode not in MODES:
             raise ConfigError("mode", f"unknown mode {self.mode!r}")
         if self.mode == "sample" and self.seed is None:
             raise ConfigError("seed", "sample mode needs an explicit --seed")
@@ -721,8 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", type=int, default=None, help="fraction bits")
             p.add_argument("--g", type=int, default=3, help="guard bits")
         if sampled:
-            p.add_argument("--mode", default="postselect",
-                           choices=("postselect", "sample", "amplify"))
+            p.add_argument("--mode", default="postselect", choices=MODES)
             p.add_argument("--shots", type=int, default=2048)
             p.add_argument("--rounds", type=int, default=None,
                            help="amplification rounds override")
@@ -771,21 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_KIND_BY_COMMAND = {
-    "prep": "prep",
-    "qdac": "qdac",
-    "nonlinear": "nonlinear",
-    "perceptron": "perceptron",
-    "spectrum": "spectrum",
-    "verify": "verify",
-}
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.command == "qadc":
-        kind = f"qadc-{args.variant}"
-    else:
-        kind = _KIND_BY_COMMAND[args.command]
+    kind = f"qadc-{args.variant}" if args.command == "qadc" else args.command
     fields = {
         "kind": kind,
         "seed": args.seed,

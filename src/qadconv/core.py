@@ -62,12 +62,6 @@ class StateVector:
     n_qubits: int
     amps: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy())
-
 
 def check_qubit_cap(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
     """Refuse a state of n_qubits above the cap, before anything of that

@@ -86,15 +86,6 @@ class FixedPointCodec:
         return self.decode_array(np.arange(1 << self.width))
 
 
-def _pack(codes, widths) -> int:
-    packed = 0
-    shift = 0
-    for c, w in zip(codes, widths):
-        packed |= (int(c) % (1 << w)) << shift
-        shift += w
-    return packed
-
-
 @dataclass(frozen=True)
 class FunctionOracle:
     """A named classical function with a frozen fixed-point lookup table.
@@ -157,11 +148,6 @@ class FunctionOracle:
                     f"oracle {self.name!r} input {v!r} outside [{lo}, {hi}]"
                 )
         return float(self.fn(*values))
-
-    def lookup(self, *codes) -> int:
-        """Packed table lookup on input bit patterns."""
-        widths = [c.width for c in self.in_codecs]
-        return int(self.table[_pack(codes, widths)])
 
     def decoded_outputs(self) -> np.ndarray:
         """Decoded output value for every packed input pattern."""

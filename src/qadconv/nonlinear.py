@@ -7,7 +7,9 @@ readout circuits again to clear the registers. Each readout block is a
 palindrome (load, estimate, copy out, un-estimate, un-load), so it is its
 own inverse; when the activation ignores the imaginary register the two
 imag blocks sit adjacent in the circuit and cancel exactly, and the
-pipeline skips them.
+pipeline skips them. It ends in qdac.finish, the readout qdac_run uses:
+postselect the ancilla, sample it with one binomial draw, or amplify it
+with Grover rounds started from the state the pipeline has just built.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from .fixedpoint import (
 )
 from .prep import PrepTree, synthesize_ua
 from .qadc import hadamard_layer, part_layout, readout_block, run_stages
-from .qdac import amplitude_amplify, grover_rounds, value_rotation
-
-MODES = ("postselect", "sample", "amplify")
+from .qdac import MODES, finish, value_rotation
 
 
 # Most gate records an ansatz may hold. Every readout iterate carries the
@@ -184,8 +184,7 @@ def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
     nb = base.n_qubits
     mw = FixedPointCodec(m, signed=True).width
     anc = nb + _arity(f) * mw
-    total = anc + 1
-    core.check_qubit_cap(total, cap)
+    core.check_qubit_cap(anc + 1, cap)
     f = _resolve_activation(f, m)
     target = _classical_target(source, f)
     fvals = np.clip(f.decoded_outputs(), -1.0, 1.0)
@@ -208,41 +207,19 @@ def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
     predicted = float((key_joint.reshape(1 << n, -1) @ (fvals**2)).sum())
     state = run_stages(held.pop(), rest, cap=cap)
 
-    branch, p_exact = core.postselect(state, anc, 0)
-    clean, clean_mass = core.clean_component(branch, [(0, n)])
-    amps = clean.amps
-    fidelity = float(abs(np.vdot(target, amps)))
-    leakage = 1.0 - float(clean_mass)
-
-    if mode == "postselect":
-        empirical, attempts, success = p_exact, 1, True
-    elif mode == "sample":
-        if rng is None:
-            raise ConfigError("rng", "sample mode needs a seeded generator")
-        hits = int(rng.binomial(shots, p_exact))
-        empirical, attempts, success = hits / shots, shots, hits > 0
-    else:
-        r = grover_rounds(p_exact) if rounds is None else int(rounds)
-        procedure = CircuitOp(tuple(gate for _, op in forward + rest for gate in op.gates))
-        boosted = amplitude_amplify(procedure, total, anc, r, cap=cap)
-        boost_branch, p_boost = core.postselect(boosted, anc, 0)
-        clean, clean_mass = core.clean_component(boost_branch, [(0, n)])
-        amps = clean.amps
-        fidelity = float(abs(np.vdot(target, amps)))
-        leakage = 1.0 - float(clean_mass)
-        empirical, attempts, success = p_boost, 1 + 2 * r, True
-
+    procedure = CircuitOp(tuple(gate for _, op in forward + rest for gate in op.gates))
+    out, p = finish(state, anc, n, predicted, mode, procedure, rng, shots, rounds)
     return NonlinearOutcome(
-        success=success,
-        attempts=attempts,
-        output=clean,
-        amplitudes=amps,
+        success=out.success,
+        attempts=out.attempts,
+        output=out.output,
+        amplitudes=out.output.amps,
         target=np.asarray(target, dtype=np.float64),
-        fidelity=fidelity,
-        success_probability=float(p_exact),
-        empirical_probability=float(empirical),
+        fidelity=float(abs(np.vdot(target, out.output.amps))),
+        success_probability=p,
+        empirical_probability=float(out.empirical_probability),
         predicted_probability=predicted,
-        leakage=float(leakage),
+        leakage=float(out.residual_mass),
         mode=mode,
     )
 
@@ -271,11 +248,6 @@ def perceptron_run(tree: PrepTree, ansatz: AnsatzCircuit, sigma, m: int, g: int,
         rotated.amps, n, sigma, m, g, rng=rng, mode=mode, shots=shots, rounds=None,
         cap=cap,
     )
-
-
-def perceptron_forward(tree: PrepTree, ansatz: AnsatzCircuit, sigma, m: int, g: int,
-                       cap: int = core.DEFAULT_QUBIT_CAP) -> core.StateVector:
-    return perceptron_run(tree, ansatz, sigma, m, g, cap=cap).output
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,20 @@
 """Digital-to-analog conversion: rotate a looked-up value onto an ancilla.
 
-The input is a digital state (1/sqrt(N)) sum_j |j>|code_j>. The paper
-writes theta = arccos f~(d_j) into a register and rotates an ancilla
-controlled on it; here the ancilla, directly above the value register,
-is rotated by Ry(2 arccos f~(v)) keyed on the value register itself, with
+The input is a digital state (1/sqrt(N)) sum_j |j>|code_j>: each address
+holds the real amplitude 1/sqrt(N) on exactly one value, so the state is
+exactly the data load applied to |0...0>. Any other state (a phase on a
+branch, a spread value) is refused with RegisterError. The paper writes
+theta = arccos f~(d_j) into a register and rotates an ancilla controlled
+on it; here the ancilla, directly above the value register, is rotated by
+Ry(2 arccos f~(v)) keyed on the value register itself, with
 double-precision angles. Its |0> amplitude is then exactly f~(d_j), sign
 included, and unloading the data clears the value register. The state
 spans address + value + ancilla qubits. Success means the ancilla reads 0.
+
+`finish` reads that ancilla out in one of MODES: postselect the branch,
+sample it (one binomial draw over the shots), or amplify it with Grover
+rounds started from the converted state. The nonlinear pipeline ends in
+the same `finish`.
 """
 
 from __future__ import annotations
@@ -20,6 +28,9 @@ from . import core
 from .circuits import CircuitOp, Gate
 from .errors import ConfigError, RegisterError, ZeroSuccessError
 from .fixedpoint import FixedPointCodec, FunctionOracle
+
+MODES = ("postselect", "sample", "amplify")
+
 
 @dataclass(frozen=True)
 class QdacOutcome:
@@ -58,24 +69,28 @@ def _address_width(count: int) -> int:
 
 
 def extract_codes(state: core.StateVector, n_addr: int, value_width: int) -> list[int]:
-    """Read the per-address value codes off a digital state, validating shape."""
+    """Read the per-address value codes off a digital state.
+
+    Every address must hold the real amplitude 1/sqrt(N) on exactly one
+    value and nothing elsewhere (to 1e-9), which makes the state exactly
+    digital_load_op(codes)|0...0>.
+    """
     n_total = n_addr + value_width
     if state.n_qubits != n_total:
         raise RegisterError(
             f"digital state has {state.n_qubits} qubits, expected {n_total}"
         )
-    joint = core.register_distribution(state, [(0, n_addr), (n_addr, value_width)])
-    joint = joint.reshape(1 << n_addr, 1 << value_width)
     n = 1 << n_addr
-    codes = []
-    for j in range(n):
-        v = int(np.argmax(joint[j]))
-        if abs(joint[j, v] - 1.0 / n) > 1e-9 or joint[j].sum() - joint[j, v] > 1e-12:
-            raise RegisterError(
-                f"address {j} is not a uniform single-valued digital branch"
-            )
-        codes.append(v)
-    return codes
+    amps = state.amps.reshape(1 << value_width, n)
+    codes = np.argmax(np.abs(amps), axis=0)
+    want = np.zeros(amps.shape)
+    want[codes, np.arange(n)] = 1.0 / math.sqrt(n)
+    bad = np.flatnonzero(np.abs(amps - want).max(axis=0) > 1e-9)
+    if bad.size:
+        raise RegisterError(
+            f"address {int(bad[0])} is not a single value with amplitude 1/sqrt({n})"
+        )
+    return [int(c) for c in codes]
 
 
 def predict_success(data, f=None, m: int | None = None) -> float:
@@ -161,43 +176,45 @@ def qdac_run(
 
     suffix, anc = conversion_suffix_op(f, d_codes, n_addr)
     full = suffix.apply(core.tensor(core.new_zero_state(1, cap=cap), state, cap=cap))
+    # extract_codes accepted the state, so full is procedure|0...0>
+    procedure = digital_load_op(d_codes, n_addr, w_v).then(suffix, label="qdac-full")
+    return finish(full, anc, n_addr, predicted, mode, procedure, rng, shots, rounds)[0]
 
-    if mode == "postselect":
-        return _finish(full, anc, n_addr, predicted, attempts=1, success=True,
-                       empirical=None)
+
+def finish(state: core.StateVector, anc: int, n_addr: int, predicted: float, mode: str,
+           procedure: CircuitOp, rng: np.random.Generator | None = None, shots: int = 2048,
+           rounds: int | None = None) -> tuple[QdacOutcome, float]:
+    """Read out the ancilla=0 branch of state = procedure|0...0>.
+
+    postselect keeps the branch; sample draws one binomial count of
+    successes over `shots` tries; amplify runs `rounds` Grover rounds
+    (grover_rounds(p) by default) from state, then postselects. The output
+    is that branch cleaned onto the address register (qubits 0..n_addr-1).
+    Also returns p, the branch probability before any boosting.
+    """
+    if mode not in MODES:
+        raise ConfigError("mode", f"unknown mode {mode!r}")
+    if mode == "sample" and rng is None:
+        raise ConfigError("rng", "sample mode needs a seeded generator")
+    branch, p = core.postselect(state, anc, 0)
+    empirical, attempts, success = p, 1, True
     if mode == "sample":
-        if rng is None:
-            raise ConfigError("rng", "sample mode needs a random generator")
-        p = float(core.register_distribution(full, [(anc, 1)])[0])
-        hits = rng.random(shots) < p
-        out = _finish(full, anc, n_addr, predicted, attempts=shots,
-                      success=bool(hits.any()), empirical=float(hits.mean()))
-        return out
-    if mode == "amplify":
-        prep = digital_load_op(d_codes, n_addr, w_v)
-        procedure = prep.then(suffix, label="qdac-full")
-        p0 = float(core.register_distribution(full, [(anc, 1)])[0])
-        r = grover_rounds(p0) if rounds is None else int(rounds)
-        boosted = amplitude_amplify(procedure, anc + 1, anc, r, cap=cap)
-        return _finish(boosted, anc, n_addr, predicted, attempts=1 + 2 * r,
-                       success=True, empirical=None)
-    raise ConfigError("mode", f"unknown mode {mode!r}")
-
-
-def _finish(full, anc, n_addr, predicted, attempts, success, empirical):
-    selected, prob = core.postselect(full, anc, 0)
-    if n_addr > 0:
-        output, mass = core.clean_component(selected, [(0, n_addr)])
-    else:
-        output, mass = core.clean_component(selected, [(0, 0)])
+        hits = int(rng.binomial(shots, p))
+        empirical, attempts, success = hits / shots, shots, hits > 0
+    elif mode == "amplify":
+        r = grover_rounds(p) if rounds is None else int(rounds)
+        boosted = amplitude_amplify(procedure, state, anc, r)
+        branch, empirical = core.postselect(boosted, anc, 0)
+        attempts = 1 + 2 * r
+    output, mass = core.clean_component(branch, [(0, n_addr)])
     return QdacOutcome(
         success=success,
         attempts=attempts,
         output=output,
-        empirical_probability=prob if empirical is None else empirical,
+        empirical_probability=empirical,
         predicted_probability=predicted,
         residual_mass=1.0 - mass,
-    )
+    ), p
 
 
 def grover_rounds(initial_success: float) -> int:
@@ -212,21 +229,17 @@ def grover_rounds(initial_success: float) -> int:
 
 
 def amplitude_amplify(
-    procedure: CircuitOp, n_qubits: int, flag: int, rounds: int,
-    cap: int = core.DEFAULT_QUBIT_CAP,
+    procedure: CircuitOp, state: core.StateVector, flag: int, rounds: int,
 ) -> core.StateVector:
-    """Grover-boost the flag=0 component of procedure|0...0>.
+    """Grover-boost the flag=0 component of state, which must be
+    procedure|0...0>.
 
     One round is -A R0 A^-1 Rgood; the leading minus keeps the boosted state
     in phase with the plain postselected branch.
     """
-    state = procedure.apply(core.new_zero_state(n_qubits, cap=cap))
-    p0 = float(core.register_distribution(state, [(flag, 1)])[0])
-    if p0 < 1e-24:
-        raise ZeroSuccessError("procedure never sets the flag to 0")
     grover = CircuitOp(
         (Gate("reflect", (flag,)),) + procedure.inverse().gates
-        + (Gate("reflect", tuple(range(n_qubits))),) + procedure.gates,
+        + (Gate("reflect", tuple(range(state.n_qubits))),) + procedure.gates,
         label="grover-round",
     )
     for _ in range(int(rounds)):

@@ -122,7 +122,7 @@ def test_04_amplitude_amplification_law():
     theta = math.asin(0.5)
     worst = 0.0
     for rounds in range(4):
-        boosted = amplitude_amplify(prep, 1, 0, rounds)
+        boosted = amplitude_amplify(prep, prep.apply(core.new_zero_state(1)), 0, rounds)
         p = float(core.register_distribution(boosted, [(0, 1)])[0])
         want = math.sin((2 * rounds + 1) * theta) ** 2
         worst = max(worst, abs(p - want))

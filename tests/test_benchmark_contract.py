@@ -9,6 +9,7 @@ run those hooks on small instances, so a change that breaks one fails here.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -87,3 +88,21 @@ def test_small_workload_ops_pass_their_checks(name):
         inp = wl.make_input(1, workloads.OPS_STREAM, index)
         result = wl.run(qadconv, inp)
         assert wl.check(qadconv, inp, result) == [], inp["label"]
+
+
+def test_traced_qdac_amplify_span_reports_its_closed_form_rounds():
+    # the tracer reads amplitude_amplify's rounds as its 4th positional argument
+    wl = SMALL["qdac-convert"]
+    inp = wl.make_input(1, workloads.OPS_STREAM, 1)
+    assert inp["mode"] == "amplify"
+    tracer = tracing.Tracer()
+    tracer.install(qadconv)
+    try:
+        tracer.begin_op(0)
+        wl.run(qadconv, inp)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    p = float(np.mean(wl.expected(qadconv, inp) ** 2))
+    rounds = [rec[tracing.INFO] for rec in tracer.spans if rec[tracing.NAME] == "qdac.amplify"]
+    assert rounds == [workloads.amplify_rounds(qadconv.reference, p)]

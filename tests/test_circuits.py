@@ -20,14 +20,12 @@ def test_layout_allocates_contiguously():
     assert lay.reg("a") == (0, 2)
     assert lay.reg("b") == (2, 3)
     assert lay.reg("c") == (5, 1)
-    assert lay.value(0b101100, "b") == 0b011
     assert list(lay.qubits("c")) == [5]
 
 
 def test_layout_allows_zero_width():
     lay = RegisterLayout.build(("a", 0), ("b", 2))
     assert lay.reg("a") == (0, 0)
-    assert lay.value(3, "a") == 0
 
 
 def test_layout_rejects_duplicates():

@@ -107,7 +107,7 @@ def test_unitarity_preserved_on_random_circuit():
         q = int(rng.integers(4))
         theta = float(rng.uniform(0, 2 * np.pi))
         st = core.apply_single(st, q, core.ry_matrix(theta))
-    assert st.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(st.amps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_basis_oracle_permutes_and_inverts():

@@ -13,7 +13,6 @@ from qadconv.nonlinear import (
     AnsatzCircuit,
     PerceptronReadout,
     nonlinear_transform,
-    perceptron_forward,
     perceptron_run,
     swap_test_readout,
     tensor_encode,
@@ -235,7 +234,7 @@ def test_perceptron_linearity_boundary():
 
 def test_perceptron_identity_ansatz_recovers_input():
     tree = build_tree(np.array([0.6, 0.8]))
-    state = perceptron_forward(tree, AnsatzCircuit.zeros(1, 1), "identity", 4, 3)
+    state = perceptron_run(tree, AnsatzCircuit.zeros(1, 1), "identity", 4, 3).output
     overlap = abs(np.vdot(np.array([0.6, 0.8]), state.amps))
     assert overlap >= 0.99
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from qadconv import core, qdac, reference
 from qadconv.errors import (
@@ -56,6 +57,17 @@ def test_extract_codes_rejects_non_digital():
     st = core.new_zero_state(3)
     with pytest.raises(RegisterError):
         qdac.extract_codes(st, 1, 2)
+
+
+@pytest.mark.parametrize("mode", qdac.MODES)
+def test_a_phased_digital_state_is_refused(mode):
+    # postselect kept the -1 phase on address 1 and amplify, which rebuilt
+    # the start from |0...0>, dropped it: [0.894, -0.447] against [0.894, 0.447]
+    st = qdac.make_digital_state([0.5, 0.25], m=4)
+    codec = FixedPointCodec(4)
+    st.amps[1 + (codec.encode(0.25) << 1)] *= -1
+    with pytest.raises(RegisterError):
+        qdac.qdac_run(st, identity_oracle(4), m=4, rng=np.random.default_rng(0), mode=mode)
 
 
 def test_moments_and_identity_prediction():
@@ -175,6 +187,9 @@ def test_qdac_sample_mode_statistics():
     assert abs(out.empirical_probability - p) <= 3 * sigma
     assert out.attempts == 20000
     assert out.success
+    # one binomial draw of the exact branch probability, as in the nonlinear pipeline
+    exact = qdac.qdac_run(st, identity_oracle(8), m=8).empirical_probability
+    assert out.empirical_probability == np.random.default_rng(42).binomial(20000, exact) / 20000
 
 
 def test_amplify_quarter_probability_one_round():
@@ -197,6 +212,40 @@ def test_amplify_round_sweep_matches_closed_form():
         assert out.empirical_probability == pytest.approx(want, abs=1e-10)
 
 
+ONE_INPUT = sorted(name for name, (_, arity) in ACTIVATIONS.items() if arity == 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    signed=hst.booleans(),
+    size=hst.sampled_from([2, 4, 8]),
+    name=hst.sampled_from(ONE_INPUT),
+    rounds=hst.integers(0, 3),
+    data=hst.data(),
+)
+def test_amplify_output_equals_postselect_output(signed, size, name, rounds, data):
+    m = 4
+    lo = -0.9 if signed else 0.0
+    values = data.draw(hst.lists(hst.floats(lo, 0.9), min_size=size, max_size=size))
+    state = qdac.make_digital_state(values, m, signed=signed)
+    orc = activation_oracle(name, m, in_signed=signed, out_signed=signed)
+    try:
+        plain = qdac.qdac_run(state, orc, m)
+    except ZeroSuccessError:
+        with pytest.raises(ZeroSuccessError):
+            qdac.qdac_run(state, orc, m, mode="amplify", rounds=rounds)
+        return
+    boosted = qdac.qdac_run(state, orc, m, mode="amplify", rounds=rounds)
+    p = plain.empirical_probability
+    assert boosted.empirical_probability == pytest.approx(
+        reference.grover_probability(p, rounds), abs=1e-10)
+    # past the optimum, sin((2r+1) asin sqrt p) < 0 negates the whole branch
+    sign = np.sign(np.sin((2 * rounds + 1) * np.arcsin(np.sqrt(p))))
+    assert np.max(np.abs(boosted.output.amps - sign * plain.output.amps)) <= 1e-10
+    assert boosted.residual_mass == pytest.approx(plain.residual_mass, abs=1e-10)
+    assert boosted.attempts == 1 + 2 * rounds
+
+
 def test_grover_rounds_formula():
     assert qdac.grover_rounds(0.25) == 1
     assert qdac.grover_rounds(1.0) == 0
@@ -211,7 +260,7 @@ def test_amplitude_amplify_direct():
     # one qubit: Ry puts sqrt(0.25) on |0> (the good flag value)
     ang = 2 * np.arccos(np.sqrt(0.25))
     proc = CircuitOp((Gate("ry", (0,), (ang,)),))
-    st = qdac.amplitude_amplify(proc, 1, 0, rounds=1)
+    st = qdac.amplitude_amplify(proc, proc.apply(core.new_zero_state(1)), 0, rounds=1)
     assert abs(st.amps[0]) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
