@@ -26,7 +26,6 @@ from .nonlinear import (
     nonlinear_transform,
     perceptron_run,
     swap_test_readout,
-    tensor_encode,
     train_demo,
 )
 from .prep import PrepTree, build_tree, load_data, synthesize_ua
@@ -67,7 +66,6 @@ __all__ = [
     "run_qadc",
     "swap_test_readout",
     "synthesize_ua",
-    "tensor_encode",
     "train_demo",
 ]
 

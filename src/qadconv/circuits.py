@@ -2,14 +2,15 @@
 
 A CircuitOp is an immutable tuple of Gate records. Applying one copies the
 amplitude buffer once and then runs each record's in-place kernel, looked up
-by kind in KINDS. Inversion, control wrapping, and gate counting all work
-structurally on the records through the same table. Phase estimation emits
-one "power" record per phase bit: the iterate raised to 2^j, compiled into
-per-key-value dense blocks by repeated squaring. fuse compiles runs of
-gates the same way, compiled powers included, into count-1 power records
-whose block tables hold at most 4^FUSE_QUBITS entries; a fused record
-keeps its source gates, so its inverse (conjugate-transposed blocks) and
-its logical count come from the same rules as any power record.
+by kind in KINDS. Inversion, control wrapping, and primitive counting all
+work structurally on the records through the same table. Phase estimation
+emits one "power" record per phase bit: the iterate raised to 2^j,
+compiled into per-key-value dense blocks by repeated squaring. fuse
+compiles runs of gates the same way, compiled powers included, into
+count-1 power records whose block tables hold at most 4^FUSE_QUBITS
+entries; a fused record keeps its source gates, so its inverse
+(conjugate-transposed blocks) and its logical count come from the same
+rules as any power record.
 """
 
 from __future__ import annotations
@@ -167,27 +168,26 @@ def _power_cost(table) -> int:
 
 
 class Kind(NamedTuple):
-    category: str  # the bucket gate_counts reports
     run: Callable  # run(gate, amps, n): apply in place through core's kernel
     inverse: Callable | None  # (params, memo) -> params of the inverse; None: self-inverse
     cost: Callable | None  # params -> logical primitive count; None: one
 
 
 KINDS = {
-    "h": Kind("single", _single(lambda: core.H_MATRIX), None, None),
-    "x": Kind("single", _single(lambda: core.X_MATRIX), None, None),
-    "y": Kind("single", _single(lambda: core.Y_MATRIX), None, None),
-    "z": Kind("single", _single(lambda: core.Z_MATRIX), None, None),
-    "ry": Kind("single", _single(core.ry_matrix), _negate, None),
-    "rz": Kind("single", _single(core.rz_matrix), _negate, None),
-    "phase": Kind("single", _single(core.phase_matrix), _negate, None),
-    "swap": Kind("swap", _swap, None, None),
-    "reflect": Kind("reflect", _reflect, None, None),
-    "phase-table": Kind("phase-table", _phase_table, _conjugate, len),
+    "h": Kind(_single(lambda: core.H_MATRIX), None, None),
+    "x": Kind(_single(lambda: core.X_MATRIX), None, None),
+    "y": Kind(_single(lambda: core.Y_MATRIX), None, None),
+    "z": Kind(_single(lambda: core.Z_MATRIX), None, None),
+    "ry": Kind(_single(core.ry_matrix), _negate, None),
+    "rz": Kind(_single(core.rz_matrix), _negate, None),
+    "phase": Kind(_single(core.phase_matrix), _negate, None),
+    "swap": Kind(_swap, None, None),
+    "reflect": Kind(_reflect, None, None),
+    "phase-table": Kind(_phase_table, _conjugate, len),
     # an oracle is charged as one black-box arithmetic call
-    "oracle": Kind("oracle", _oracle, None, None),
-    "mux-ry": Kind("mux-ry", _mux_ry, _negate, len),
-    "power": Kind("power", _power, _power_inverse, _power_cost),
+    "oracle": Kind(_oracle, None, None),
+    "mux-ry": Kind(_mux_ry, _negate, len),
+    "power": Kind(_power, _power_inverse, _power_cost),
 }
 
 
@@ -208,18 +208,6 @@ class PowerTable:
     keys: int
     blocks: np.ndarray | None = None
 
-    def __str__(self) -> str:
-        if self.blocks is None:
-            return f"replay {len(self.iterate)} gates x{self.count}"
-        return "x".join(str(d) for d in self.blocks.shape) + f" blocks ^{self.count}"
-
-
-def _fmt(x) -> str:
-    x = x.item() if isinstance(x, np.generic) else x
-    if isinstance(x, complex):
-        return f"{x.real!r}{x.imag:+}j".replace("+-", "-")
-    return repr(x)
-
 
 @dataclass(frozen=True, slots=True)
 class Gate:
@@ -239,10 +227,6 @@ class Gate:
             raise RegisterError(f"unknown gate kind {self.kind!r}")
 
     @property
-    def category(self) -> str:
-        return KINDS[self.kind].category
-
-    @property
     def primitive_count(self) -> int:
         cost = KINDS[self.kind].cost
         return 1 if cost is None else cost(self.params)
@@ -259,16 +243,6 @@ class Gate:
         if inverse is None:
             return self
         return replace(self, params=inverse(self.params, {} if memo is None else memo))
-
-    def to_line(self) -> str:
-        head = f"{self.kind} {self.label}" if self.label else self.kind
-        wires = ",".join(str(q) for q in self.wires)
-        ctrl = ",".join(f"{q}={v}" for q, v in self.controls)
-        if isinstance(self.params, tuple):
-            params = ",".join(_fmt(x) for x in self.params)
-        else:
-            params = str(self.params)
-        return f"{head} w=[{wires}] c=[{ctrl}] p=[{params}]"
 
 
 @dataclass(frozen=True)
@@ -312,17 +286,8 @@ class CircuitOp:
             KINDS[g.kind].run(g, amps, n)
         return core.StateVector(n, amps)
 
-    def gate_counts(self) -> dict:
-        counts: dict[str, int] = {}
-        for g in self.gates:
-            counts[g.category] = counts.get(g.category, 0) + 1
-        return counts
-
     def primitive_count(self) -> int:
         return sum(g.primitive_count for g in self.gates)
-
-    def to_lines(self) -> list[str]:
-        return [g.to_line() for g in self.gates]
 
 
 # ---------------------------------------------------------------------------

@@ -228,13 +228,10 @@ def _run_prep(cfg: ExperimentConfig) -> dict:
 def _run_qdac(cfg: ExperimentConfig) -> dict:
     values = np.asarray(_load_values(cfg).real, dtype=np.float64)
     signed = cfg.signed or bool((values < 0).any())
-    # address and value registers, ancilla: the cap also bounds the
-    # 2^(m+signed)-entry activation table, so check it first
-    n_addr = int(values.size).bit_length() - 1
-    core.check_qubit_cap(n_addr + (cfg.m + signed) + 1, cfg.cap)
+    # the state's cap check also bounds the 2^(m+signed)-entry activation table
+    digital = make_digital_state(values, cfg.m, signed=signed, cap=cfg.cap)
     f = activation_oracle(cfg.f or "identity", cfg.m, in_signed=signed,
                           out_signed=signed)
-    digital = make_digital_state(values, cfg.m, signed=signed, cap=cfg.cap)
     rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
     out = qdac_run(digital, f, cfg.m, rng=rng, mode=cfg.mode,
                    shots=cfg.shots, rounds=cfg.rounds, cap=cfg.cap)

@@ -395,14 +395,6 @@ def postselect(state: StateVector, qubit: int, bit: int) -> tuple[StateVector, f
     return StateVector(state.n_qubits, amps), prob
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
-    if a.n_qubits != b.n_qubits:
-        raise DimensionError(
-            f"fidelity needs equal qubit counts, got {a.n_qubits} and {b.n_qubits}"
-        )
-    return float(np.abs(np.vdot(a.amps, b.amps)))
-
-
 def tensor(a: StateVector, b: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     """Tensor product with a's qubits as the high-order bits of the index."""
     n = a.n_qubits + b.n_qubits

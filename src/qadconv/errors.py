@@ -40,7 +40,9 @@ class CodecRangeError(QadconvError):
 
 
 class OracleDomainError(QadconvError):
-    """A function oracle was evaluated (or registered) outside its domain."""
+    """A function oracle cannot be built: an unknown activation name, a
+    function that leaves the output codec's range, or a table of the wrong
+    size."""
 
 
 class ZeroSuccessError(QadconvError):

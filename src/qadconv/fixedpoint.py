@@ -1,11 +1,11 @@
 """Binary-fraction codecs and the classical lookup oracles used in circuits.
 
 A codec maps real values to small integer codes (m fractional bits, optional
-two's-complement sign bit). A FunctionOracle carries both a double-precision
-scalar map (evaluate) and a frozen code-to-code table (table) that the
-circuit-level XOR oracles consume. For most oracles the table is just
-encode(f(decode(code))); the phase-recovery oracles build their tables
-differently, see their docstrings.
+two's-complement sign bit). A FunctionOracle carries a frozen code-to-code
+table (table) that the circuit-level XOR oracles consume. For most oracles
+the table is just encode(fn(decode(code))), and fn stays on the oracle as
+the double-precision scalar map; the phase-recovery oracles build their
+tables directly, with no scalar map, see _recovery_table.
 """
 
 from __future__ import annotations
@@ -91,8 +91,9 @@ class FunctionOracle:
     """A named classical function with a frozen fixed-point lookup table.
 
     The table maps a packed input pattern (first input in the low bits) to
-    an output bit pattern, and is what circuit oracles apply. evaluate()
-    is the same function in plain double precision with domain checking.
+    an output bit pattern, and is what circuit oracles apply. fn is the
+    same function in plain double precision, or None for an oracle built
+    from a table.
     """
 
     name: str
@@ -100,13 +101,10 @@ class FunctionOracle:
     in_codecs: tuple
     out_codec: FixedPointCodec
     table: np.ndarray
-    domain: tuple
 
     @classmethod
-    def build(cls, name, fn, in_codecs, out_codec, domain=None, table=None):
+    def build(cls, name, fn, in_codecs, out_codec, table=None):
         in_codecs = tuple(in_codecs)
-        if domain is None:
-            domain = tuple((c.vmin, c.vmax) for c in in_codecs)
         widths = [c.width for c in in_codecs]
         total = sum(widths)
         if table is None:
@@ -129,25 +127,11 @@ class FunctionOracle:
                 raise OracleDomainError(
                     f"table for {name!r} has {table.size} entries, expected {1 << total}"
                 )
-        return cls(name, fn, in_codecs, out_codec, table, tuple(domain))
+        return cls(name, fn, in_codecs, out_codec, table)
 
     @property
     def arity(self) -> int:
         return len(self.in_codecs)
-
-    def evaluate(self, *values) -> float:
-        """Double-precision value of the underlying function, domain-checked."""
-        if len(values) != self.arity:
-            raise OracleDomainError(
-                f"oracle {self.name!r} takes {self.arity} inputs, got {len(values)}"
-            )
-        for v, (lo, hi), c in zip(values, self.domain, self.in_codecs):
-            tol = 2.0**-c.m / 2.0
-            if not lo - tol <= v <= hi + tol:
-                raise OracleDomainError(
-                    f"oracle {self.name!r} input {v!r} outside [{lo}, {hi}]"
-                )
-        return float(self.fn(*values))
 
     def decoded_outputs(self) -> np.ndarray:
         """Decoded output value for every packed input pattern."""
@@ -162,14 +146,14 @@ def arccos_oracle(m: int) -> FunctionOracle:
     """phi = (2/pi) arccos(d) on unsigned m-bit fractions.
 
     d=0 maps to phi=1, one LSB above the largest representable value, so the
-    table clamps it to the top code; the scalar map still returns 1.0.
+    table clamps it to the top code; fn still returns 1.0.
     """
     codec = FixedPointCodec(m)
 
     def fn(d):
         return (2.0 / math.pi) * math.acos(min(max(d, -1.0), 1.0))
 
-    return FunctionOracle.build("arccos", fn, (codec,), codec, domain=((0.0, 1.0),))
+    return FunctionOracle.build("arccos", fn, (codec,), codec)
 
 
 def _recovery_table(t: int, m: int, signed: bool) -> np.ndarray:
@@ -192,49 +176,21 @@ def _recovery_table(t: int, m: int, signed: bool) -> np.ndarray:
 def abs_recovery_oracle(m: int, guard_bits: int = 0) -> FunctionOracle:
     """r = sqrt(2 sin^2(pi theta) - 1) from an (m+guard_bits)-bit phase.
 
-    The scalar map clamps radicands within one output LSB of zero and raises
-    below that. The circuit table is built midpoint-folded (see
-    _recovery_table), which keeps it total and branch-symmetric.
+    The table is built midpoint-folded (see _recovery_table), which keeps
+    it total and branch-symmetric: a negative radicand reads as zero.
     """
     t = m + guard_bits
-    in_codec = FixedPointCodec(t)
-    out_codec = FixedPointCodec(m)
-
-    def fn(theta):
-        rad = 2.0 * math.sin(math.pi * theta) ** 2 - 1.0
-        if rad < -(2.0**-m):
-            raise OracleDomainError(
-                f"recovery radicand {rad!r} below tolerance at theta={theta!r}"
-            )
-        return math.sqrt(max(rad, 0.0))
-
-    return FunctionOracle.build(
-        "abs-recovery",
-        fn,
-        (in_codec,),
-        out_codec,
-        domain=((0.25, 0.75),),
-        table=_recovery_table(t, m, signed=False),
-    )
+    return FunctionOracle.build("abs-recovery", None, (FixedPointCodec(t),),
+                                FixedPointCodec(m),
+                                table=_recovery_table(t, m, signed=False))
 
 
 def real_recovery_oracle(m: int, guard_bits: int = 0) -> FunctionOracle:
     """x = 2 sin^2(pi theta) - 1 from an (m+guard_bits)-bit phase, signed out."""
     t = m + guard_bits
-    in_codec = FixedPointCodec(t)
-    out_codec = FixedPointCodec(m, signed=True)
-
-    def fn(theta):
-        return 2.0 * math.sin(math.pi * theta) ** 2 - 1.0
-
-    return FunctionOracle.build(
-        "real-recovery",
-        fn,
-        (in_codec,),
-        out_codec,
-        domain=((0.0, 1.0),),
-        table=_recovery_table(t, m, signed=True),
-    )
+    return FunctionOracle.build("real-recovery", None, (FixedPointCodec(t),),
+                                FixedPointCodec(m, signed=True),
+                                table=_recovery_table(t, m, signed=True))
 
 
 ACTIVATIONS = {

@@ -31,7 +31,7 @@ from .fixedpoint import (
 )
 from .prep import PrepTree, synthesize_ua
 from .qadc import hadamard_layer, part_layout, readout_block, run_stages
-from .qdac import MODES, finish, value_rotation
+from .qdac import check_mode, finish, value_rotation
 
 
 # Most gate records an ansatz may hold. Every readout iterate carries the
@@ -74,14 +74,6 @@ class AnsatzCircuit:
             raise ConfigError("params", f"expected shape {want}, got {p.shape}")
         object.__setattr__(self, "params", p)
 
-    @property
-    def param_count(self) -> int:
-        return 2 * self.n_qubits * self.layers
-
-    @classmethod
-    def zeros(cls, n_qubits: int, layers: int) -> "AnsatzCircuit":
-        return cls(n_qubits, layers, np.zeros((layers, n_qubits, 2)))
-
     def with_params(self, params) -> "AnsatzCircuit":
         return replace(self, params=np.asarray(params, dtype=np.float64))
 
@@ -101,24 +93,6 @@ class AnsatzCircuit:
             for a, b in ring:
                 gates.append(Gate("z", (start + b,), controls=((start + a, 1),)))
         return CircuitOp(tuple(gates), label="ansatz")
-
-
-def tensor_encode(tree: PrepTree, copies: int = 2,
-                  cap: int = core.DEFAULT_QUBIT_CAP) -> core.StateVector:
-    """Load the same data into `copies` disjoint registers.
-
-    The result's amplitudes are products: with two copies,
-    amps[(i << n) | j] = c_i * c_j.
-    """
-    if copies < 1:
-        raise ConfigError("copies", "need at least one copy")
-    n = tree.depth
-    state = core.new_zero_state(n * copies, cap=cap)
-    ua = synthesize_ua(tree)
-    op = CircuitOp(())
-    for i in range(copies):
-        op = op + ua.op(start=i * n)
-    return op.apply(state)
 
 
 @dataclass(frozen=True)
@@ -177,8 +151,7 @@ def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
     """Convert, evaluate f, revert. prep loads the data register (qubits
     n .. 2n-1); `source` holds the amplitudes the classical target applies
     f to."""
-    if mode not in MODES:
-        raise ConfigError("mode", f"unknown mode {mode!r}")
+    check_mode(mode, rng)
     # the qubit cap also bounds every 2^m-sized table: check it before building any
     base = part_layout(n, m, g)
     nb = base.n_qubits
@@ -297,16 +270,13 @@ class TrainResult:
 
 
 def train_demo(objective, ansatz: AnsatzCircuit, tree: PrepTree, sigma, m: int, g: int,
-               shots: int, rng, budget: int = 50, optimizer: str = "coordinate",
-               step: float = 0.4) -> TrainResult:
+               shots: int, rng, budget: int = 50, step: float = 0.4) -> TrainResult:
     """Tune the ansatz so swap-test readouts match the target overlaps.
 
     Gradient-free coordinate search: nudge one angle at a time, keep
     improvements. Every loss evaluation draws from its own spawned RNG
     stream, so results do not depend on evaluation order.
     """
-    if optimizer != "coordinate":
-        raise ConfigError("optimizer", f"unknown optimizer {optimizer!r}")
     objective = np.asarray(objective, dtype=np.float64)
     n_out = 1 << tree.depth
     if objective.shape != (n_out,):

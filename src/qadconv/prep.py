@@ -3,8 +3,9 @@
 The tree stores, per node, the total squared magnitude of the leaves below
 it. Level l of the circuit rotates data qubit n-1-l keyed on the l qubits
 already placed, with angle 2*arccos(sqrt(left/parent)); a final diagonal
-layer applies the leaf phases. Raw node sums are kept unnormalized so that
-an incremental leaf update reproduces a from-scratch build bit for bit.
+layer applies the leaf phases. Node sums are kept raw (unnormalized): the
+angles use only ratios of them, so off-norm input loads its normalized
+vector.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import CircuitOp, Gate
-from .errors import DimensionError, NormalizationError, RegisterError
+from .errors import DimensionError, NormalizationError
 
 UA_ENTRY_TAG = "ua-entry"
 
@@ -32,10 +33,6 @@ class PrepTree:
     @property
     def depth(self) -> int:
         return len(self.raw_levels) - 1
-
-    @property
-    def leaf_count(self) -> int:
-        return int(self.raw_levels[-1].size)
 
     @property
     def root(self) -> float:
@@ -87,26 +84,6 @@ def build_tree(data, normalize: str = "warn") -> PrepTree:
     return PrepTree(tuple(levels), phases)
 
 
-def with_leaf(tree: PrepTree, index: int, amplitude: complex) -> PrepTree:
-    """New tree with one leaf changed; touches depth+1 node values."""
-    n = tree.leaf_count
-    if not 0 <= index < n:
-        raise RegisterError(f"leaf {index} out of range for {n} leaves")
-    levels = [lv.copy() for lv in tree.raw_levels]
-    levels[-1][index] = abs(amplitude) ** 2
-    node = index
-    for l in range(tree.depth - 1, -1, -1):
-        node >>= 1
-        levels[l][node] = levels[l + 1][2 * node] + levels[l + 1][2 * node + 1]
-    if levels[0][0] <= 0.0:
-        raise NormalizationError("update would zero out the whole tree")
-    phases = tree.phases.copy()
-    phases[index] = (
-        amplitude / abs(amplitude) if abs(amplitude) > 0 else 1.0
-    )
-    return PrepTree(tuple(levels), phases)
-
-
 @dataclass(frozen=True)
 class PrepCircuit:
     """Synthesized encoder: one multiplexed rotation per level, then phases."""
@@ -136,9 +113,6 @@ class PrepCircuit:
             return CircuitOp((), label="ua")
         gates[0] = replace(gates[0], tag=UA_ENTRY_TAG)
         return CircuitOp(tuple(gates), label="ua")
-
-    def primitive_count(self) -> int:
-        return self.op().primitive_count()
 
 
 def synthesize_ua(tree: PrepTree) -> PrepCircuit:

@@ -14,7 +14,7 @@ spans address + value + ancilla qubits. Success means the ancilla reads 0.
 `finish` reads that ancilla out in one of MODES: postselect the branch,
 sample it (one binomial draw over the shots), or amplify it with Grover
 rounds started from the converted state. The nonlinear pipeline ends in
-the same `finish`.
+the same `finish`; both entries run `check_mode` before any work.
 """
 
 from __future__ import annotations
@@ -93,31 +93,10 @@ def extract_codes(state: core.StateVector, n_addr: int, value_width: int) -> lis
     return [int(c) for c in codes]
 
 
-def predict_success(data, f=None, m: int | None = None) -> float:
-    """Mean of f~(d)^2 over the data.
-
-    With no f this is the mean square of the data itself, which equals
-    variance + mean^2 exactly. A FunctionOracle brings its own quantization;
-    a bare callable quantizes only if m is given.
-    """
-    d = np.asarray(data, dtype=np.float64)
-    if isinstance(f, FunctionOracle):
-        in_codec = f.in_codecs[0]
-        vals = f.out_codec.decode_array(
-            [f.table[in_codec.encode(x)] for x in d]
-        )
-    else:
-        fn = f if callable(f) else (lambda x: x)
-        if m is None:
-            vals = np.asarray([fn(float(x)) for x in d])
-        else:
-            signed = bool((d < 0).any())
-            in_codec = FixedPointCodec(m, signed=signed)
-            raw = [fn(in_codec.decode(in_codec.encode(x))) for x in d]
-            signed_out = bool(any(y < 0 for y in raw))
-            out_codec = FixedPointCodec(m, signed=signed_out)
-            vals = np.asarray([out_codec.decode(out_codec.encode(y)) for y in raw])
-    return float(np.mean(vals**2))
+def predict_success(data) -> float:
+    """Mean square of the data, the identity map's success probability;
+    it equals variance + mean^2 exactly."""
+    return float(np.mean(np.asarray(data, dtype=np.float64) ** 2))
 
 
 def value_rotation(f: FunctionOracle, start: int) -> Gate:
@@ -158,6 +137,7 @@ def qdac_run(
     cap: int = core.DEFAULT_QUBIT_CAP,
 ) -> QdacOutcome:
     """Convert a digital state to the analog encoding of f over its values."""
+    check_mode(mode, rng)
     if f.arity != 1:
         raise ConfigError("f", "digital-to-analog conversion needs a 1-input oracle")
     if f.out_codec.m != m:
@@ -181,6 +161,15 @@ def qdac_run(
     return finish(full, anc, n_addr, predicted, mode, procedure, rng, shots, rounds)[0]
 
 
+def check_mode(mode: str, rng) -> None:
+    """Refuse a mode not in MODES, or sample mode with no generator, before
+    any circuit is built."""
+    if mode not in MODES:
+        raise ConfigError("mode", f"unknown mode {mode!r}")
+    if mode == "sample" and rng is None:
+        raise ConfigError("rng", "sample mode needs a seeded generator")
+
+
 def finish(state: core.StateVector, anc: int, n_addr: int, predicted: float, mode: str,
            procedure: CircuitOp, rng: np.random.Generator | None = None, shots: int = 2048,
            rounds: int | None = None) -> tuple[QdacOutcome, float]:
@@ -190,12 +179,9 @@ def finish(state: core.StateVector, anc: int, n_addr: int, predicted: float, mod
     successes over `shots` tries; amplify runs `rounds` Grover rounds
     (grover_rounds(p) by default) from state, then postselects. The output
     is that branch cleaned onto the address register (qubits 0..n_addr-1).
-    Also returns p, the branch probability before any boosting.
+    Also returns p, the branch probability before any boosting. Callers
+    pass mode and rng through check_mode before building the state.
     """
-    if mode not in MODES:
-        raise ConfigError("mode", f"unknown mode {mode!r}")
-    if mode == "sample" and rng is None:
-        raise ConfigError("rng", "sample mode needs a seeded generator")
     branch, p = core.postselect(state, anc, 0)
     empirical, attempts, success = p, 1, True
     if mode == "sample":

@@ -78,16 +78,6 @@ def test_controlled_circuit_leaves_zero_branch_alone():
     assert abs(np.linalg.norm(out.amps[8:]) - np.linalg.norm(st.amps[8:])) < 1e-12
 
 
-def test_gate_counts_and_lines():
-    op = circuits.qft_op(0, 2)
-    counts = op.gate_counts()
-    assert counts["single"] == 3
-    assert counts["swap"] == 1
-    lines = op.to_lines()
-    assert len(lines) == 4
-    assert lines[0].startswith("h ")
-
-
 def test_qft_matches_dft_matrix():
     for w in (1, 2, 3, 4):
         mat = reference.dense_unitary(circuits.qft_op(0, w), w)
@@ -312,11 +302,16 @@ def test_power_replay_matches_blocks(monkeypatch, control):
 
 def test_power_records_print_shapes_and_compare_by_identity(monkeypatch):
     gate = KIND_CASES["power"][0]
-    assert gate.to_line() == "power w=[0,1,2] c=[] p=[2x4x4 blocks ^4]"
+    assert gate.wires == (0, 1, 2)
+    assert gate.params.blocks.shape == (2, 4, 4)
+    assert gate.params.count == 4
     twin = circuits.power_records(_ITERATE, 3)[2]
     monkeypatch.setattr(circuits, "POWER_TABLE_BUDGET", 0)
     replay = circuits.power_records(_ITERATE, 2)[1]
-    assert replay.to_line() == "power w=[0,1,2] c=[] p=[replay 4 gates x2]"
+    assert replay.wires == (0, 1, 2)
+    assert replay.params.blocks is None
+    assert replay.params.count == 2
+    assert len(replay.params.iterate) == 4
     assert gate == gate
     assert gate != twin  # no elementwise ndarray comparison
     assert len({gate, twin}) == 2

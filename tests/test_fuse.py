@@ -217,7 +217,8 @@ def test_fused_record_keys_are_control_only_qubits():
     assert gate.wires == (0, 1, 2)  # key qubit 0, then targets 1 and 2
     assert gate.params.keys == 1
     assert gate.params.blocks.shape == (2, 4, 4)
-    assert gate.to_line() == "power fused w=[0,1,2] c=[] p=[2x4x4 blocks ^1]"
+    assert gate.params.count == 1
+    assert gate.label == "fused"
 
 
 def test_a_power_records_key_wires_stay_keys_when_fused():

@@ -1,11 +1,11 @@
-"""Pipeline, tensor encoding, perceptron, swap-test readout, training loop."""
+"""Pipeline, perceptron, swap-test readout, training loop."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qadconv import core, reference
+from qadconv import core, nonlinear, reference
 from qadconv.errors import ConfigError, RegisterError, ResourceLimitError, ZeroSuccessError
 from qadconv.fixedpoint import activation_oracle
 from qadconv.nonlinear import (
@@ -15,7 +15,6 @@ from qadconv.nonlinear import (
     nonlinear_transform,
     perceptron_run,
     swap_test_readout,
-    tensor_encode,
     train_demo,
 )
 from qadconv.prep import build_tree
@@ -24,8 +23,8 @@ from qadconv.reference import dense_unitary, grover_probability, is_unitary
 
 
 def test_ansatz_parameter_bookkeeping():
-    a = AnsatzCircuit.zeros(3, 2)
-    assert a.param_count == 12
+    a = AnsatzCircuit(3, 2, np.zeros((2, 3, 2)))
+    assert a.params.size == 12
     assert a.params.shape == (2, 3, 2)
     with pytest.raises(ConfigError):
         AnsatzCircuit(2, 2, np.zeros((2, 2)))
@@ -50,7 +49,7 @@ def test_ansatz_is_unitary():
 
 def test_ansatz_identity_at_zero():
     """All-zero parameters mean no gates at all, entanglers included."""
-    a = AnsatzCircuit.zeros(3, 2)
+    a = AnsatzCircuit(3, 2, np.zeros((2, 3, 2)))
     assert a.op().gates == ()
     rng = np.random.default_rng(32)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -71,24 +70,6 @@ def test_ansatz_ring_wiring():
     # a two-qubit register keeps a single entangler, not a doubled pair
     b = AnsatzCircuit(2, 1, rng.uniform(0.1, 1.0, size=(1, 2, 2)))
     assert sum(1 for gate in b.op().gates if gate.kind == "z") == 1
-
-
-def test_tensor_encode_products():
-    st = tensor_encode(build_tree(np.array([1.0, 0.0])))
-    want = np.zeros(4)
-    want[0] = 1.0
-    assert np.allclose(st.amps, want)
-
-    st = tensor_encode(build_tree(np.array([0.6, 0.8])))
-    assert st.amps.real == pytest.approx([0.36, 0.48, 0.48, 0.64], abs=1e-12)
-
-
-def test_tensor_encode_random_complex_outer():
-    rng = np.random.default_rng(41)
-    c = rng.normal(size=4) + 1j * rng.normal(size=4)
-    c /= np.linalg.norm(c)
-    st = tensor_encode(build_tree(c))
-    assert np.max(np.abs(st.amps.reshape(4, 4) - np.outer(c, c))) < 1e-12
 
 
 def test_identity_activation_reproduces_input():
@@ -142,6 +123,21 @@ def test_sample_mode_needs_rng_and_tracks_probability():
     assert out.success
 
 
+@pytest.mark.parametrize("entry", ["transform", "perceptron"])
+def test_sample_mode_without_rng_is_refused_before_any_readout_block(monkeypatch, entry):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a readout block before checking the mode")
+
+    monkeypatch.setattr(nonlinear, "readout_block", refuse)
+    tree = build_tree(np.array([0.6, 0.8]))
+    with pytest.raises(ConfigError, match="rng"):
+        if entry == "transform":
+            nonlinear_transform(tree, "square", 1, 3, 2, mode="sample")
+        else:
+            perceptron_run(tree, AnsatzCircuit(1, 1, np.zeros((1, 1, 2))), "tanh", 3, 2,
+                           mode="sample")
+
+
 def test_amplify_mode_boosts_by_grover_law():
     tree = build_tree(np.array([0.6, 0.8]))
     out = nonlinear_transform(tree, "square", 1, 3, 2, mode="amplify")
@@ -178,7 +174,8 @@ def test_pipeline_honours_the_callers_cap(caps_checked, mode):
     assert out.output.n_qubits == 1
     assert caps_checked and set(caps_checked) == {10}
     caps_checked.clear()
-    perceptron_run(tree, AnsatzCircuit.zeros(1, 1), "tanh", 2, 1, mode=mode, cap=10)
+    ansatz = AnsatzCircuit(1, 1, np.zeros((1, 1, 2)))
+    perceptron_run(tree, ansatz, "tanh", 2, 1, mode=mode, cap=10)
     assert caps_checked and set(caps_checked) == {10}
 
 
@@ -234,7 +231,8 @@ def test_perceptron_linearity_boundary():
 
 def test_perceptron_identity_ansatz_recovers_input():
     tree = build_tree(np.array([0.6, 0.8]))
-    state = perceptron_run(tree, AnsatzCircuit.zeros(1, 1), "identity", 4, 3).output
+    ansatz = AnsatzCircuit(1, 1, np.zeros((1, 1, 2)))
+    state = perceptron_run(tree, ansatz, "identity", 4, 3).output
     overlap = abs(np.vdot(np.array([0.6, 0.8]), state.amps))
     assert overlap >= 0.99
 
@@ -305,7 +303,7 @@ def test_swap_test_argument_errors():
 
 def test_train_budget_zero_returns_initial():
     tree = build_tree(np.array([0.6, 0.8]))
-    ansatz = AnsatzCircuit.zeros(1, 1)
+    ansatz = AnsatzCircuit(1, 1, np.zeros((1, 1, 2)))
     res = train_demo([0.4, 0.6], ansatz, tree, "identity", 3, 2, shots=64,
                      rng=np.random.default_rng(1), budget=0)
     assert res.evaluations == 0

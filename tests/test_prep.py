@@ -53,33 +53,6 @@ def test_build_tree_warns_then_normalizes():
     np.testing.assert_allclose(tree.amplitudes(), [0.6, 0.8])
 
 
-def test_with_leaf_matches_scratch_build():
-    data = np.asarray(random_vector(8, seed=2))
-    tree = prep.build_tree(data, normalize="silent")
-    data2 = data.copy()
-    data2[5] = 0.25 - 0.1j
-    updated = prep.with_leaf(tree, 5, 0.25 - 0.1j)
-    scratch = prep.build_tree(data2, normalize="silent")
-    for a, b in zip(updated.raw_levels, scratch.raw_levels):
-        np.testing.assert_array_equal(a, b)
-    # synthesized angles must agree bit for bit
-    op_a = prep.synthesize_ua(updated).op()
-    op_b = prep.synthesize_ua(scratch).op()
-    for ga, gb in zip(op_a.gates, op_b.gates):
-        if ga.kind == "mux-ry":
-            assert ga.params == gb.params
-
-
-def test_with_leaf_touch_count():
-    data = random_vector(16, seed=3)
-    tree = prep.build_tree(data, normalize="silent")
-    updated = prep.with_leaf(tree, 7, 0.3)
-    changed = 0
-    for a, b in zip(tree.raw_levels, updated.raw_levels):
-        changed += int(np.sum(a != b))
-    assert changed == tree.depth + 1
-
-
 def test_synthesize_two_amplitudes():
     tree = prep.build_tree([0.6, 0.8])
     circ = prep.synthesize_ua(tree)
@@ -113,7 +86,7 @@ def test_preparation_fidelity_sweep():
             w = tree.depth
             out = prep.synthesize_ua(tree).op(start=0).apply(core.new_zero_state(max(w, 1)))
             target = core.from_amplitudes(data)
-            assert core.fidelity(out, target) >= 1 - 1e-10
+            assert abs(np.vdot(out.amps, target.amps)) >= 1 - 1e-10
 
 
 def test_apply_ua_inverse_roundtrip():
@@ -162,7 +135,7 @@ def test_gate_count_linear_bound():
     for n in (2, 4, 8, 16, 32):
         data = random_vector(n, seed=20 + n)
         circ = prep.synthesize_ua(prep.build_tree(data, normalize="silent"))
-        assert circ.primitive_count() <= 4 * n
+        assert circ.op().primitive_count() <= 4 * n
 
 
 def test_ua_entry_tag_present():

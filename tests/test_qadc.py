@@ -25,6 +25,7 @@ from qadconv.qadc import (
     readout_block,
     real_qadc,
     run_qadc,
+    run_stages,
     spectrum_oracle,
     v_from_prep,
     w_from_prep,
@@ -374,6 +375,21 @@ def test_readout_block_is_its_own_inverse(variant, n, m, g, seed):
     start = core.from_amplitudes(amps / np.linalg.norm(amps))
     twice = block.apply(block.apply(start))
     assert np.max(np.abs(twice.amps - start.amps)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(**small_readouts)
+def test_every_readout_stage_preserves_the_norm(variant, n, m, g, seed):
+    layout = (abs_layout if variant == "abs" else part_layout)(n, m, g)
+    prep = _loader(layout, _random_tree(n, seed))
+    stages = readout_block(layout, prep, variant, m, g, layout.n_qubits)
+    nq = layout.n_qubits
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
+    state = core.from_amplitudes(amps / np.linalg.norm(amps))
+    for stage in stages:
+        state = run_stages(state, [stage])
+        assert abs(np.linalg.norm(state.amps) - 1.0) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)

@@ -85,14 +85,11 @@ def test_predict_success_examples():
 
 def test_predict_success_quantized_matches_oracle_path():
     data = [0.6, 0.8]
-    orc = identity_oracle(8)
-    assert qdac.predict_success(data, orc) == pytest.approx(
-        qdac.predict_success(data, lambda x: x, m=8), abs=1e-15
-    )
+    out = qdac.qdac_run(qdac.make_digital_state(data, m=8), identity_oracle(8), m=8)
+    dq = reference.quantize_unsigned(data, 8)
+    assert out.predicted_probability == pytest.approx(np.mean(dq**2), abs=1e-15)
     # the frozen reference value for m=8 identity on (0.6, 0.8)
-    assert qdac.predict_success(data, orc) == pytest.approx(
-        0.50156402587890625, abs=1e-15
-    )
+    assert out.predicted_probability == pytest.approx(0.50156402587890625, abs=1e-15)
 
 
 def test_qdac_identity_postselect():
@@ -106,7 +103,7 @@ def test_qdac_identity_postselect():
     )
     dq = reference.quantize_unsigned(data, 8)
     target = core.from_amplitudes(dq / np.linalg.norm(dq))
-    assert core.fidelity(out.output, target) >= 1 - 1e-9
+    assert abs(np.vdot(out.output.amps, target.amps)) >= 1 - 1e-9
     assert out.residual_mass < 1e-12
 
 
@@ -127,7 +124,7 @@ def test_qdac_square_oracle():
     fq = reference.quantize_unsigned(dq**2, 8)
     assert out.predicted_probability == pytest.approx(np.mean(fq**2), abs=1e-15)
     target = core.from_amplitudes(fq / np.linalg.norm(fq))
-    assert core.fidelity(out.output, target) >= 1 - 1e-9
+    assert abs(np.vdot(out.output.amps, target.amps)) >= 1 - 1e-9
 
 
 def test_qdac_random_pairs_fidelity():
@@ -147,7 +144,7 @@ def test_qdac_random_pairs_fidelity():
             np.mean(fq**2), abs=1e-12
         )
         target = core.from_amplitudes(fq / np.linalg.norm(fq))
-        assert core.fidelity(out.output, target) >= 1 - 1e-9
+        assert abs(np.vdot(out.output.amps, target.amps)) >= 1 - 1e-9
         assert out.residual_mass < 1e-12
 
 
@@ -174,6 +171,16 @@ def test_qdac_mode_validation():
         qdac.qdac_run(st, identity_oracle(4), m=3)
     with pytest.raises(ConfigError):
         qdac.qdac_run(st, identity_oracle(3), m=3, mode="sample")
+
+
+def test_sample_mode_without_rng_is_refused_before_the_suffix_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the conversion suffix before checking the mode")
+
+    monkeypatch.setattr(qdac, "conversion_suffix_op", refuse)
+    st = qdac.make_digital_state([0.6, 0.8], m=4)
+    with pytest.raises(ConfigError, match="rng"):
+        qdac.qdac_run(st, identity_oracle(4), m=4, mode="sample")
 
 
 def test_qdac_sample_mode_statistics():
@@ -205,7 +212,7 @@ def test_amplify_round_sweep_matches_closed_form():
     data = [0.4, 0.5]
     st = qdac.make_digital_state(data, m=6)
     orc = identity_oracle(6)
-    p0 = qdac.predict_success(data, orc)
+    p0 = float(np.mean(reference.quantize_unsigned(data, 6) ** 2))
     for r in range(4):
         out = qdac.qdac_run(st, orc, m=6, mode="amplify", rounds=r)
         want = reference.grover_probability(p0, r)
