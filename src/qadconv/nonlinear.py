@@ -7,7 +7,12 @@ readout circuits again to clear the registers. Each readout block is a
 palindrome (load, estimate, copy out, un-estimate, un-load), so it is its
 own inverse; when the activation ignores the imaginary register the two
 imag blocks sit adjacent in the circuit and cancel exactly, and the
-pipeline skips them. It ends in qdac.finish, the readout qdac_run uses:
+pipeline skips them. The last block's un-estimate and the revert's first
+re-estimate act only on qubits below the value registers, which the
+f-rotation leaves alone, so that pair cancels too: a 1-input f runs H,
+load + estimate, copy out, f-rotation, copy out, un-estimate + un-load.
+The value register still holds the digital value while f is evaluated.
+It ends in qdac.finish, the readout qdac_run uses:
 postselect the ancilla, sample it with one binomial draw, or amplify it
 with Grover rounds started from the state the pipeline has just built.
 """
@@ -151,7 +156,7 @@ def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
     """Convert, evaluate f, revert. prep loads the data register (qubits
     n .. 2n-1); `source` holds the amplitudes the classical target applies
     f to."""
-    check_mode(mode, rng)
+    check_mode(mode, rng, shots, rounds)
     # the qubit cap also bounds every 2^m-sized table: check it before building any
     base = part_layout(n, m, g)
     nb = base.n_qubits
@@ -164,18 +169,25 @@ def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
     if not np.any(fvals):
         raise ZeroSuccessError("every quantized activation value is zero")
 
-    # each readout block is its own inverse, so reverting replays them backwards
+    # each readout block is its own inverse, so reverting replays them
+    # backwards; the last block's un-estimate and the revert's first
+    # re-estimate act only below nb, where the f-rotation does not, so that
+    # pair cancels and the rotation sits between two copies of the value
     blocks = [readout_block(base, prep, "real", m, g, nb)]
     if f.arity == 2:
         blocks.append(readout_block(base, prep, "imag", m, g, nb + mw))
-    forward = [(0, hadamard_layer(base, "ad"))] + [st for b in blocks for st in b]
-    rest = [(1, CircuitOp((value_rotation(f, nb),), label="f-rotation"))]
-    rest += [(0, op) for b in reversed(blocks) for _, op in b]
+    *done, (fwd, recover, back) = blocks
+    forward = [(0, hadamard_layer(base, "ad"))] + [st for b in done for st in b]
+    forward += [fwd, recover]
+    rest = [(1, CircuitOp((value_rotation(f, nb),), label="f-rotation")),
+            (0, recover[1]), back]
+    rest += [(0, op) for b in reversed(done) for _, op in b]
 
     # popped into run_stages, so the converted state is not kept alive
     # while the rotation and the revert run
     held = [run_stages(core.new_zero_state(nb, cap=cap), forward, cap=cap)]
-    # success probability predicted from the pipeline's own registers
+    # success probability predicted from the pipeline's own registers; the
+    # un-estimate still to come touches neither the address nor the values
     key_joint = core.register_distribution(held[0], [(0, n), (nb, anc - nb)])
     predicted = float((key_joint.reshape(1 << n, -1) @ (fvals**2)).sum())
     state = run_stages(held.pop(), rest, cap=cap)

@@ -8,12 +8,14 @@ operator whose restriction to one address acts as a plane rotation by
 2 pi theta_k, estimates theta_k into a phase register, converts the phase
 pattern to the recovered value with a lookup oracle, and uncomputes
 everything except the address and value registers. readout_block builds
-that sequence once; run_qadc and the nonlinear pipeline both run it. Its
-load and estimate stage is fused into dense block records (circuits.fuse:
-count-1 power records whose tables stay within 4^FUSE_QUBITS entries; the
-phase-estimation powers nest inside them where they fit), and the
-uncompute stage is that stage's structural inverse, so the fusion is built
-once per block.
+that sequence once; run_qadc and the nonlinear pipeline both run it. The
+load is fused into dense block records (circuits.fuse: count-1 power
+records whose tables stay within 4^FUSE_QUBITS entries) before the
+iterate is built from it, so the iterate holds the fused load and its
+structural inverse, not the loader gate by gate. Load and estimate are
+fused again into block records (the phase-estimation powers nest inside
+them where they fit), and the uncompute stage is that stage's structural
+inverse, so the fusion is built once per block.
 """
 
 from __future__ import annotations
@@ -183,19 +185,23 @@ def readout_block(layout: RegisterLayout, prep: CircuitOp, variant: str,
 
     Load and estimate; copy the recovered value into a value register of
     fresh qubits at out_start (m bits for abs, m + 1 signed bits for real
-    and imag); un-estimate and un-load. Load and estimate are fused once
-    (circuits.fuse) into block records, and the un-estimate stage is their
-    structural inverse. The copy is self-inverse and the stages around it
-    mirror each other, so the block is its own inverse. prep is the
-    data-load circuit on the layout's data register.
+    and imag); un-estimate and un-load. The load (V for abs, W for real
+    and imag) is fused first, and the iterate is built from the fused
+    records: G' is Z_b, W^-1, the reflection, W, and G likewise around V,
+    with the inverse records' blocks conjugate-transposed. Load and
+    estimate are fused again (circuits.fuse) into block records, and the
+    un-estimate stage is their structural inverse. The copy is
+    self-inverse and the stages around it mirror each other, so the block
+    is its own inverse. prep is the data-load circuit on the layout's data
+    register.
     """
     if variant == "abs":
-        v_op = v_from_prep(layout, prep)
+        v_op = fuse(v_from_prep(layout, prep))
         load = address_copy_op(layout) + v_op
         iterate = g_from_prep(layout, v_op)
         oracle = abs_recovery_oracle(m, guard_bits=g)
     elif variant in ("real", "imag"):
-        load = w_from_prep(layout, prep, imag=variant == "imag")
+        load = fuse(w_from_prep(layout, prep, imag=variant == "imag"))
         iterate = g_prime_from_prep(layout, load)
         oracle = real_recovery_oracle(m, guard_bits=g)
     else:
@@ -298,17 +304,19 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     )
 
 
-def _controlled_ua_count(gates) -> int:
-    """Controlled-U applications: each phase-estimation power record's
-    logical iterate count times the loader entries in one iterate, found
-    also inside the fused records that hold those power records."""
+def _controlled_ua_count(gates, controlled: bool = False) -> int:
+    """Controlled-U applications: the loader entries (UA_ENTRY_TAG records)
+    inside phase-estimation power records, each times the logical counts of
+    the power records around it. Power records nest both ways: fused
+    records hold the phase-estimation records, whose iterates hold the
+    fused load."""
     total = 0
     for gate in gates:
-        if gate.tag == PE_CTRL_TAG:
-            iterate = gate.params.iterate
-            total += gate.params.count * sum(1 for h in iterate if h.tag == UA_ENTRY_TAG)
+        if gate.tag == UA_ENTRY_TAG:
+            total += controlled
         elif gate.kind == "power":
-            total += gate.params.count * _controlled_ua_count(gate.params.iterate)
+            inner = controlled or gate.tag == PE_CTRL_TAG
+            total += gate.params.count * _controlled_ua_count(gate.params.iterate, inner)
     return total
 
 

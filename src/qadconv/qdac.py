@@ -137,7 +137,7 @@ def qdac_run(
     cap: int = core.DEFAULT_QUBIT_CAP,
 ) -> QdacOutcome:
     """Convert a digital state to the analog encoding of f over its values."""
-    check_mode(mode, rng)
+    check_mode(mode, rng, shots, rounds)
     if f.arity != 1:
         raise ConfigError("f", "digital-to-analog conversion needs a 1-input oracle")
     if f.out_codec.m != m:
@@ -161,13 +161,23 @@ def qdac_run(
     return finish(full, anc, n_addr, predicted, mode, procedure, rng, shots, rounds)[0]
 
 
-def check_mode(mode: str, rng) -> None:
-    """Refuse a mode not in MODES, or sample mode with no generator, before
-    any circuit is built."""
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_mode(mode: str, rng, shots, rounds) -> None:
+    """Refuse a mode not in MODES, sample mode with no generator, a shot
+    count that is not a whole number >= 1, or a round count that is neither
+    None nor a whole number >= 0, before any circuit is built."""
     if mode not in MODES:
         raise ConfigError("mode", f"unknown mode {mode!r}")
     if mode == "sample" and rng is None:
         raise ConfigError("rng", "sample mode needs a seeded generator")
+    if not _is_int(shots) or shots < 1:
+        raise ConfigError("shots", f"need a whole number of shots >= 1, got {shots!r}")
+    if rounds is not None and (not _is_int(rounds) or rounds < 0):
+        raise ConfigError("rounds", f"need None or a whole number of rounds >= 0, "
+                                    f"got {rounds!r}")
 
 
 def finish(state: core.StateVector, anc: int, n_addr: int, predicted: float, mode: str,
@@ -180,7 +190,8 @@ def finish(state: core.StateVector, anc: int, n_addr: int, predicted: float, mod
     (grover_rounds(p) by default) from state, then postselects. The output
     is that branch cleaned onto the address register (qubits 0..n_addr-1).
     Also returns p, the branch probability before any boosting. Callers
-    pass mode and rng through check_mode before building the state.
+    pass mode, rng, shots and rounds through check_mode before building the
+    state.
     """
     branch, p = core.postselect(state, anc, 0)
     empirical, attempts, success = p, 1, True

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qadconv import core, nonlinear, reference
+from qadconv.circuits import CircuitOp
 from qadconv.errors import ConfigError, RegisterError, ResourceLimitError, ZeroSuccessError
 from qadconv.fixedpoint import activation_oracle
 from qadconv.nonlinear import (
@@ -17,8 +18,9 @@ from qadconv.nonlinear import (
     swap_test_readout,
     train_demo,
 )
-from qadconv.prep import build_tree
-from qadconv.qdac import grover_rounds
+from qadconv.prep import build_tree, synthesize_ua
+from qadconv.qadc import hadamard_layer, part_layout, readout_block, run_stages
+from qadconv.qdac import finish, grover_rounds, value_rotation
 from qadconv.reference import dense_unitary, grover_probability, is_unitary
 
 
@@ -138,6 +140,20 @@ def test_sample_mode_without_rng_is_refused_before_any_readout_block(monkeypatch
                            mode="sample")
 
 
+@pytest.mark.parametrize("bad", [dict(mode="sample", shots=0), dict(mode="sample", shots=-3),
+                                 dict(mode="amplify", rounds=-2)],
+                         ids=["shots0", "shots-3", "rounds-2"])
+def test_bad_shots_or_rounds_are_refused_before_any_readout_block(monkeypatch, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a readout block before checking the counts")
+
+    monkeypatch.setattr(nonlinear, "readout_block", refuse)
+    tree = build_tree(np.array([0.6, 0.8]))
+    name = "shots" if "shots" in bad else "rounds"
+    with pytest.raises(ConfigError, match=name):
+        nonlinear_transform(tree, "square", 1, 3, 2, rng=np.random.default_rng(0), **bad)
+
+
 def test_amplify_mode_boosts_by_grover_law():
     tree = build_tree(np.array([0.6, 0.8]))
     out = nonlinear_transform(tree, "square", 1, 3, 2, mode="amplify")
@@ -177,6 +193,67 @@ def test_pipeline_honours_the_callers_cap(caps_checked, mode):
     ansatz = AnsatzCircuit(1, 1, np.zeros((1, 1, 2)))
     perceptron_run(tree, ansatz, "tanh", 2, 1, mode=mode, cap=10)
     assert caps_checked and set(caps_checked) == {10}
+
+
+def _uncancelled_pipeline(tree, name, n, m, g, mode):
+    """The convert-evaluate-revert circuit with no pair cancelled: H, every
+    readout block, the f-rotation, then every block replayed in reverse,
+    read out by the same finish. Returns (outcome, p, predicted)."""
+    f = activation_oracle(name, m, in_signed=True, out_signed=True)
+    prep = synthesize_ua(tree).op(start=n)
+    base = part_layout(n, m, g)
+    nb, mw = base.n_qubits, m + 1
+    blocks = [readout_block(base, prep, "real", m, g, nb)]
+    if f.arity == 2:
+        blocks.append(readout_block(base, prep, "imag", m, g, nb + mw))
+    anc = nb + f.arity * mw
+    forward = [(0, hadamard_layer(base, "ad"))] + [st for b in blocks for st in b]
+    rest = [(1, CircuitOp((value_rotation(f, nb),)))]
+    rest += [(0, op) for b in reversed(blocks) for _, op in b]
+    converted = run_stages(core.new_zero_state(nb), forward)
+    fvals = np.clip(f.decoded_outputs(), -1.0, 1.0)
+    joint = core.register_distribution(converted, [(0, n), (nb, anc - nb)])
+    predicted = float((joint.reshape(1 << n, -1) @ fvals**2).sum())
+    state = run_stages(converted, rest)
+    procedure = CircuitOp(tuple(gate for _, op in forward + rest for gate in op.gates))
+    out, p = finish(state, anc, n, predicted, mode, procedure)
+    return out, p, predicted
+
+
+@pytest.mark.parametrize("mode", ["postselect", "amplify"])
+@pytest.mark.parametrize("name,n,m,g", [("tanh", 2, 3, 2), ("product", 1, 2, 2)])
+def test_cancelled_pipeline_matches_the_uncancelled_circuit(monkeypatch, name, n, m, g, mode):
+    rng = np.random.default_rng(2024 + n)
+    c = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    tree = build_tree(c / np.linalg.norm(c))
+    ops = []
+
+    def recording(state, stages, cap=core.DEFAULT_QUBIT_CAP):
+        ops.extend(op for _, op in stages)
+        return run_stages(state, stages, cap=cap)
+
+    monkeypatch.setattr(nonlinear, "run_stages", recording)
+    got = nonlinear_transform(tree, name, n, m, g, mode=mode)
+    want, p, predicted = _uncancelled_pipeline(tree, name, n, m, g, mode)
+    assert np.max(np.abs(got.amplitudes - want.output.amps)) <= 1e-12
+    assert got.success_probability == pytest.approx(p, abs=1e-12)
+    assert got.empirical_probability == pytest.approx(want.empirical_probability, abs=1e-12)
+    assert got.predicted_probability == pytest.approx(predicted, abs=1e-12)
+    assert got.leakage == pytest.approx(want.residual_mass, abs=1e-12)
+    assert got.attempts == want.attempts
+
+    # f is evaluated on the digital value register(s): the rotation is one
+    # mux-ry keyed on the value qubits, with the ancilla right above them
+    nb = part_layout(n, m, g).n_qubits
+    anc = nb + (2 if name == "product" else 1) * (m + 1)
+    (rotation,) = [op for op in ops if op.label == "f-rotation"]
+    (gate,) = rotation.gates
+    assert gate.kind == "mux-ry"
+    assert gate.wires == tuple(range(nb, anc)) + (anc,)
+    # one fewer un-estimate/re-estimate pair than two passes of every block
+    blocks = 2 if name == "product" else 1
+    assert sum(op.label == "recover" for op in ops) == 2 * blocks
+    assert len(ops) == 1 + 6 * blocks - 2 + 1
 
 
 def test_two_argument_activation_on_imaginary_data():

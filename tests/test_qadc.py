@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qadconv import core, reference
-from qadconv.circuits import CircuitOp, RegisterLayout
+from qadconv.circuits import PE_CTRL_TAG, CircuitOp, RegisterLayout, power_records
 from qadconv.errors import ConfigError, ResourceLimitError
 from qadconv.fixedpoint import abs_recovery_oracle
-from qadconv.prep import build_tree, synthesize_ua
+from qadconv.prep import UA_ENTRY_TAG, build_tree, synthesize_ua
 from qadconv.qadc import (
     GroverSpectrum,
     abs_layout,
@@ -427,3 +427,69 @@ def test_run_qadc_honours_the_callers_cap(caps_checked, variant):
     res = run_qadc(tree, variant, 1, 2, 1, cap=9)
     assert res.controlled_ua_count == 4 * (2**3 - 1)
     assert caps_checked and set(caps_checked) == {9}
+
+
+def _pe_records(gates):
+    """Phase-estimation power records in order, also where fused records hold them."""
+    out = []
+    for gate in gates:
+        if gate.tag == PE_CTRL_TAG:
+            out.append(gate)
+        elif gate.kind == "power":
+            out.extend(_pe_records(gate.params.iterate))
+    return out
+
+
+@pytest.mark.parametrize("n,m,g", [(1, 2, 1), (2, 3, 2)])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fused_load_iterate_powers_match_the_unfused_iterate(variant, n, m, g):
+    layout = (abs_layout if variant == "abs" else part_layout)(n, m, g)
+    tree = _random_tree(n, 17 * n + m)
+    prep = _loader(layout, tree)
+    if variant == "abs":
+        flat = g_from_prep(layout, v_from_prep(layout, prep))
+    else:
+        flat = g_prime_from_prep(layout, w_from_prep(layout, prep, variant == "imag"))
+    t = m + g
+    want = power_records(flat, t)
+    got = _pe_records(readout_block(layout, prep, variant, m, g, layout.n_qubits)[0][1].gates)
+    assert len(got) == t
+    for j, (rec, ref) in enumerate(zip(got, want)):
+        assert rec.params.count == ref.params.count == 1 << j
+        assert rec.wires == ref.wires
+        assert np.max(np.abs(rec.params.blocks - ref.params.blocks)) <= 1e-12
+        # the loader sits inside fused load records, not among the iterate's gates
+        iterate = rec.params.iterate
+        assert not any(h.tag == UA_ENTRY_TAG for h in iterate)
+        assert sum(h.kind == "power" for h in iterate) >= 2
+        assert len(iterate) < len(flat.gates)
+    # two loader entries per iterate, in the estimate and the un-estimate
+    assert run_qadc(tree, variant, n, m, g).controlled_ua_count == 4 * ((1 << t) - 1)
+
+
+def _amplitude_law(tree, variant, n, m, g) -> np.ndarray:
+    """sum_k sum_v p(v|k) |k>|v>, normalized, from the closed forms: the
+    clean amplitude of (k, v) is <0|U_k^dag P_v U_k|0>/sqrt(N) = p(v|k)/sqrt(N)."""
+    signed = variant != "abs"
+    part = {"abs": np.abs, "real": np.real, "imag": np.imag}[variant]
+    theta_of = reference.theta_from_part if signed else reference.theta_from_abs
+    width = m + 1 if signed else m
+    want = np.zeros((1 << width, 1 << n))
+    for k, x in enumerate(part(tree.amplitudes())):
+        dist = reference.code_distribution(theta_of(float(x)), m + g, m, signed)
+        for v, p in dist.items():
+            code = round(v * (1 << m)) % (1 << width)
+            want[code, k] += p
+    want = want.ravel()
+    return want / np.linalg.norm(want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), shape=st.sampled_from([(1, 2, 1), (2, 3, 1), (2, 4, 3)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_digital_state_follows_the_amplitude_law(variant, shape, seed):
+    n, m, g = shape
+    tree = _random_tree(n, seed)
+    res = run_qadc(tree, variant, n, m, g)
+    want = _amplitude_law(tree, variant, n, m, g)
+    assert np.max(np.abs(res.digital_state.amps - want)) <= 1e-12

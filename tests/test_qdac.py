@@ -183,6 +183,37 @@ def test_sample_mode_without_rng_is_refused_before_the_suffix_is_built(monkeypat
         qdac.qdac_run(st, identity_oracle(4), m=4, mode="sample")
 
 
+BAD_COUNTS = [
+    dict(mode="sample", shots=0),
+    dict(mode="sample", shots=-3),
+    dict(mode="sample", shots=2.5),
+    dict(mode="postselect", shots=True),
+    dict(mode="amplify", rounds=-2),
+    dict(mode="amplify", rounds=1.0),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_COUNTS, ids=lambda b: "-".join(map(str, b.values())))
+def test_bad_shots_or_rounds_are_refused_before_the_suffix_is_built(monkeypatch, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the conversion suffix before checking the counts")
+
+    monkeypatch.setattr(qdac, "conversion_suffix_op", refuse)
+    st = qdac.make_digital_state([0.6, 0.8], m=4)
+    name = "shots" if "shots" in bad else "rounds"
+    with pytest.raises(ConfigError, match=name):
+        qdac.qdac_run(st, identity_oracle(4), m=4, rng=np.random.default_rng(0), **bad)
+
+
+def test_zero_rounds_and_numpy_counts_are_accepted():
+    st = qdac.make_digital_state([0.6, 0.8], m=4)
+    out = qdac.qdac_run(st, identity_oracle(4), m=4, mode="amplify", rounds=np.int64(0))
+    assert out.attempts == 1 and type(out.attempts) is int
+    out = qdac.qdac_run(st, identity_oracle(4), m=4, mode="sample", shots=np.int64(1),
+                        rng=np.random.default_rng(0))
+    assert out.attempts == 1
+
+
 def test_qdac_sample_mode_statistics():
     data = [0.6, 0.8]
     st = qdac.make_digital_state(data, m=8)
