@@ -3,19 +3,18 @@
 A CircuitOp is an immutable tuple of Gate records. Applying one copies the
 amplitude buffer once and then runs each record's in-place kernel, looked up
 by kind in KINDS. Inversion, control wrapping, and primitive counting all
-work structurally on the records through the same table. Phase estimation
-emits one "power" record per phase bit: the iterate raised to 2^j,
-compiled into per-key-value dense blocks by repeated squaring. fuse
-compiles runs of gates the same way, compiled powers included, into
-count-1 power records whose block tables hold at most 4^FUSE_QUBITS
-entries; a fused record keeps its source gates, so its inverse
-(conjugate-transposed blocks) and its logical count come from the same
-rules as any power record.
+work structurally on the records through the same table. The QFT is one
+"qft" record, an in-place FFT. Phase estimation emits one "power" record
+per phase bit: the iterate raised to 2^j, compiled into per-key-value dense
+blocks by repeated squaring. fuse compiles runs of gates the same way,
+compiled powers included, into count-1 power records whose block tables
+hold at most 4^FUSE_QUBITS entries; a fused record keeps its source gates,
+so its inverse (conjugate-transposed blocks) and its logical count come
+from the same rules as any power record.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -82,6 +81,7 @@ class RegisterLayout:
 #   phase-table   the register                       2^w unit phases
 #   oracle        input register + output register   2^w_in output values
 #   mux-ry        key register + (target,)           2^w_key angles
+#   qft           the register                       (sign,): +1 QFT, -1 inverse
 #   power         key qubits + target qubits         PowerTable
 #
 # A table's length fixes its register's width, which is how oracle and
@@ -115,16 +115,21 @@ def _phase_table(g, amps, n):
 def _oracle(g, amps, n):
     k = len(g.params).bit_length() - 1
     core.apply_basis_oracle_inplace(
-        amps, n, _reg(g.wires[:k]), _reg(g.wires[k:]),
-        np.asarray(g.params, dtype=np.int64), g.controls,
-    )
+        amps, n, _reg(g.wires[:k]), _reg(g.wires[k:]), g.params, g.controls)
 
 
 def _mux_ry(g, amps, n):
     core.apply_multiplexed_ry_inplace(
-        amps, n, _reg(g.wires[:-1]), g.wires[-1],
-        np.asarray(g.params, dtype=np.float64), g.controls,
-    )
+        amps, n, _reg(g.wires[:-1]), g.wires[-1], g.params, g.controls)
+
+
+def _qft(g, amps, n):
+    core.apply_qft_inplace(amps, n, _reg(g.wires), g.params[0], g.controls)
+
+
+def _qft_cost(g) -> int:
+    w = len(g.wires)  # textbook: w Hadamards, w(w-1)/2 controlled phases, w/2 swaps
+    return w + w * (w - 1) // 2 + w // 2
 
 
 def _power(g, amps, n):
@@ -163,14 +168,15 @@ def _power_inverse(table, memo):
     return replace(table, iterate=memo[key][1], blocks=blocks)
 
 
-def _power_cost(table) -> int:
-    return table.count * sum(g.primitive_count for g in table.iterate)
+def _power_cost(g) -> int:
+    return g.params.count * sum(h.primitive_count for h in g.params.iterate)
+
 
 
 class Kind(NamedTuple):
     run: Callable  # run(gate, amps, n): apply in place through core's kernel
     inverse: Callable | None  # (params, memo) -> params of the inverse; None: self-inverse
-    cost: Callable | None  # params -> logical primitive count; None: one
+    cost: Callable | None  # gate -> logical primitive count; None: one
 
 
 KINDS = {
@@ -183,10 +189,11 @@ KINDS = {
     "phase": Kind(_single(core.phase_matrix), _negate, None),
     "swap": Kind(_swap, None, None),
     "reflect": Kind(_reflect, None, None),
-    "phase-table": Kind(_phase_table, _conjugate, len),
+    "phase-table": Kind(_phase_table, _conjugate, lambda g: len(g.params)),
     # an oracle is charged as one black-box arithmetic call
     "oracle": Kind(_oracle, None, None),
-    "mux-ry": Kind(_mux_ry, _negate, len),
+    "mux-ry": Kind(_mux_ry, _negate, lambda g: len(g.params)),
+    "qft": Kind(_qft, _negate, _qft_cost),
     "power": Kind(_power, _power_inverse, _power_cost),
 }
 
@@ -229,7 +236,7 @@ class Gate:
     @property
     def primitive_count(self) -> int:
         cost = KINDS[self.kind].cost
-        return 1 if cost is None else cost(self.params)
+        return 1 if cost is None else cost(self)
 
     def used_qubits(self) -> set:
         return set(self.wires) | {q for q, _ in self.controls}
@@ -295,23 +302,15 @@ class CircuitOp:
 
 
 def qft_op(start: int, width: int) -> CircuitOp:
-    """Exact discrete Fourier transform over a register's value space.
+    """Exact discrete Fourier transform over a register's value space, as
+    one qft record.
 
     Maps |k> to (1/sqrt(T)) sum_b e^{2 pi i k b / T} |b> with T = 2**width.
     """
     if width < 1:
         raise RegisterError("qft needs a register of width >= 1")
-    gates: list = []
-    for j in range(width - 1, -1, -1):
-        gates.append(Gate("h", (start + j,)))
-        for i in range(j - 1, -1, -1):
-            gates.append(
-                Gate("phase", (start + j,), (math.pi / 2 ** (j - i),),
-                     controls=((start + i, 1),))
-            )
-    for k in range(width // 2):
-        gates.append(Gate("swap", (start + k, start + width - 1 - k)))
-    return CircuitOp(tuple(gates), label=f"qft[{start}:{start + width}]")
+    gate = Gate("qft", tuple(range(start, start + width)), (1,))
+    return CircuitOp((gate,), label=f"qft[{start}:{start + width}]")
 
 
 def iqft_op(start: int, width: int) -> CircuitOp:
@@ -412,8 +411,8 @@ def fuse(op: CircuitOp) -> CircuitOp:
     count as controls), and its blocks are the run materialized per key
     value, exactly as power_records makes them. Compiled power records join
     runs like any other gate, and a run that is one compiled power record
-    passes through as it is. Replay power records (no blocks) and gates
-    that alone exceed the bound pass through and close the run.
+    passes through as it is. qft records, replay power records (no blocks)
+    and gates that alone exceed the bound pass through and close the run.
     """
     out: list = []
     run: list = []
@@ -434,10 +433,10 @@ def fuse(op: CircuitOp) -> CircuitOp:
 
     for g in op.gates:
         gw, gc = _roles(g)
-        replay = g.kind == "power" and g.params.blocks is None
-        if replay or not _table_fits(wires | gw, ctrls | gc):
+        apart = g.kind == "qft" or (g.kind == "power" and g.params.blocks is None)
+        if apart or not _table_fits(wires | gw, ctrls | gc):
             flush()
-        if replay or not _table_fits(gw, gc):
+        if apart or not _table_fits(gw, gc):
             out.append(g)
         else:
             run.append(g)
@@ -451,9 +450,9 @@ def phase_estimate_op(unitary: CircuitOp, regp) -> CircuitOp:
     """Textbook phase estimation with compiled controlled powers.
 
     Hadamards on the phase register, then one power record U^(2^j) (see
-    power_records) controlled on register bit j, then the inverse QFT. The
-    power records carry PE_CTRL_TAG, and their params' logical counts 2^j
-    sum to the controlled-unitary application count 2^t - 1.
+    power_records) controlled on register bit j, then the inverse qft
+    record. The power records carry PE_CTRL_TAG, and their params' logical
+    counts 2^j sum to the controlled-unitary application count 2^t - 1.
     """
     s, t = regp
     if t < 1:

@@ -124,15 +124,24 @@ def _normalize_controls(n: int, controls, target_qubits) -> tuple:
     return tuple(out)
 
 
-def _controlled_view(amps, n, controls):
+def _controlled_view(amps, n, controls, regs=()):
     """The slice of amps where every control qubit holds its value, as a
     (2, 2, ...) view, and the axis of each remaining qubit in it (the
-    highest qubit first, so registers keep C-order value layout)."""
+    highest qubit first, so registers keep C-order value layout). Each
+    (start, width) register in regs, free of controls, becomes one axis
+    indexed by its value, mapped from its start qubit; its axes are
+    adjacent with chained strides, so merging them never copies."""
     idx = [slice(None)] * n
     for q, v in controls:
         idx[n - 1 - q] = v
     free = [q for q in range(n - 1, -1, -1) if idx[n - 1 - q] == slice(None)]
-    return amps.reshape((2,) * n)[tuple(idx)], {q: a for a, q in enumerate(free)}
+    # with no free qubit left, the Ellipsis keeps a 0-d view, not a copy
+    view = amps.reshape((2,) * n)[tuple(idx) if free else (*idx, ...)]
+    if regs:
+        width = {s: w for s, w in regs if w}
+        free = [q for q in free if not any(s < q < s + w for s, w in width.items())]
+        view = view.reshape([1 << width.get(q, 1) for q in free])
+    return view, {q: a for a, q in enumerate(free)}
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +175,11 @@ def apply_swap_inplace(amps, n, q1, q2, controls=()):
         if not 0 <= q < n:
             raise RegisterError(f"swap qubit {q} out of range for {n} qubits")
     controls = _normalize_controls(n, controls, (q1, q2))
-    view = amps.reshape((2,) * n)
-    idx01 = [slice(None)] * n
-    idx10 = [slice(None)] * n
-    idx01[n - 1 - q1] = 0
-    idx01[n - 1 - q2] = 1
-    idx10[n - 1 - q1] = 1
-    idx10[n - 1 - q2] = 0
-    for q, v in controls:
-        idx01[n - 1 - q] = v
-        idx10[n - 1 - q] = v
-    i01, i10 = tuple(idx01), tuple(idx10)
-    tmp = view[i01].copy()
-    view[i01] = view[i10]
-    view[i10] = tmp
+    v01, _ = _controlled_view(amps, n, controls + ((q1, 0), (q2, 1)))
+    v10, _ = _controlled_view(amps, n, controls + ((q1, 1), (q2, 0)))
+    tmp = v01.copy()
+    v01[...] = v10
+    v10[...] = tmp
 
 
 def apply_zero_reflection_inplace(amps, n, qubits, controls=()):
@@ -187,15 +187,11 @@ def apply_zero_reflection_inplace(amps, n, qubits, controls=()):
     if not qubits:
         raise RegisterError("zero reflection needs at least one qubit")
     controls = _normalize_controls(n, controls, qubits)
-    idx = [slice(None)] * n
     for q in qubits:
         if not 0 <= q < n:
             raise RegisterError(f"reflection qubit {q} out of range")
-        idx[n - 1 - q] = 0
-    for q, v in controls:
-        idx[n - 1 - q] = v
-    view = amps.reshape((2,) * n)
-    view[tuple(idx)] *= -1.0
+    view, _ = _controlled_view(amps, n, controls + tuple((q, 0) for q in qubits))
+    view *= -1.0
 
 
 def apply_basis_oracle_inplace(amps, n, in_reg, out_reg, table, controls=()):
@@ -204,32 +200,46 @@ def apply_basis_oracle_inplace(amps, n, in_reg, out_reg, table, controls=()):
     out_s, out_w = out_reg
     _check_reg(n, in_reg, "input")
     _check_reg(n, out_reg, "output")
-    if in_w and _ranges_overlap(in_reg, out_reg):
+    if in_w and in_s < out_s + out_w and out_s < in_s + in_w:
         raise RegisterError("oracle input and output registers overlap")
     controls = _normalize_controls(
         n, controls, tuple(range(out_s, out_s + out_w)) + tuple(range(in_s, in_s + in_w))
     )
     table = np.asarray(table, dtype=np.int64)
     if table.shape != (1 << in_w,):
-        raise RegisterError(
-            f"oracle table has {table.size} entries, expected {1 << in_w}"
-        )
+        raise RegisterError(f"oracle table has {table.size} entries, expected {1 << in_w}")
     if table.size and (table.min() < 0 or table.max() >= (1 << out_w)):
         raise RegisterError("oracle output exceeds the output register width")
-    # per input value a, XOR-ing table[a] into the output register flips
-    # the output axes of its set bits on the slice where the input holds a
-    view, axis = _controlled_view(amps, n, controls)
-    ins = range(in_s, in_s + in_w)
-    left = {q: a - sum(axis[i] < a for i in ins) for q, a in axis.items()}
-    for a, c in enumerate(table.tolist()):
-        if not c:
-            continue
-        idx = [slice(None)] * view.ndim
-        for b, q in enumerate(ins):
-            idx[axis[q]] = (a >> b) & 1
-        sub = view[tuple(idx)]
-        flips = tuple(left[out_s + b] for b in range(out_w) if (c >> b) & 1)
-        sub[...] = np.flip(sub, flips).copy()
+    if not table.any():
+        return
+    # one gather new[a, b] = old[a, b ^ table[a]] on the merged (in, out)
+    # axes, in pieces of input values and other axes whose temporaries
+    # stay within CHUNK amplitudes (or one output register)
+    view, axis = _controlled_view(amps, n, controls, (in_reg, out_reg))
+    view = (np.moveaxis(view, (axis[in_s], axis[out_s]), (0, 1)) if in_w
+            else np.moveaxis(view, axis[out_s], 0)[None])
+    rest = view.shape[2:]
+    inner = min(len(rest), max(0, (CHUNK >> out_w).bit_length() - 1))
+    group = max(1, CHUNK >> (out_w + inner))
+    for a in range(0, 1 << in_w, group):
+        cols = np.arange(1 << out_w) ^ table[a:a + group, None]
+        rows = np.arange(len(cols))[:, None]
+        for pos in np.ndindex(*rest[:len(rest) - inner]):
+            sub = view[(slice(a, a + group), slice(None)) + pos]
+            sub[...] = sub[rows, cols]
+
+
+def apply_qft_inplace(amps, n, reg, sign, controls=()):
+    """The register's quantum Fourier transform (sign +1) or its inverse
+    (sign -1): |k> -> T^-1/2 sum_b e^{sign 2 pi i k b / T} |b> with
+    T = 2^width, as one in-place FFT along the register's merged axis."""
+    s, w = reg
+    _check_reg(n, reg, "qft")
+    if w < 1:
+        raise RegisterError("qft needs a register of width >= 1")
+    controls = _normalize_controls(n, controls, tuple(range(s, s + w)))
+    view, axis = _controlled_view(amps, n, controls, (reg,))
+    (np.fft.ifft if sign > 0 else np.fft.fft)(view, axis=axis[s], norm="ortho", out=view)
 
 
 def apply_phase_table_inplace(amps, n, reg, phases, controls=()):
@@ -242,12 +252,9 @@ def apply_phase_table_inplace(amps, n, reg, phases, controls=()):
     if np.max(np.abs(np.abs(phases) - 1.0)) > 1e-12:
         raise UnitaryError("phase table entries must have unit magnitude")
     controls = _normalize_controls(n, controls, tuple(range(s, s + w)))
-    view, axis = _controlled_view(amps, n, controls)
-    # the register's axes are adjacent, so its phases broadcast over the rest
-    shape = [1] * view.ndim
-    for q in range(s, s + w):
-        shape[axis[q]] = 2
-    view *= phases.reshape(shape)
+    view, axis = _controlled_view(amps, n, controls, (reg,))
+    # the register is one axis, so its phases broadcast over the rest
+    view *= phases.reshape([phases.size if a == axis.get(s) else 1 for a in range(view.ndim)])
 
 
 def apply_multiplexed_ry_inplace(amps, n, key_reg, target, angles, controls=()):
@@ -307,10 +314,6 @@ def _check_reg(n, reg, what):
     s, w = reg
     if w < 0 or s < 0 or s + w > n:
         raise RegisterError(f"{what} register [{s}, {s + w}) out of range for {n} qubits")
-
-
-def _ranges_overlap(a, b):
-    return a[0] < b[0] + b[1] and b[0] < a[0] + a[1]
 
 
 # ---------------------------------------------------------------------------

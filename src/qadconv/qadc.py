@@ -6,16 +6,15 @@ real part (Hadamard test), and imaginary part (Hadamard test with a
 quarter-wave plate on the test qubit). Each variant builds a reflection
 operator whose restriction to one address acts as a plane rotation by
 2 pi theta_k, estimates theta_k into a phase register, converts the phase
-pattern to the recovered value with a lookup oracle, and uncomputes
-everything except the address and value registers. readout_block builds
-that sequence once; run_qadc and the nonlinear pipeline both run it. The
-load is fused into dense block records (circuits.fuse: count-1 power
-records whose tables stay within 4^FUSE_QUBITS entries) before the
-iterate is built from it, so the iterate holds the fused load and its
-structural inverse, not the loader gate by gate. Load and estimate are
-fused again into block records (the phase-estimation powers nest inside
-them where they fit), and the uncompute stage is that stage's structural
-inverse, so the fusion is built once per block.
+pattern to the recovered value with a lookup oracle (one gather), and
+uncomputes everything except the address and value registers.
+readout_block builds that sequence once; run_qadc and the nonlinear
+pipeline both run it. The load is fused into dense block records
+(circuits.fuse) and the iterate is built from them, not from the loader
+gate by gate. Load and estimate are fused again, the phase-estimation
+powers nesting in the block records where they fit; the inverse QFT
+stays one qft record, an in-place FFT on the phase register. The
+uncompute stage is that stage's structural inverse.
 """
 
 from __future__ import annotations
@@ -189,11 +188,10 @@ def readout_block(layout: RegisterLayout, prep: CircuitOp, variant: str,
     and imag) is fused first, and the iterate is built from the fused
     records: G' is Z_b, W^-1, the reflection, W, and G likewise around V,
     with the inverse records' blocks conjugate-transposed. Load and
-    estimate are fused again (circuits.fuse) into block records, and the
-    un-estimate stage is their structural inverse. The copy is
+    estimate are fused again into block records around the one qft record;
+    the un-estimate stage is their structural inverse. The copy is
     self-inverse and the stages around it mirror each other, so the block
-    is its own inverse. prep is the data-load circuit on the layout's data
-    register.
+    is its own inverse. prep is the data-load circuit on the data register.
     """
     if variant == "abs":
         v_op = fuse(v_from_prep(layout, prep))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from qadconv import circuits, core, reference
 from qadconv.circuits import CircuitOp, Gate, RegisterLayout
 from qadconv.errors import RegisterError
+from textbook import textbook_qft_op
 
 
 def random_state(n, seed=0):
@@ -100,6 +102,55 @@ def test_iqft_inverts_qft():
     np.testing.assert_allclose(out.amps, st.amps, atol=1e-12)
 
 
+@pytest.mark.parametrize("width", range(1, 8))
+def test_qft_record_matches_textbook_gates(width):
+    # the register sits above qubit 0 and below two more qubits, one of
+    # them a control in the controlled cases
+    n, start = width + 3, 1
+    st = random_state(n, seed=width)
+    top = n - 1
+    for make in (circuits.qft_op, circuits.iqft_op):
+        (record,) = make(start, width).gates
+        assert record.kind == "qft"
+        assert record.wires == tuple(range(start, start + width))
+        flat = textbook_qft_op(start, width)
+        if make is circuits.iqft_op:
+            flat = flat.inverse()
+        assert make(start, width).primitive_count() == flat.primitive_count()
+        for op, ref in ((make(start, width), flat),
+                        (make(start, width).controlled((top, 1)), flat.controlled((top, 1))),
+                        (make(start, width).controlled((top, 0)), flat.controlled((top, 0)))):
+            assert np.max(np.abs(op.apply(st).amps - ref.apply(st).amps)) <= 1e-12
+
+
+def test_qft_and_oracle_records_stay_within_a_quarter_state():
+    # the readout's shape on 16 qubits: a 7-qubit phase register at 4..10
+    # and a 5-bit value register above it; each record runs in place on
+    # the buffer, and what it allocates on the way stays below a quarter
+    # of the state
+    n = 16
+    rng = np.random.default_rng(16)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    table = tuple(int(x) for x in rng.integers(0, 32, size=128))
+    records = (
+        circuits.qft_op(4, 7).gates
+        + circuits.iqft_op(4, 7).controlled((0, 1)).gates
+        + (Gate("oracle", tuple(range(4, 16)), table),)
+    )
+    tracemalloc.start()
+    try:
+        amps.copy()  # the tracer sees numpy's buffers
+        assert tracemalloc.get_traced_memory()[1] >= amps.nbytes
+        for gate in records:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            circuits.KINDS[gate.kind].run(gate, amps, n)
+            peak = tracemalloc.get_traced_memory()[1] - held
+            assert peak <= amps.nbytes / 4, (gate.kind, peak / amps.nbytes)
+    finally:
+        tracemalloc.stop()
+
+
 def phase_unitary(theta, qubit=0):
     return CircuitOp((Gate("phase", (qubit,), (2 * np.pi * theta,)),))
 
@@ -155,8 +206,8 @@ def test_primitive_count_charges_tables_by_size():
     assert gate.primitive_count == 8
     assert Gate("phase-table", (0, 1), (1, 1j, -1, -1j)).primitive_count == 4
     assert Gate("h", (0,)).primitive_count == 1
-    op = circuits.qft_op(0, 3)
-    assert op.primitive_count() == len(op.gates)
+    # the qft record is charged its textbook gate count
+    assert circuits.qft_op(0, 3).primitive_count() == len(textbook_qft_op(0, 3).gates) == 7
 
 
 def test_unknown_gate_kind_is_rejected():
@@ -248,6 +299,7 @@ KIND_CASES = {
     "oracle": (Gate("oracle", (0, 1, 2), _TABLE),
                _permutation(lambda i: i ^ (_TABLE[i & 3] << 2))),
     "mux-ry": (Gate("mux-ry", (0, 1, 2), _MUX_ANGLES), _mux_matrix()),
+    "qft": (Gate("qft", (0, 1, 2), (1,)), reference.dft_matrix(8)),
     "power": (circuits.power_records(_ITERATE, 3)[2],
               np.linalg.matrix_power(_ITERATE_MATRIX, 4)),
 }

@@ -2,7 +2,7 @@
 
 The flat reference is built here, from the textbook definition: Hadamards,
 then the iterate controlled on phase bit j and repeated 2^j times, then the
-inverse QFT. Every comparison is to 1e-12.
+inverse QFT gate by gate. Every comparison is to 1e-12.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 from qadconv import circuits, core, nonlinear, qadc
 from qadconv.circuits import CircuitOp, Gate, phase_estimate_op
 from qadconv.prep import build_tree, synthesize_ua
+from textbook import textbook_qft_op
 
 TOL = 1e-12
 
@@ -20,7 +21,7 @@ def flat_phase_estimate_op(unitary, regp):
     gates = [Gate("h", (s + j,)) for j in range(t)]
     for j in range(t):
         gates.extend(unitary.controlled((s + j, 1)).gates * (1 << j))
-    gates.extend(circuits.iqft_op(s, t).gates)
+    gates.extend(textbook_qft_op(s, t).inverse().gates)
     return CircuitOp(tuple(gates), label="phase-estimate")
 
 

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qadconv import core
 from qadconv.errors import (
@@ -275,6 +278,44 @@ def test_basis_oracle_matches_index_loop(in_reg, out_reg):
     controls = ((6, 0),)
     got = amps.copy()
     core.apply_basis_oracle_inplace(got, 7, in_reg, out_reg, table, controls)
+    np.testing.assert_array_equal(got, _index_loop_oracle(amps, in_reg, out_reg, table, controls))
+
+
+@st.composite
+def oracle_cases(draw):
+    """(n, in_reg, out_reg, table, controls) on at most 9 qubits: the input
+    register below or above the output register, or empty, with a gap of
+    free qubits between them and padding around; up to two controls of
+    either value on the free qubits, the gap's first."""
+    w_in, w_out = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    low, gap = draw(st.integers(0, 1)), draw(st.integers(0, 2))
+    high = draw(st.integers(0, 9 - low - w_in - gap - w_out))
+    n = low + w_in + gap + w_out + high
+    below = draw(st.booleans())
+    first, second = (w_in, w_out) if below else (w_out, w_in)
+    lower, upper = low, low + first + gap
+    in_reg = (lower if below else upper, w_in) if w_in else (0, 0)
+    out_reg = (upper if below else lower, w_out)
+    between = list(range(low + first, low + first + gap))
+    outside = [q for q in range(n) if not (low <= q < low + first + gap + second)]
+    picked = (between + outside)[:draw(st.integers(0, min(2, len(between) + len(outside))))]
+    controls = tuple((q, draw(st.integers(0, 1))) for q in picked)
+    table = draw(st.lists(st.integers(0, (1 << w_out) - 1),
+                          min_size=1 << w_in, max_size=1 << w_in))
+    return n, in_reg, out_reg, table, controls
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_cases(), st.sampled_from([core.CHUNK, 16, 1]), st.integers(0, 2**32 - 1))
+def test_basis_oracle_gather_equals_index_loop(case, chunk, seed):
+    # a small CHUNK splits the gather into groups of input values and
+    # runs of the other axes
+    n, in_reg, out_reg, table, controls = case
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    got = amps.copy()
+    with mock.patch.object(core, "CHUNK", chunk):
+        core.apply_basis_oracle_inplace(got, n, in_reg, out_reg, table, controls)
     np.testing.assert_array_equal(got, _index_loop_oracle(amps, in_reg, out_reg, table, controls))
 
 

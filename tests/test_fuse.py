@@ -19,15 +19,15 @@ from qadconv.prep import build_tree, synthesize_ua
 TOL = 1e-12
 SINGLE = ("h", "x", "y", "z")
 ROTATIONS = ("ry", "rz", "phase")
-KINDS = SINGLE + ROTATIONS + ("swap", "reflect", "phase-table", "oracle", "mux-ry")
+KINDS = SINGLE + ROTATIONS + ("swap", "reflect", "phase-table", "oracle", "mux-ry", "qft")
 
 angles = st.floats(-np.pi, np.pi, allow_nan=False)
 
 
 @st.composite
 def records(draw, n):
-    """One gate of a random fusible kind on n qubits, with up to two random
-    (qubit, value) controls on qubits it does not touch."""
+    """One gate of a random kind on n qubits, with up to two random (qubit,
+    value) controls on qubits it does not touch."""
     kind = draw(st.sampled_from(KINDS))
     order = draw(st.permutations(range(n)))
     if kind in SINGLE:
@@ -41,7 +41,10 @@ def records(draw, n):
     else:
         # table kinds: contiguous registers, low to high
         w = draw(st.integers(1, 2))
-        if kind == "phase-table":
+        if kind == "qft":
+            s = draw(st.integers(0, n - w))
+            wires, params = tuple(range(s, s + w)), (draw(st.sampled_from([1, -1])),)
+        elif kind == "phase-table":
             s = draw(st.integers(0, n - w))
             wires = tuple(range(s, s + w))
             params = tuple(np.exp(1j * np.array(draw(
@@ -163,7 +166,7 @@ def test_fused_equals_flat(case, seed):
             assert table.blocks.size <= 4**FUSE_QUBITS
             assert not (len(table.iterate) == 1 and table.iterate[0].kind == "power")
             runs.append(list(table.iterate))
-        elif is_replay(gate) or not fits([gate]):
+        elif is_replay(gate) or gate.kind == "qft" or not fits([gate]):
             runs.append(None)  # passed through, closing the run before it
         else:
             assert gate.kind == "power"  # a lone compiled power record
@@ -192,6 +195,23 @@ def test_fuse_passes_wide_gates_and_powers_through():
     # a run that is one compiled power record stays that record
     assert fuse(CircuitOp((compiled,))).gates[0] is compiled
     assert fuse(CircuitOp(())).gates == ()
+
+
+def test_fuse_passes_qft_records_through_and_closes_the_run():
+    qft = circuits.qft_op(1, 2).gates[0]
+    iqft = circuits.iqft_op(0, 3).controlled((3, 0)).gates[0]
+    h, x = Gate("h", (0,)), Gate("x", (2,))
+    op = CircuitOp((h, x, qft, x, iqft, h))
+    out = fuse(op).gates
+    # the qft records fit the table bound but pass through unchanged; the
+    # gates on either side of one never share a block record
+    assert [gate.kind for gate in out] == ["power", "qft", "power", "qft", "power"]
+    assert out[1] is qft and out[3] is iqft
+    assert out[0].params.iterate == (h, x)
+    assert out[2].params.iterate == (x,) and out[4].params.iterate == (h,)
+    start = random_state(4, 2)
+    assert max_dev(fuse(op).apply(start), op.apply(start)) <= TOL
+    assert fuse(op).primitive_count() == op.primitive_count()
 
 
 def test_runs_close_at_the_table_bound():
@@ -264,17 +284,22 @@ def test_readout_block_fuses_load_and_estimate_once(variant):
 
 
 @pytest.mark.parametrize("variant", ["abs", "real"])
-def test_readout_stages_are_all_block_records(variant):
+def test_readout_stages_are_block_records_and_one_qft(variant):
     # a gate left out of a block record would run through the single-qubit
-    # kernel, whose half-state temporaries raise the peak memory of a readout
+    # kernel, whose half-state temporaries raise the peak memory of a
+    # readout; the one qft record is an in-place FFT whose buffers stay
+    # far below the state's size
     n, m, g = 2, 4, 3
     layout = (qadc.abs_layout if variant == "abs" else qadc.part_layout)(n, m, g)
     prep = synthesize_ua(build_tree(np.array([0.1, 0.5j, -0.7, 0.5]))).op(
         start=layout.start("data"))
     stages = qadc.readout_block(layout, prep, variant, m, g, layout.n_qubits)
-    for _, op in (stages[0], stages[2]):
+    # the estimate ends in the inverse QFT, and the un-estimate undoes it
+    for (_, op), sign in ((stages[0], -1), (stages[2], 1)):
+        (qft,) = [gate for gate in op.gates if gate.kind == "qft"]
+        assert qft.wires == tuple(layout.qubits("regp")) and qft.params == (sign,)
         assert all(gate.kind == "power" and gate.params.blocks is not None
-                   for gate in op.gates)
+                   for gate in op.gates if gate is not qft)
 
 
 @pytest.mark.parametrize("variant", ["abs", "real", "imag"])
