@@ -6,13 +6,21 @@ Conventions, used everywhere in this package:
 * A register occupying qubits [start, start + width) holds the value
   ``(index >> start) & (2**width - 1)``; its most significant bit sits on
   the highest qubit of the range.
-* Operations have value semantics: they return a new StateVector and never
-  mutate their input. Internally a single amplitude copy is made and then
-  edited through reshaped views, so composing many gates stays cheap.
+* One rule maps qubits onto numpy axes, in `_view`, and every kernel and
+  state op takes its view from it: the axes run from the highest qubit
+  down, a control qubit is indexed at its value, a (start, width) register
+  is one axis indexed by its value, and each run of other qubits is one
+  axis. The view never copies, and `_view` is where qubits are checked.
+* The `*_inplace` kernels edit an amplitude buffer through that view;
+  circuits.CircuitOp copies a state once per apply and runs them on the
+  copy. The seven wrappers that copy a state and run one kernel
+  (apply_single ... apply_multiplexed_ry) have no caller in the package;
+  they stay because the benchmark's tracer patches them by name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,58 +115,84 @@ def check_unitary2(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _normalize_controls(n: int, controls, target_qubits) -> tuple:
-    """Validate (qubit, value) control pairs against n and the target set."""
-    out = []
-    seen = set(target_qubits)
-    for q, v in controls:
-        q = int(q)
-        if not 0 <= q < n:
-            raise RegisterError(f"control qubit {q} out of range for {n} qubits")
-        if q in seen:
-            raise RegisterError(f"qubit {q} used twice in one gate")
-        if v not in (0, 1):
+def _view(amps, n, controls=(), regs=()):
+    """amps as a view whose axes run from the highest qubit down: each
+    (qubit, value) control is indexed at its value, each (start, width)
+    register is one axis of 2^width and each run of other qubits is one
+    axis. Returns the view and the axis of each register, in the order
+    given. A qubit out of range, a qubit used twice or a control value
+    other than 0 or 1 raises RegisterError. The view never copies; only
+    the fixed qubits are walked, so its cost does not grow with n."""
+    spans = [(q + 1, q, i, v) for i, (q, v) in enumerate(controls)]
+    spans += [(s + w, s, ~i, None) for i, (s, w) in enumerate(regs)]
+    spans.sort(reverse=True)
+    shape, index, axes, top, ndim = [], [], [0] * len(regs), n, 0
+    for end, s, i, v in spans:
+        if s < 0 or end < s or end > n:
+            raise RegisterError(f"qubits [{s}, {end}) out of range for {n} qubits")
+        if end > top:
+            raise RegisterError(f"qubit {max(s, top)} used twice in one gate")
+        if end < top:
+            shape.append(1 << (top - end))
+            index.append(slice(None))
+            ndim += 1
+        shape.append(1 << (end - s))
+        if v is None:
+            axes[~i] = ndim
+            index.append(slice(None))
+            ndim += 1
+        elif v in (0, 1):
+            index.append(int(v))
+        else:
             raise RegisterError(f"control value must be 0 or 1, got {v}")
-        seen.add(q)
-        out.append((q, int(v)))
-    return tuple(out)
-
-
-def _controlled_view(amps, n, controls, regs=()):
-    """The slice of amps where every control qubit holds its value, as a
-    (2, 2, ...) view, and the axis of each remaining qubit in it (the
-    highest qubit first, so registers keep C-order value layout). Each
-    (start, width) register in regs, free of controls, becomes one axis
-    indexed by its value, mapped from its start qubit; its axes are
-    adjacent with chained strides, so merging them never copies."""
-    idx = [slice(None)] * n
-    for q, v in controls:
-        idx[n - 1 - q] = v
-    free = [q for q in range(n - 1, -1, -1) if idx[n - 1 - q] == slice(None)]
-    # with no free qubit left, the Ellipsis keeps a 0-d view, not a copy
-    view = amps.reshape((2,) * n)[tuple(idx) if free else (*idx, ...)]
-    if regs:
-        width = {s: w for s, w in regs if w}
-        free = [q for q in free if not any(s < q < s + w for s, w in width.items())]
-        view = view.reshape([1 << width.get(q, 1) for q in free])
-    return view, {q: a for a, q in enumerate(free)}
+        top = s
+    if top:
+        shape.append(1 << top)
+        index.append(slice(None))
+        ndim += 1
+    # with every qubit indexed, the Ellipsis keeps a 0-d view, not a copy
+    return amps.reshape(shape)[tuple(index) if ndim else (*index, ...)], axes
 
 
 # ---------------------------------------------------------------------------
-# In-place kernels. These edit an amplitude buffer through reshaped views and
-# are shared by the public functions below and by circuits.CircuitOp.
+# In-place kernels. These edit an amplitude buffer through _view and are
+# shared by the public functions below and by circuits.CircuitOp.
 
-# Amplitudes per piece in the block-table kernel: its matmul temporaries stay
-# this size whatever the state size, and a piece stays in cache.
+# Amplitudes per piece in the block-table and oracle kernels: their
+# temporaries stay this size whatever the state size, and a piece stays in
+# cache.
 CHUNK = 1 << 13
 
 
+def _pieces(view, whole, cut=()):
+    """view, its axes reordered to whole + cut + the others, in pieces of
+    at most CHUNK amplitudes (or of the whole axes alone, where those hold
+    more): the trailing axes are batched, the one where the budget runs out
+    is sliced and those before it are walked one position at a time.
+    Yields each piece's slices over the axes after the whole ones, and the
+    piece."""
+    rest = [a for a in range(view.ndim) if a not in whole and a not in cut]
+    view = view.transpose((*whole, *cut, *rest))
+    shape = view.shape[len(whole):]
+    budget = max(1, CHUNK // math.prod(view.shape[:len(whole)]))
+    j, size = len(shape), 1
+    while j and size * shape[j - 1] <= budget:
+        j -= 1
+        size *= shape[j]
+    head, tail = (slice(None),) * len(whole), (slice(None),) * (len(shape) - j)
+    if not j:
+        yield tail, view
+        return
+    step = budget // size
+    for pos in np.ndindex(*shape[:j - 1]):
+        for lo in range(0, shape[j - 1], step):
+            at = (*(slice(p, p + 1) for p in pos), slice(lo, lo + step), *tail)
+            yield at, view[head + at]
+
+
 def apply_single_inplace(amps, n, target, u, controls=()):
-    if not 0 <= target < n:
-        raise RegisterError(f"target qubit {target} out of range for {n} qubits")
-    controls = _normalize_controls(n, controls, (target,))
-    view, axis = _controlled_view(amps, n, controls)
-    view = np.moveaxis(view, axis[target], 0)
+    view, (t,) = _view(amps, n, controls, ((target, 1),))
+    view = view.swapaxes(0, t)
     # in place: one copy of the |0> half and one half-sized temporary
     a0, a1 = view[0, ...], view[1, ...]  # views, also when n == 1
     c0 = a0.copy()
@@ -169,14 +203,8 @@ def apply_single_inplace(amps, n, target, u, controls=()):
 
 
 def apply_swap_inplace(amps, n, q1, q2, controls=()):
-    if q1 == q2:
-        raise RegisterError("swap needs two distinct qubits")
-    for q in (q1, q2):
-        if not 0 <= q < n:
-            raise RegisterError(f"swap qubit {q} out of range for {n} qubits")
-    controls = _normalize_controls(n, controls, (q1, q2))
-    v01, _ = _controlled_view(amps, n, controls + ((q1, 0), (q2, 1)))
-    v10, _ = _controlled_view(amps, n, controls + ((q1, 1), (q2, 0)))
+    v01, _ = _view(amps, n, (*controls, (q1, 0), (q2, 1)))
+    v10, _ = _view(amps, n, (*controls, (q1, 1), (q2, 0)))
     tmp = v01.copy()
     v01[...] = v10
     v10[...] = tmp
@@ -186,99 +214,67 @@ def apply_zero_reflection_inplace(amps, n, qubits, controls=()):
     """Multiply by -1 every amplitude whose listed qubits are all 0."""
     if not qubits:
         raise RegisterError("zero reflection needs at least one qubit")
-    controls = _normalize_controls(n, controls, qubits)
-    for q in qubits:
-        if not 0 <= q < n:
-            raise RegisterError(f"reflection qubit {q} out of range")
-    view, _ = _controlled_view(amps, n, controls + tuple((q, 0) for q in qubits))
+    view, _ = _view(amps, n, (*controls, *((q, 0) for q in qubits)))
     view *= -1.0
 
 
 def apply_basis_oracle_inplace(amps, n, in_reg, out_reg, table, controls=()):
     """|a>|b> -> |a>|b XOR table[a]> on (in_reg, out_reg)."""
-    in_s, in_w = in_reg
-    out_s, out_w = out_reg
-    _check_reg(n, in_reg, "input")
-    _check_reg(n, out_reg, "output")
-    if in_w and in_s < out_s + out_w and out_s < in_s + in_w:
-        raise RegisterError("oracle input and output registers overlap")
-    controls = _normalize_controls(
-        n, controls, tuple(range(out_s, out_s + out_w)) + tuple(range(in_s, in_s + in_w))
-    )
+    view, (a_in, a_out) = _view(amps, n, controls, (in_reg, out_reg))
     table = np.asarray(table, dtype=np.int64)
-    if table.shape != (1 << in_w,):
-        raise RegisterError(f"oracle table has {table.size} entries, expected {1 << in_w}")
-    if table.size and (table.min() < 0 or table.max() >= (1 << out_w)):
+    if table.shape != (1 << in_reg[1],):
+        raise RegisterError(f"oracle table has {table.size} entries, expected {1 << in_reg[1]}")
+    if table.min() < 0 or table.max() >= (1 << out_reg[1]):
         raise RegisterError("oracle output exceeds the output register width")
     if not table.any():
         return
-    # one gather new[a, b] = old[a, b ^ table[a]] on the merged (in, out)
-    # axes, in pieces of input values and other axes whose temporaries
-    # stay within CHUNK amplitudes (or one output register)
-    view, axis = _controlled_view(amps, n, controls, (in_reg, out_reg))
-    view = (np.moveaxis(view, (axis[in_s], axis[out_s]), (0, 1)) if in_w
-            else np.moveaxis(view, axis[out_s], 0)[None])
-    rest = view.shape[2:]
-    inner = min(len(rest), max(0, (CHUNK >> out_w).bit_length() - 1))
-    group = max(1, CHUNK >> (out_w + inner))
-    for a in range(0, 1 << in_w, group):
-        cols = np.arange(1 << out_w) ^ table[a:a + group, None]
-        rows = np.arange(len(cols))[:, None]
-        for pos in np.ndindex(*rest[:len(rest) - inner]):
-            sub = view[(slice(a, a + group), slice(None)) + pos]
-            sub[...] = sub[rows, cols]
+    # one gather new[b, a] = old[b ^ table[a], a] per piece of input values
+    b = np.arange(1 << out_reg[1])[:, None]
+    for (a, *_), sub in _pieces(view, (a_out,), (a_in,)):
+        t = table[a]
+        sub[...] = sub[b ^ t, np.arange(t.size)]
 
 
 def apply_qft_inplace(amps, n, reg, sign, controls=()):
     """The register's quantum Fourier transform (sign +1) or its inverse
     (sign -1): |k> -> T^-1/2 sum_b e^{sign 2 pi i k b / T} |b> with
-    T = 2^width, as one in-place FFT along the register's merged axis."""
-    s, w = reg
-    _check_reg(n, reg, "qft")
-    if w < 1:
+    T = 2^width, as one in-place FFT along the register's axis."""
+    view, (a,) = _view(amps, n, controls, (reg,))
+    if reg[1] < 1:
         raise RegisterError("qft needs a register of width >= 1")
-    controls = _normalize_controls(n, controls, tuple(range(s, s + w)))
-    view, axis = _controlled_view(amps, n, controls, (reg,))
-    (np.fft.ifft if sign > 0 else np.fft.fft)(view, axis=axis[s], norm="ortho", out=view)
+    (np.fft.ifft if sign > 0 else np.fft.fft)(view, axis=a, norm="ortho", out=view)
 
 
 def apply_phase_table_inplace(amps, n, reg, phases, controls=()):
     """Diagonal gate: multiply by phases[v] where v is the register value."""
-    s, w = reg
-    _check_reg(n, reg, "phase")
+    view, (a,) = _view(amps, n, controls, (reg,))
     phases = np.asarray(phases, dtype=np.complex128)
-    if phases.shape != (1 << w,):
-        raise RegisterError(f"phase table has {phases.size} entries, expected {1 << w}")
+    if phases.shape != (1 << reg[1],):
+        raise RegisterError(f"phase table has {phases.size} entries, expected {1 << reg[1]}")
     if np.max(np.abs(np.abs(phases) - 1.0)) > 1e-12:
         raise UnitaryError("phase table entries must have unit magnitude")
-    controls = _normalize_controls(n, controls, tuple(range(s, s + w)))
-    view, axis = _controlled_view(amps, n, controls, (reg,))
-    # the register is one axis, so its phases broadcast over the rest
-    view *= phases.reshape([phases.size if a == axis.get(s) else 1 for a in range(view.ndim)])
+    view = view.swapaxes(a, -1)
+    view *= phases
 
 
 def apply_multiplexed_ry_inplace(amps, n, key_reg, target, angles, controls=()):
     """Ry(angles[v]) on target, keyed on the value v of key_reg."""
+    _view(amps, n, controls, (key_reg, (target, 1)))  # checks wires even if no angle is set
     s, w = key_reg
-    _check_reg(n, key_reg, "key")
     angles = np.asarray(angles, dtype=np.float64)
     if angles.shape != (1 << w,):
         raise RegisterError(f"angle table has {angles.size} entries, expected {1 << w}")
-    if s <= target < s + w:
-        raise RegisterError("rotation target lies inside its own key register")
-    base = _normalize_controls(n, controls, tuple(range(s, s + w)) + (target,))
     for v in range(1 << w):
         if angles[v] == 0.0:
             continue
-        key_controls = tuple((s + b, (v >> b) & 1) for b in range(w))
-        apply_single_inplace(amps, n, target, ry_matrix(angles[v]), base + key_controls)
+        key = tuple((s + b, (v >> b) & 1) for b in range(w))
+        apply_single_inplace(amps, n, target, ry_matrix(angles[v]), (*controls, *key))
 
 
 def apply_block_table_inplace(amps, n, keys, targets, blocks, controls=()):
     """Block-diagonal unitary: blocks[v] acts on the target qubits wherever
     the key qubits hold value v (bit b of v on keys[b]; bit b of a block
     index on targets[b])."""
-    keys, targets = tuple(keys), tuple(targets)
     k, w = len(keys), len(targets)
     if not w:
         raise RegisterError("a block table needs at least one target qubit")
@@ -287,33 +283,11 @@ def apply_block_table_inplace(amps, n, keys, targets, blocks, controls=()):
         raise RegisterError(
             f"block table has shape {blocks.shape}, expected {(1 << k, 1 << w, 1 << w)}"
         )
-    for q in keys + targets:
-        if not 0 <= q < n:
-            raise RegisterError(f"block qubit {q} out of range for {n} qubits")
-    if len(set(keys + targets)) != k + w:
-        raise RegisterError("block key and target qubits must be distinct")
-    controls = _normalize_controls(n, controls, keys + targets)
-    # the control-selected slice, its axes ordered (keys, targets, rest)
-    # with the highest qubit of each group first, so a C-order flattening
-    # of each group gives its register value
-    view, axis = _controlled_view(amps, n, controls)
-    front = [axis[q] for q in reversed(keys)] + [axis[q] for q in reversed(targets)]
-    rest = [a for a in range(view.ndim) if a not in set(front)]
-    view = view.transpose(front + rest)
-    # loop over the outer rest axes, batch the inner ones
-    inner = min(len(rest), max(0, (CHUNK >> (k + w)).bit_length() - 1))
-    outer = len(rest) - inner
-    head = (slice(None),) * (k + w)
-    shape = (1 << k, 1 << w, 1 << inner)
-    for pos in np.ndindex(*view.shape[k + w:k + w + outer]):
-        sub = view[head + pos]
-        sub[...] = np.matmul(blocks, sub.reshape(shape)).reshape(sub.shape)
-
-
-def _check_reg(n, reg, what):
-    s, w = reg
-    if w < 0 or s < 0 or s + w > n:
-        raise RegisterError(f"{what} register [{s}, {s + w}) out of range for {n} qubits")
+    # keys, then targets, the highest bit of each first, so that a C-order
+    # flattening of each group gives its value
+    view, axes = _view(amps, n, controls, [(q, 1) for q in (*keys[::-1], *targets[::-1])])
+    for _, sub in _pieces(view, axes):
+        sub[...] = np.matmul(blocks, sub.reshape(1 << k, 1 << w, -1)).reshape(sub.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +311,9 @@ def apply_controlled(state: StateVector, controls, target: int, u) -> StateVecto
     return StateVector(state.n_qubits, amps)
 
 
-def apply_basis_oracle(state: StateVector, input_reg, output_reg, f) -> StateVector:
-    """XOR-accumulate f over basis states: |a>|b> -> |a>|b XOR f(a)>.
-
-    f may be a callable on register values or a precomputed table. Applying
-    the same oracle twice is the identity.
-    """
-    in_w = input_reg[1]
-    if callable(f):
-        table = np.fromiter(
-            (int(f(v)) for v in range(1 << in_w)), dtype=np.int64, count=1 << in_w
-        )
-    else:
-        table = np.asarray(f, dtype=np.int64)
+def apply_basis_oracle(state: StateVector, input_reg, output_reg, table) -> StateVector:
+    """XOR a table over basis states: |a>|b> -> |a>|b XOR table[a]>.
+    Applying the same oracle twice is the identity."""
     amps = state.amps.copy()
     apply_basis_oracle_inplace(amps, state.n_qubits, input_reg, output_reg, table)
     return StateVector(state.n_qubits, amps)
@@ -382,11 +346,8 @@ def apply_multiplexed_ry(state: StateVector, key_reg, target: int, angles) -> St
 
 def postselect(state: StateVector, qubit: int, bit: int) -> tuple[StateVector, float]:
     """Project onto qubit == bit and renormalize; returns the exact branch probability."""
-    if not 0 <= qubit < state.n_qubits:
-        raise RegisterError(f"qubit {qubit} out of range")
-    if bit not in (0, 1):
-        raise RegisterError("bit must be 0 or 1")
-    branch = state.amps.reshape(-1, 2, 1 << qubit)[:, bit, :]
+    n = state.n_qubits
+    branch, _ = _view(state.amps, n, ((qubit, bit),))
     # np.abs makes a C-order copy, so the sum runs in index order
     prob = float(np.sum((np.abs(branch) ** 2).ravel()))
     if prob < 1e-24:
@@ -394,8 +355,8 @@ def postselect(state: StateVector, qubit: int, bit: int) -> tuple[StateVector, f
             f"branch qubit{qubit}={bit} has probability {prob!r}"
         )
     amps = np.zeros_like(state.amps)
-    np.divide(branch, np.sqrt(prob), out=amps.reshape(-1, 2, 1 << qubit)[:, bit, :])
-    return StateVector(state.n_qubits, amps), prob
+    np.divide(branch, np.sqrt(prob), out=_view(amps, n, ((qubit, bit),))[0])
+    return StateVector(n, amps), prob
 
 
 def tensor(a: StateVector, b: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
@@ -411,17 +372,9 @@ def register_distribution(state: StateVector, regs) -> np.ndarray:
     Returns an array of shape (2**w1, 2**w2, ...) indexed by register values
     in the order given.
     """
-    n = state.n_qubits
-    for reg in regs:
-        _check_reg(n, reg, "marginal")
-    p = (np.abs(state.amps) ** 2).reshape((2,) * n)
-    front = []
-    for s, w in regs:
-        front.extend(n - 1 - (s + b) for b in range(w - 1, -1, -1))
-    if len(set(front)) != len(front):
-        raise RegisterError("marginal registers overlap")
-    rest = [ax for ax in range(n) if ax not in set(front)]
-    p = p.transpose(front + rest)
+    p, axes = _view(np.abs(state.amps) ** 2, state.n_qubits, regs=regs)
+    # the other axes keep their order, so the rest sums in index order
+    p = np.moveaxis(p, axes, range(len(axes)))
     return p.reshape([1 << w for _, w in regs] + [-1]).sum(axis=-1)
 
 
@@ -432,17 +385,11 @@ def clean_component(state: StateVector, regs) -> tuple[StateVector, float]:
     high, in the order given) and the probability mass of that slice.
     """
     n = state.n_qubits
-    # Index grid over the kept registers; all other bits stay 0. The first
-    # listed register becomes the low bits of the sub-state index.
-    idx = np.zeros(1, dtype=np.int64)
-    width = 0
-    for s, w in regs:
-        _check_reg(n, (s, w), "clean")
-        vals = np.arange(1 << w, dtype=np.int64) << s
-        idx = (vals[:, None] + idx[None, :]).ravel()
-        width += w
-    amps = state.amps[idx]
+    kept = {q for s, w in regs for q in range(s, s + w)}
+    view, axes = _view(state.amps, n, [(q, 0) for q in range(n) if q not in kept], regs)
+    # the first listed register becomes the low bits of the sub-state index
+    amps = view.transpose(axes[::-1]).ravel()
     mass = float(np.sum(np.abs(amps) ** 2))
     if mass < 1e-24:
         raise DegenerateBranchError("no amplitude left outside the traced registers")
-    return StateVector(width, amps / np.sqrt(mass)), mass
+    return StateVector(len(kept), amps / np.sqrt(mass)), mass

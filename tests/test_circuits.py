@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qadconv import circuits, core, reference
 from qadconv.circuits import CircuitOp, Gate, RegisterLayout
@@ -326,6 +328,53 @@ def test_gate_kind_matches_independent_matrix(kind, control):
     assert np.max(np.abs(u - want)) <= 1e-12
     inv = reference.dense_unitary(op.inverse(), 4)
     assert np.max(np.abs(inv @ u - np.eye(16))) <= 1e-12
+
+
+# kinds whose wires need not be contiguous: free qubits may sit between
+# wires 0|1 and 1|2; oracle and mux-ry only between their register and wire 2
+_GAPS = {"swap": (True, True), "reflect": (True, True), "power": (True, True),
+         "oracle": (False, True), "mux-ry": (False, True)}
+
+
+@st.composite
+def placed_gates(draw):
+    """A KIND_CASES gate whose three qubits are moved to `place` on a state
+    of at most 8 qubits, with free qubits below, above and (where _GAPS
+    allows) between them, and 0-3 extra controls of either value."""
+    kind = draw(st.sampled_from(sorted(KIND_CASES)))
+    gaps = [draw(st.integers(0, 2)) if ok else 0 for ok in _GAPS.get(kind, (False, False))]
+    low = draw(st.integers(0, 5 - sum(gaps)))
+    place = (low, low + 1 + gaps[0], low + 2 + sum(gaps))
+    n = draw(st.integers(place[2] + 1, 8))
+    free = [q for q in range(n) if q not in place]
+    picked = draw(st.lists(st.sampled_from(free), unique=True, max_size=3)) if free else []
+    controls = tuple((q, draw(st.integers(0, 1))) for q in picked)
+    return kind, place, n, controls
+
+
+def _embed(block, place, n, controls, amps):
+    """block on the qubits in place (bit b of its index on place[b]) where
+    every control holds its value; amps unchanged elsewhere."""
+    idx = np.arange(1 << n)
+    local = sum(((idx >> p) & 1) << b for b, p in enumerate(place))
+    spread = np.array([sum(((c >> b) & 1) << p for b, p in enumerate(place)) for c in range(8)])
+    moved = (block[local] * amps[(idx & ~spread[7])[:, None] | spread]).sum(axis=1)
+    hit = np.ones(1 << n, dtype=bool)
+    for q, v in controls:
+        hit &= ((idx >> q) & 1) == v
+    return np.where(hit, moved, amps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(placed_gates(), st.integers(0, 2**32 - 1))
+def test_every_kind_matches_its_block_wherever_it_is_placed(case, seed):
+    kind, place, n, controls = case
+    gate, block = KIND_CASES[kind]
+    moved = replace(gate, wires=tuple(place[w] for w in gate.wires), controls=controls)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    got = CircuitOp((moved,)).apply(core.StateVector(n, amps.copy())).amps
+    assert np.max(np.abs(got - _embed(block, place, n, controls, amps))) <= 1e-12
 
 
 def test_power_record_splits_keys_from_targets():

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qadconv import core
 from qadconv.errors import (
@@ -122,13 +122,6 @@ def test_basis_oracle_permutes_and_inverts():
     # spot-check one index: input register value 2 XORs 1 into the output bit
     idx = 0b010
     assert once.amps[idx ^ 0b100] == st.amps[idx]
-
-
-def test_basis_oracle_accepts_callable():
-    st = random_state(3, seed=4)
-    via_table = core.apply_basis_oracle(st, (0, 2), (2, 1), [0, 1, 0, 1])
-    via_fn = core.apply_basis_oracle(st, (0, 2), (2, 1), lambda a: a & 1)
-    np.testing.assert_allclose(via_table.amps, via_fn.amps)
 
 
 def test_basis_oracle_rejects_overlap_and_range():
@@ -344,3 +337,81 @@ def test_single_gate_with_controls_matches_kron(target):
             skip = ((np.arange(1 << 7) >> ((target + 3) % 7)) & 1) == 1
             want[skip] = st.amps[skip]
         np.testing.assert_allclose(got.amps, want, rtol=0, atol=1e-12)
+
+
+# Each kernel with two wires, (first, second), on a 4-qubit state; qubit 3
+# is free in every default placement.
+_KERNELS = {
+    "single": lambda a, w, c: core.apply_single_inplace(a, 4, w[0], core.X_MATRIX, c),
+    "swap": lambda a, w, c: core.apply_swap_inplace(a, 4, w[0], w[1], c),
+    "reflect": lambda a, w, c: core.apply_zero_reflection_inplace(a, 4, w, c),
+    "oracle": lambda a, w, c: core.apply_basis_oracle_inplace(
+        a, 4, (w[0], 1), (w[1], 1), [0, 1], c),
+    "qft": lambda a, w, c: core.apply_qft_inplace(a, 4, (w[0], 2), 1, c),
+    "phase-table": lambda a, w, c: core.apply_phase_table_inplace(a, 4, (w[0], 1), [1, 1j], c),
+    "mux-ry": lambda a, w, c: core.apply_multiplexed_ry_inplace(
+        a, 4, (w[0], 1), w[1], [0.3, 0.5], c),
+    "block-table": lambda a, w, c: core.apply_block_table_inplace(
+        a, 4, (w[0],), (w[1],), np.stack([np.eye(2), core.X_MATRIX]), c),
+}
+_FAULTS = {
+    "out-of-range": ((4, 1), ()),
+    "control-on-own-wire": ((0, 1), ((0, 1),)),
+    "control-value-2": ((0, 1), ((3, 2),)),
+    "overlapping-wires": ((0, 0), ()),
+}
+
+
+@pytest.mark.parametrize("kernel,fault", [
+    (kernel, fault) for kernel in sorted(_KERNELS) for fault in sorted(_FAULTS)
+    # one wire or one register: nothing to overlap
+    if not (fault == "overlapping-wires" and kernel in ("single", "qft", "phase-table"))
+])
+def test_every_kernel_refuses_bad_wires_and_controls(kernel, fault):
+    wires, controls = _FAULTS[fault]
+    amps = np.zeros(16, dtype=np.complex128)
+    amps[0] = 1.0
+    _KERNELS[kernel](amps, (0, 1), ())  # the default placement is valid
+    with pytest.raises(RegisterError):
+        _KERNELS[kernel](amps, wires, controls)
+
+
+@st.composite
+def view_cases(draw):
+    """(n, controls, regs) on at most 8 qubits: the qubits from 0 up cut
+    into runs of free qubits, controls of either value and registers,
+    listed in a random order."""
+    n = draw(st.integers(1, 8))
+    controls, regs, q = [], [], 0
+    while q < n:
+        kind, w = draw(st.sampled_from(("free", "control", "reg"))), draw(st.integers(1, n - q))
+        if kind == "control":
+            controls.append((q, draw(st.integers(0, 1))))
+            w = 1
+        elif kind == "reg":
+            regs.append((q, w))
+        q += w
+    return n, draw(st.permutations(controls)), draw(st.permutations(regs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(view_cases())
+@example((1, [(0, 1)], []))  # every qubit indexed: a 0-d view
+@example((1, [], [(0, 1)]))
+@example((3, [(0, 1), (2, 0), (1, 1)], []))
+def test_view_never_copies_and_keeps_index_order(case):
+    n, controls, regs = case
+    amps = np.arange(1 << n)
+    view, axes = core._view(amps, n, controls, regs)
+    assert np.shares_memory(view, amps)
+    # each register is one axis indexed by its value, and the view lists
+    # the selected amplitudes in index order
+    hit = [i for i in range(1 << n) if all((i >> q) & 1 == v for q, v in controls)]
+    assert view.ravel().tolist() == hit
+    for (s, w), a in zip(regs, axes):
+        values = np.moveaxis((view >> s) & ((1 << w) - 1), a, -1)
+        assert np.all(values == np.arange(1 << w))
+    # one more axis per run of other qubits
+    fixed = {q for q, _ in controls} | {q for s, w in regs for q in range(s, s + w)}
+    runs = sum(q not in fixed and (q + 1 == n or q + 1 in fixed) for q in range(n))
+    assert view.ndim == len(regs) + runs

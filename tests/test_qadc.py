@@ -1,6 +1,7 @@
 """Amplitude readout circuits: spectral blocks, full conversions, uncompute."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -493,3 +494,25 @@ def test_digital_state_follows_the_amplitude_law(variant, shape, seed):
     res = run_qadc(tree, variant, n, m, g)
     want = _amplitude_law(tree, variant, n, m, g)
     assert np.max(np.abs(res.digital_state.amps - want)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), shape=st.sampled_from([(1, 2, 1), (2, 3, 1)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_phase_register_returns_to_zero_up_to_the_unclean_mass(variant, shape, seed):
+    # the clean slice has every qubit outside the address and value
+    # registers at 0, the phase register among them
+    n, m, g = shape
+    final = []
+    clean_component = core.clean_component
+
+    def spy(state, regs):
+        final.append(state)
+        return clean_component(state, regs)
+
+    with mock.patch.object(core, "clean_component", spy):
+        res = run_qadc(_random_tree(n, seed), variant, n, m, g)
+    layout = (abs_layout if variant == "abs" else part_layout)(n, m, g)
+    (state,) = final
+    off_zero = 1.0 - core.register_distribution(state, [layout.reg("regp")])[0]
+    assert off_zero <= 1.0 - res.clean_probability + 1e-12
