@@ -40,11 +40,11 @@ from .nonlinear import (
 )
 from .prep import build_tree, load_data, synthesize_ua
 from .qadc import (
-    abs_layout,
-    g_from_prep,
-    part_layout,
+    address_copy_op,
     part_spectrum,
     readout_block,
+    readout_iterate,
+    readout_layout,
     run_qadc,
     spectrum_oracle,
     v_from_prep,
@@ -98,6 +98,8 @@ class ExperimentConfig:
                 raise ConfigError("data", "give exactly one of --data or --random")
             if self.random is not None and self.seed is None:
                 raise ConfigError("seed", "--random draws need an explicit --seed")
+        if self.random is not None and self.random < 1:
+            raise ConfigError("random", "need at least one value")
         sweeping_qadc = self.kind.startswith("qadc") and self.sweep is not None
         if (self.kind in ("qdac", "qadc-abs", "qadc-real", "qadc-imag",
                           "nonlinear", "perceptron")
@@ -117,6 +119,8 @@ class ExperimentConfig:
             raise ConfigError("shots", "need at least one shot")
         if self.layers < 0:
             raise ConfigError("layers", "the layer count cannot be negative")
+        if not 0.0 <= self.perturb < math.inf:
+            raise ConfigError("perturb", f"need a finite spread >= 0, got {self.perturb!r}")
         if self.kind == "spectrum" and self.r is None and self.sweep is None:
             raise ConfigError("r", "give --r or --sweep")
         if self.cap < 1:
@@ -278,7 +282,10 @@ def _run_qadc(cfg: ExperimentConfig) -> dict:
     if cfg.sweep is None:
         return one(cfg.m)
 
-    ms = sorted({int(tok) for tok in cfg.sweep.split(",") if tok.strip()})
+    try:
+        ms = sorted({int(tok) for tok in cfg.sweep.split(",") if tok.strip()})
+    except ValueError:
+        raise ConfigError("sweep", f"expected a comma list of integers, got {cfg.sweep!r}") from None
     if not ms:
         raise ConfigError("sweep", "no fraction-bit values in the sweep list")
     rows = _pool_map(one, ms)
@@ -386,7 +393,12 @@ def _spectrum_points(cfg: ExperimentConfig) -> list[float]:
     parts = cfg.sweep.split(":")
     if len(parts) != 3:
         raise ConfigError("sweep", "expected start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError:
+        raise ConfigError("sweep", f"expected numbers, got {cfg.sweep!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError("sweep", f"start, stop and step must be finite, got {cfg.sweep!r}")
     if step <= 0 or stop < start:
         raise ConfigError("sweep", "need step > 0 and stop >= start")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -518,11 +530,11 @@ def _check_compiled_pe() -> float:
     records compiled into blocks against the same records replaying the
     iterate, forward and inverse, on a random state."""
     rng = np.random.default_rng(20260102)
-    layout = abs_layout(1, 2, 1)
+    layout = readout_layout("abs", 1, 2, 1)
     nq = layout.n_qubits
     tree = build_tree([0.6, 0.8j], normalize="silent")
     prep = synthesize_ua(tree).op(start=layout.start("data"))
-    iterate = g_from_prep(layout, v_from_prep(layout, prep))
+    iterate = readout_iterate(layout, address_copy_op(layout) + v_from_prep(layout, prep))
     amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
     start = core.StateVector(nq, amps / np.linalg.norm(amps))
     compiled = phase_estimate_op(iterate, layout.reg("regp"))
@@ -553,10 +565,10 @@ def _check_fused_blocks() -> float:
     rng = np.random.default_rng(20260109)
     tree = build_tree([0.6, 0.8j], normalize="silent")
     worst = 0.0
-    for variant, layout in (("abs", abs_layout(1, 2, 1)), ("real", part_layout(1, 2, 1))):
-        nq = layout.n_qubits
-        prep = synthesize_ua(tree).op(start=layout.start("data"))
-        stages = readout_block(layout, prep, variant, 2, 1, nq)
+    prep = synthesize_ua(tree).op(start=1)
+    for variant in ("abs", "real"):
+        nq = readout_layout(variant, 1, 2, 1).n_qubits
+        stages = readout_block(prep, variant, 1, 2, 1, nq)
         amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
         start = core.StateVector(nq, amps / np.linalg.norm(amps))
         for op in (stages[0][1], stages[2][1]):
@@ -582,14 +594,14 @@ def _check_prep_trees() -> float:
 def _check_spectrum() -> float:
     rng = np.random.default_rng(20260104)
     worst = 0.0
-    layout = abs_layout(1, 1, 0)
+    layout = readout_layout("abs", 1, 1, 0)
     nq = layout.n_qubits
     b_s, _ = layout.reg("b")
     for r in rng.uniform(0.02, 0.98, size=30):
         spec = spectrum_oracle(float(r))
         tree = build_tree([r, math.sqrt(1.0 - r * r)], normalize="silent")
         v = v_from_prep(layout, synthesize_ua(tree).op(start=layout.start("data")))
-        gop = g_from_prep(layout, v)
+        gop = readout_iterate(layout, address_copy_op(layout) + v)
         start = v.apply(core.new_zero_state(nq)).amps
         idx = np.arange(start.size)
         branches = []

@@ -35,7 +35,7 @@ from .fixedpoint import (
     activation_oracle,
 )
 from .prep import PrepTree, synthesize_ua
-from .qadc import hadamard_layer, part_layout, readout_block, run_stages
+from .qadc import hadamard_layer, readout_block, readout_layout, run_stages
 from .qdac import check_mode, finish, value_rotation
 
 
@@ -158,7 +158,7 @@ def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
     f to."""
     check_mode(mode, rng, shots, rounds)
     # the qubit cap also bounds every 2^m-sized table: check it before building any
-    base = part_layout(n, m, g)
+    base = readout_layout("real", n, m, g)
     nb = base.n_qubits
     mw = FixedPointCodec(m, signed=True).width
     anc = nb + _arity(f) * mw
@@ -173,9 +173,9 @@ def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
     # backwards; the last block's un-estimate and the revert's first
     # re-estimate act only below nb, where the f-rotation does not, so that
     # pair cancels and the rotation sits between two copies of the value
-    blocks = [readout_block(base, prep, "real", m, g, nb)]
+    blocks = [readout_block(prep, "real", n, m, g, nb)]
     if f.arity == 2:
-        blocks.append(readout_block(base, prep, "imag", m, g, nb + mw))
+        blocks.append(readout_block(prep, "imag", n, m, g, nb + mw))
     *done, (fwd, recover, back) = blocks
     forward = [(0, hadamard_layer(base, "ad"))] + [st for b in done for st in b]
     forward += [fwd, recover]
@@ -282,7 +282,7 @@ class TrainResult:
 
 
 def train_demo(objective, ansatz: AnsatzCircuit, tree: PrepTree, sigma, m: int, g: int,
-               shots: int, rng, budget: int = 50, step: float = 0.4) -> TrainResult:
+               shots: int, rng, budget: int = 50) -> TrainResult:
     """Tune the ansatz so swap-test readouts match the target overlaps.
 
     Gradient-free coordinate search: nudge one angle at a time, keep
@@ -312,7 +312,7 @@ def train_demo(objective, ansatz: AnsatzCircuit, tree: PrepTree, sigma, m: int, 
     evals = 1
     flat_size = theta.size
     coord = 0
-    width = step
+    width = 0.4  # radians; halved after a sweep over every angle finds nothing
     stale = 0
     while evals < budget:
         moved = False

@@ -1,20 +1,21 @@
 """Analog-to-digital conversion of amplitudes via phase estimation.
 
 Three variants read different parts of the prepared amplitudes c_k into a
-register: magnitude |c_k| (swap-test geometry with a mirror register),
-real part (Hadamard test), and imaginary part (Hadamard test with a
-quarter-wave plate on the test qubit). Each variant builds a reflection
-operator whose restriction to one address acts as a plane rotation by
-2 pi theta_k, estimates theta_k into a phase register, converts the phase
+register: magnitude |c_k| (swap test V against an address mirror), real
+part (Hadamard test W), and imaginary part (W with a quarter-wave plate on
+the test qubit). They share one construction and differ only in the load
+L: readout_layout derives the registers from the variant (the mirror is
+empty for real and imag), and readout_iterate builds Z_b L^-1 R_0 L, whose
+restriction to one address acts as a plane rotation by 2 pi theta_k.
+readout_block estimates theta_k into a phase register, converts the phase
 pattern to the recovered value with a lookup oracle (one gather), and
-uncomputes everything except the address and value registers.
-readout_block builds that sequence once; run_qadc and the nonlinear
-pipeline both run it. The load is fused into dense block records
-(circuits.fuse) and the iterate is built from them, not from the loader
-gate by gate. Load and estimate are fused again, the phase-estimation
-powers nesting in the block records where they fit; the inverse QFT
-stays one qft record, an in-place FFT on the phase register. The
-uncompute stage is that stage's structural inverse.
+uncomputes everything except the address and value registers; run_qadc and
+the nonlinear pipeline both run it. The load is fused into dense block
+records (circuits.fuse) and the iterate is built from them. Load and
+estimate are fused again, the phase-estimation powers nesting in the block
+records where they fit; the inverse QFT stays one qft record, an in-place
+FFT on the phase register. The uncompute stage is that stage's structural
+inverse.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .fixedpoint import FixedPointCodec, abs_recovery_oracle, real_recovery_orac
 from .prep import UA_ENTRY_TAG, PrepTree, synthesize_ua
 
 _SQRT2 = math.sqrt(2.0)
+
+# the part of c_k each variant reads
+PARTS = {"abs": np.abs, "real": np.real, "imag": np.imag}
 
 
 @dataclass(frozen=True)
@@ -86,14 +90,20 @@ def part_spectrum(x: float) -> GroverSpectrum:
 # Layouts and circuit builders.
 
 
-def abs_layout(n: int, m: int, g: int) -> RegisterLayout:
+def readout_layout(variant: str, n: int, m: int, g: int) -> RegisterLayout:
+    """Address, data, the address mirror `a` (n qubits for abs, none for
+    real and imag), the test qubit b and the m + g bit phase register.
+    The one place a readout's variant, m and g are checked."""
+    if variant not in PARTS:
+        raise ConfigError("variant", f"unknown variant {variant!r}")
+    if m < 1:
+        raise ConfigError("m", "need at least one fraction bit")
+    if g < 0:
+        raise ConfigError("g", "guard bits cannot be negative")
+    mirror = n if variant == "abs" else 0
     return RegisterLayout.build(
-        ("ad", n), ("data", n), ("a", n), ("b", 1), ("regp", m + g)
+        ("ad", n), ("data", n), ("a", mirror), ("b", 1), ("regp", m + g)
     )
-
-
-def part_layout(n: int, m: int, g: int) -> RegisterLayout:
-    return RegisterLayout.build(("ad", n), ("data", n), ("b", 1), ("regp", m + g))
 
 
 def hadamard_layer(layout: RegisterLayout, name: str) -> CircuitOp:
@@ -103,10 +113,10 @@ def hadamard_layer(layout: RegisterLayout, name: str) -> CircuitOp:
 
 
 def address_copy_op(layout: RegisterLayout) -> CircuitOp:
-    """CNOTs fanning the address bits into the mirror register."""
+    """CNOTs fanning the address bits into the mirror register; empty when
+    the layout has no mirror."""
     ad = layout.start("ad")
-    a = layout.start("a")
-    n = layout.width("ad")
+    a, n = layout.reg("a")
     return CircuitOp(
         tuple(
             Gate("x", (a + i,), controls=((ad + i, 1),)) for i in range(n)
@@ -128,25 +138,6 @@ def v_from_prep(layout: RegisterLayout, prep: CircuitOp) -> CircuitOp:
     return CircuitOp(tuple(gates), label="v")
 
 
-def g_from_prep(layout: RegisterLayout, v_op: CircuitOp) -> CircuitOp:
-    """The magnitude-variant reflection: Z_B, V^-1, fan-in, flip about zero,
-    fan-in, V (applied left to right)."""
-    b = layout.start("b")
-    zero_qubits = (
-        tuple(layout.qubits("data")) + tuple(layout.qubits("a")) + (b,)
-    )
-    copy = address_copy_op(layout).gates
-    gates = (
-        (Gate("z", (b,)),)
-        + v_op.inverse().gates
-        + copy
-        + (Gate("reflect", zero_qubits),)
-        + copy
-        + v_op.gates
-    )
-    return CircuitOp(gates, label="g")
-
-
 def w_from_prep(layout: RegisterLayout, prep: CircuitOp, imag: bool) -> CircuitOp:
     """Hadamard test: branch B=0 loads the data, branch B=1 mirrors the
     address into the data register. The imag variant inserts a quarter
@@ -166,45 +157,43 @@ def w_from_prep(layout: RegisterLayout, prep: CircuitOp, imag: bool) -> CircuitO
     return CircuitOp(tuple(gates), label="w-imag" if imag else "w")
 
 
-def g_prime_from_prep(layout: RegisterLayout, w_op: CircuitOp) -> CircuitOp:
+def readout_iterate(layout: RegisterLayout, load: CircuitOp) -> CircuitOp:
+    """The readout reflection, applied left to right: Z_b, load^-1, the
+    reflection about |0> of data, mirror and b, load."""
     b = layout.start("b")
-    zero_qubits = tuple(layout.qubits("data")) + (b,)
+    zero_qubits = tuple(layout.qubits("data")) + tuple(layout.qubits("a")) + (b,)
     gates = (
         (Gate("z", (b,)),)
-        + w_op.inverse().gates
+        + load.inverse().gates
         + (Gate("reflect", zero_qubits),)
-        + w_op.gates
+        + load.gates
     )
-    return CircuitOp(gates, label="g-prime")
+    return CircuitOp(gates, label="g")
 
 
-def readout_block(layout: RegisterLayout, prep: CircuitOp, variant: str,
-                  m: int, g: int, out_start: int) -> list:
+def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
+                  out_start: int) -> list:
     """One readout as (extra_qubits, op) stages for run_stages.
 
     Load and estimate; copy the recovered value into a value register of
     fresh qubits at out_start (m bits for abs, m + 1 signed bits for real
-    and imag); un-estimate and un-load. The load (V for abs, W for real
-    and imag) is fused first, and the iterate is built from the fused
-    records: G' is Z_b, W^-1, the reflection, W, and G likewise around V,
-    with the inverse records' blocks conjugate-transposed. Load and
-    estimate are fused again into block records around the one qft record;
-    the un-estimate stage is their structural inverse. The copy is
-    self-inverse and the stages around it mirror each other, so the block
-    is its own inverse. prep is the data-load circuit on the data register.
+    and imag); un-estimate and un-load. The load is the address copy into
+    the mirror (empty but for abs), then the fused V or W; the iterate's
+    inverse records have their blocks conjugate-transposed. Load and
+    estimate are fused again around the one qft record; the un-estimate
+    stage is their structural inverse. The copy is self-inverse and the
+    stages around it mirror each other, so the block is its own inverse.
+    prep is the data-load circuit on the data register.
     """
+    layout = readout_layout(variant, n, m, g)
     if variant == "abs":
-        v_op = fuse(v_from_prep(layout, prep))
-        load = address_copy_op(layout) + v_op
-        iterate = g_from_prep(layout, v_op)
+        test_op = v_from_prep(layout, prep)
         oracle = abs_recovery_oracle(m, guard_bits=g)
-    elif variant in ("real", "imag"):
-        load = fuse(w_from_prep(layout, prep, imag=variant == "imag"))
-        iterate = g_prime_from_prep(layout, load)
-        oracle = real_recovery_oracle(m, guard_bits=g)
     else:
-        raise ConfigError("variant", f"unknown variant {variant!r}")
-    pe = phase_estimate_op(iterate, layout.reg("regp"))
+        test_op = w_from_prep(layout, prep, imag=variant == "imag")
+        oracle = real_recovery_oracle(m, guard_bits=g)
+    load = address_copy_op(layout) + fuse(test_op)
+    pe = phase_estimate_op(readout_iterate(layout, load), layout.reg("regp"))
     width = oracle.out_codec.width
     wires = tuple(layout.qubits("regp")) + tuple(range(out_start, out_start + width))
     recover = CircuitOp(
@@ -269,22 +258,18 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
              cap: int = core.DEFAULT_QUBIT_CAP) -> QadcResult:
     """Read one part of the tree's amplitudes into an m-bit value register:
     "abs" the magnitudes |c_k|, "real" and "imag" the signed parts."""
-    parts = {"abs": np.abs, "real": np.real, "imag": np.imag}
-    if variant not in parts:
-        raise ConfigError("variant", f"unknown variant {variant!r}")
     if n != tree.depth:
         raise ConfigError("n", f"tree has {tree.depth} address qubits, got n={n}")
-    true_values = np.array(parts[variant](tree.amplitudes()), dtype=np.float64)
-    spectrum = spectrum_oracle if variant == "abs" else part_spectrum
-    thetas = [spectrum(x).theta for x in true_values]
-
     # the qubit cap also bounds the 2^t-entry recovery table: check it first
-    layout = abs_layout(n, m, g) if variant == "abs" else part_layout(n, m, g)
+    layout = readout_layout(variant, n, m, g)
     codec = FixedPointCodec(m, signed=variant != "abs")
     reg_s = layout.n_qubits
     core.check_qubit_cap(reg_s + codec.width, cap)
+    true_values = np.array(PARTS[variant](tree.amplitudes()), dtype=np.float64)
+    spectrum = spectrum_oracle if variant == "abs" else part_spectrum
+    thetas = [spectrum(x).theta for x in true_values]
 
-    stages = readout_block(layout, synthesize_ua(tree).op(start=n), variant, m, g, reg_s)
+    stages = readout_block(synthesize_ua(tree).op(start=n), variant, n, m, g, reg_s)
     estimate = hadamard_layer(layout, "ad") + stages[0][1]
     # held in a list that is popped into run_stages, so no reference to the
     # pre-recover state stays alive while the later stages run

@@ -52,11 +52,11 @@ def make_digital_state(data, m: int, signed: bool = False,
     return op.apply(core.new_zero_state(n_addr + codec.width, cap=cap))
 
 
-def digital_load_op(codes, n_addr: int, value_width: int, start: int = 0) -> CircuitOp:
+def digital_load_op(codes, n_addr: int, value_width: int) -> CircuitOp:
     """Hadamards on the address register, then the XOR table load."""
-    gates = [Gate("h", (start + q,)) for q in range(n_addr)]
+    gates = [Gate("h", (q,)) for q in range(n_addr)]
     gates.append(
-        Gate("oracle", tuple(range(start, start + n_addr + value_width)),
+        Gate("oracle", tuple(range(n_addr + value_width)),
              tuple(int(c) for c in codes), label="load-data")
     )
     return CircuitOp(tuple(gates), label="load-digital")
@@ -109,21 +109,18 @@ def value_rotation(f: FunctionOracle, start: int) -> Gate:
     return Gate("mux-ry", tuple(range(start, start + width + 1)), tuple(angles))
 
 
-def conversion_suffix_op(
-    f: FunctionOracle, d_codes, n_addr: int, start: int = 0
-) -> tuple[CircuitOp, int]:
+def conversion_suffix_op(f: FunctionOracle, d_codes, n_addr: int) -> tuple[CircuitOp, int]:
     """Gates that turn an already-loaded digital state into the analog one.
 
-    Layout above `start`: the address register, the value register (f's
+    Layout from qubit 0: the address register, the value register (f's
     input width), then the ancilla. The ancilla is rotated by
     value_rotation, then the data are unloaded. Returns the circuit and the
     ancilla qubit index.
     """
-    v_start = start + n_addr
-    anc = v_start + f.in_codecs[0].width
-    unload = Gate("oracle", tuple(range(start, anc)), tuple(int(c) for c in d_codes),
+    anc = n_addr + f.in_codecs[0].width
+    unload = Gate("oracle", tuple(range(anc)), tuple(int(c) for c in d_codes),
                   label="unload-data")
-    return CircuitOp((value_rotation(f, v_start), unload), label="qdac-suffix"), anc
+    return CircuitOp((value_rotation(f, n_addr), unload), label="qdac-suffix"), anc
 
 
 def qdac_run(

@@ -28,10 +28,11 @@ from qadconv.nonlinear import (
 )
 from qadconv.prep import build_tree, synthesize_ua
 from qadconv.qadc import (
-    abs_layout,
     abs_qadc,
-    g_from_prep,
+    address_copy_op,
     imag_qadc,
+    readout_iterate,
+    readout_layout,
     real_qadc,
     spectrum_oracle,
     v_from_prep,
@@ -163,7 +164,7 @@ def test_05_phase_estimation():
 
 def test_06_iterate_spectrum():
     rng = np.random.default_rng(20260606)
-    layout = abs_layout(1, 1, 0)
+    layout = readout_layout("abs", 1, 1, 0)
     nq = layout.n_qubits
     b_s, _ = layout.reg("b")
     idx = np.arange(1 << nq)
@@ -173,7 +174,7 @@ def test_06_iterate_spectrum():
         spec = spectrum_oracle(r)
         tree = build_tree([r, math.sqrt(max(0.0, 1.0 - r * r))], normalize="silent")
         v = v_from_prep(layout, synthesize_ua(tree).op(start=layout.start("data")))
-        gop = g_from_prep(layout, v)
+        gop = readout_iterate(layout, address_copy_op(layout) + v)
         start = v.apply(core.new_zero_state(nq)).amps
         branches = []
         for bit in (0, 1):

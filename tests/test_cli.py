@@ -336,6 +336,27 @@ def test_negative_layer_count_exits_2(capsys):
     assert "layers" in capsys.readouterr().err
 
 
+_TRAIN = ["perceptron", "--random", "4", "--seed", "1", "--m", "2", "--g", "1",
+          "--train-budget", "2"]
+
+
+@pytest.mark.parametrize("argv,field", [
+    pytest.param(_TRAIN + ["--perturb", "-1"], "perturb", id="perturb-negative"),
+    pytest.param(_TRAIN + ["--perturb", "nan"], "perturb", id="perturb-nan"),
+    pytest.param(["spectrum", "--sweep", "0:nan:0.1"], "sweep", id="sweep-nan-stop"),
+    pytest.param(["spectrum", "--sweep", "0:1:inf"], "sweep", id="sweep-inf-step"),
+    pytest.param(["spectrum", "--sweep", "a:1:0.1"], "sweep", id="sweep-word"),
+    pytest.param(["qadc", "--random", "4", "--seed", "1", "--sweep", ",x"], "sweep",
+                 id="sweep-token"),
+    pytest.param(["prep", "--random", "-2", "--seed", "1"], "random", id="random-negative"),
+])
+def test_bad_numbers_exit_2_naming_the_option(capsys, argv, field):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+
+
 def test_qdac_state_is_address_value_and_ancilla(capsys):
     # 2 address + 8 value qubits + ancilla = 11: the cap fits the whole state
     assert cli.main(["qdac", "--random", "4", "--seed", "1", "--m", "8",

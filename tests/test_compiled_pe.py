@@ -45,9 +45,9 @@ def readout_ops(variant, tree, n, m, g):
     """(layout, front, iterate): the Hadamard layer plus the unfused load
     that precedes phase estimation in the readout block run_qadc runs, and
     the iterate that block's phase-estimation power records raise."""
-    layout = (qadc.abs_layout if variant == "abs" else qadc.part_layout)(n, m, g)
+    layout = qadc.readout_layout(variant, n, m, g)
     prep = synthesize_ua(tree).op(start=layout.start("data"))
-    estimate = qadc.readout_block(layout, prep, variant, m, g, layout.n_qubits)[0][1]
+    estimate = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)[0][1]
     power = next(pe_records(estimate.gates))
     if variant == "abs":
         load = qadc.address_copy_op(layout) + qadc.v_from_prep(layout, prep)

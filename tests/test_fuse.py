@@ -257,18 +257,17 @@ def test_a_power_records_key_wires_stay_keys_when_fused():
 @pytest.mark.parametrize("variant", ["abs", "real", "imag"])
 def test_readout_block_fuses_load_and_estimate_once(variant):
     n, m, g = 2, 2, 1
-    layout = (qadc.abs_layout if variant == "abs" else qadc.part_layout)(n, m, g)
+    layout = qadc.readout_layout(variant, n, m, g)
     rng = np.random.default_rng(7)
     c = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     prep = synthesize_ua(build_tree(c / np.linalg.norm(c))).op(start=layout.start("data"))
     if variant == "abs":
-        v_op = qadc.v_from_prep(layout, prep)
-        load, iterate = qadc.address_copy_op(layout) + v_op, qadc.g_from_prep(layout, v_op)
+        load = qadc.address_copy_op(layout) + qadc.v_from_prep(layout, prep)
     else:
         load = qadc.w_from_prep(layout, prep, imag=variant == "imag")
-        iterate = qadc.g_prime_from_prep(layout, load)
+    iterate = qadc.readout_iterate(layout, load)
     flat = load + circuits.phase_estimate_op(iterate, layout.reg("regp"))
-    stages = qadc.readout_block(layout, prep, variant, m, g, layout.n_qubits)
+    stages = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)
     fwd, back = stages[0][1], stages[2][1]
     assert any(is_fused(gate) for gate in fwd.gates)
     assert len(fwd.gates) < len(flat.gates)
@@ -290,10 +289,10 @@ def test_readout_stages_are_block_records_and_one_qft(variant):
     # readout; the one qft record is an in-place FFT whose buffers stay
     # far below the state's size
     n, m, g = 2, 4, 3
-    layout = (qadc.abs_layout if variant == "abs" else qadc.part_layout)(n, m, g)
+    layout = qadc.readout_layout(variant, n, m, g)
     prep = synthesize_ua(build_tree(np.array([0.1, 0.5j, -0.7, 0.5]))).op(
         start=layout.start("data"))
-    stages = qadc.readout_block(layout, prep, variant, m, g, layout.n_qubits)
+    stages = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)
     # the estimate ends in the inverse QFT, and the un-estimate undoes it
     for (_, op), sign in ((stages[0], -1), (stages[2], 1)):
         (qft,) = [gate for gate in op.gates if gate.kind == "qft"]
@@ -305,10 +304,10 @@ def test_readout_stages_are_block_records_and_one_qft(variant):
 @pytest.mark.parametrize("variant", ["abs", "real", "imag"])
 def test_one_daggered_iterate_per_phase_estimation(variant):
     n, m, g = 2, 4, 3
-    layout = (qadc.abs_layout if variant == "abs" else qadc.part_layout)(n, m, g)
+    layout = qadc.readout_layout(variant, n, m, g)
     prep = synthesize_ua(build_tree(np.array([0.1, 0.5j, -0.7, 0.5]))).op(
         start=layout.start("data"))
-    stages = qadc.readout_block(layout, prep, variant, m, g, layout.n_qubits)
+    stages = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)
     assert len(pe_iterates(stages[0][1].gates)) == 1
     assert len(pe_iterates(stages[2][1].gates)) == 1
 

@@ -19,7 +19,7 @@ from qadconv.nonlinear import (
     train_demo,
 )
 from qadconv.prep import build_tree, synthesize_ua
-from qadconv.qadc import hadamard_layer, part_layout, readout_block, run_stages
+from qadconv.qadc import hadamard_layer, readout_block, readout_layout, run_stages
 from qadconv.qdac import finish, grover_rounds, value_rotation
 from qadconv.reference import dense_unitary, grover_probability, is_unitary
 
@@ -201,11 +201,11 @@ def _uncancelled_pipeline(tree, name, n, m, g, mode):
     read out by the same finish. Returns (outcome, p, predicted)."""
     f = activation_oracle(name, m, in_signed=True, out_signed=True)
     prep = synthesize_ua(tree).op(start=n)
-    base = part_layout(n, m, g)
+    base = readout_layout("real", n, m, g)
     nb, mw = base.n_qubits, m + 1
-    blocks = [readout_block(base, prep, "real", m, g, nb)]
+    blocks = [readout_block(prep, "real", n, m, g, nb)]
     if f.arity == 2:
-        blocks.append(readout_block(base, prep, "imag", m, g, nb + mw))
+        blocks.append(readout_block(prep, "imag", n, m, g, nb + mw))
     anc = nb + f.arity * mw
     forward = [(0, hadamard_layer(base, "ad"))] + [st for b in blocks for st in b]
     rest = [(1, CircuitOp((value_rotation(f, nb),)))]
@@ -244,7 +244,7 @@ def test_cancelled_pipeline_matches_the_uncancelled_circuit(monkeypatch, name, n
 
     # f is evaluated on the digital value register(s): the rotation is one
     # mux-ry keyed on the value qubits, with the ancilla right above them
-    nb = part_layout(n, m, g).n_qubits
+    nb = readout_layout("real", n, m, g).n_qubits
     anc = nb + (2 if name == "product" else 1) * (m + 1)
     (rotation,) = [op for op in ops if op.label == "f-rotation"]
     (gate,) = rotation.gates

@@ -7,23 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qadconv import core, reference
+from qadconv import core, qadc, reference
 from qadconv.circuits import PE_CTRL_TAG, CircuitOp, RegisterLayout, power_records
 from qadconv.errors import ConfigError, ResourceLimitError
 from qadconv.fixedpoint import abs_recovery_oracle
+from qadconv.nonlinear import AnsatzCircuit, nonlinear_transform, perceptron_run
 from qadconv.prep import UA_ENTRY_TAG, build_tree, synthesize_ua
 from qadconv.qadc import (
     GroverSpectrum,
-    abs_layout,
     abs_qadc,
     address_copy_op,
-    g_from_prep,
-    g_prime_from_prep,
     hadamard_layer,
     imag_qadc,
-    part_layout,
     part_spectrum,
     readout_block,
+    readout_iterate,
+    readout_layout,
     real_qadc,
     run_qadc,
     run_stages,
@@ -36,6 +35,11 @@ from qadconv.reference import dense_unitary
 
 def _loader(layout, tree):
     return synthesize_ua(tree).op(start=layout.start("data"))
+
+
+def _abs_iterate(layout, tree):
+    """The magnitude iterate around the unfused load: address copy, then V."""
+    return readout_iterate(layout, address_copy_op(layout) + v_from_prep(layout, _loader(layout, tree)))
 
 
 def test_spectrum_oracle_anchors():
@@ -99,7 +103,7 @@ def test_v_branch_norms_random_complex():
     c = rng.normal(size=4) + 1j * rng.normal(size=4)
     c /= np.linalg.norm(c)
     tree = build_tree(c)
-    layout = abs_layout(2, 1, 1)
+    layout = readout_layout("abs", 2, 1, 1)
     op = hadamard_layer(layout, "ad") + address_copy_op(layout) + v_from_prep(layout, _loader(layout, tree))
     state = op.apply(core.new_zero_state(layout.n_qubits))
     joint = core.register_distribution(state, [layout.reg("ad"), layout.reg("b")])
@@ -117,7 +121,7 @@ def test_g_block_matches_spectrum_for_random_r():
         s = spectrum_oracle(r)
         e0 = v0 / np.linalg.norm(v0)
         e1 = v1 / np.linalg.norm(v1)
-        gmat = dense_unitary(g_from_prep(layout, v_from_prep(layout, _loader(layout, tree))), 4)
+        gmat = dense_unitary(_abs_iterate(layout, tree), 4)
         block = np.array(
             [
                 [e0.conj() @ gmat @ e0, e0.conj() @ gmat @ e1],
@@ -152,7 +156,7 @@ def test_g_block_quarter_turn_at_r_zero():
     layout, tree, psi, v0, v1 = _abs_branches(0.0)
     e0 = v0 / np.linalg.norm(v0)
     e1 = v1 / np.linalg.norm(v1)
-    gmat = dense_unitary(g_from_prep(layout, v_from_prep(layout, _loader(layout, tree))), 4)
+    gmat = dense_unitary(_abs_iterate(layout, tree), 4)
     block = np.array(
         [
             [e0.conj() @ gmat @ e0, e0.conj() @ gmat @ e1],
@@ -166,13 +170,13 @@ def test_g_block_quarter_turn_at_r_zero():
 
 def test_g_flips_start_state_at_r_one():
     layout, tree, psi, _, _ = _abs_branches(1.0)
-    out = g_from_prep(layout, v_from_prep(layout, _loader(layout, tree))).apply(core.StateVector(4, psi.copy()))
+    out = _abs_iterate(layout, tree).apply(core.StateVector(4, psi.copy()))
     assert np.max(np.abs(out.amps + psi)) < 1e-10
 
 
 def _part_branches(c):
     tree = build_tree(np.asarray(c, dtype=complex))
-    layout = RegisterLayout.build(("ad", 1), ("data", 1), ("b", 1))
+    layout = RegisterLayout.build(("ad", 1), ("data", 1), ("a", 0), ("b", 1))
     return layout, tree
 
 
@@ -191,7 +195,7 @@ def test_g_prime_block_matches_part_spectrum(imag):
         assert np.linalg.norm(v0) ** 2 == pytest.approx((1 + x) / 2, abs=1e-12)
         e0 = v0 / np.linalg.norm(v0)
         e1 = v1 / np.linalg.norm(v1)
-        gmat = dense_unitary(g_prime_from_prep(layout, w), 3)
+        gmat = dense_unitary(readout_iterate(layout, w), 3)
         block = np.array(
             [
                 [e0.conj() @ gmat @ e0, e0.conj() @ gmat @ e1],
@@ -363,9 +367,9 @@ def _random_tree(n, seed):
 @settings(max_examples=30, deadline=None)
 @given(**small_readouts)
 def test_readout_block_is_its_own_inverse(variant, n, m, g, seed):
-    layout = (abs_layout if variant == "abs" else part_layout)(n, m, g)
+    layout = readout_layout(variant, n, m, g)
     prep = _loader(layout, _random_tree(n, seed))
-    stages = readout_block(layout, prep, variant, m, g, layout.n_qubits)
+    stages = readout_block(prep, variant, n, m, g, layout.n_qubits)
     width = m if variant == "abs" else m + 1
     assert [extra for extra, _ in stages] == [0, width, 0]
     assert stages[1][1].label == "recover"
@@ -381,9 +385,9 @@ def test_readout_block_is_its_own_inverse(variant, n, m, g, seed):
 @settings(max_examples=30, deadline=None)
 @given(**small_readouts)
 def test_every_readout_stage_preserves_the_norm(variant, n, m, g, seed):
-    layout = (abs_layout if variant == "abs" else part_layout)(n, m, g)
+    layout = readout_layout(variant, n, m, g)
     prep = _loader(layout, _random_tree(n, seed))
-    stages = readout_block(layout, prep, variant, m, g, layout.n_qubits)
+    stages = readout_block(prep, variant, n, m, g, layout.n_qubits)
     nq = layout.n_qubits
     rng = np.random.default_rng(seed ^ 0x5EED)
     amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
@@ -413,8 +417,38 @@ def test_run_qadc_rejects_bad_arguments():
     with pytest.raises(ConfigError):
         run_qadc(tree, "abs", 2, 2, 1)
     with pytest.raises(ConfigError):
-        readout_block(part_layout(1, 2, 1), _loader(part_layout(1, 2, 1), tree),
-                      "phase", 2, 1, 6)
+        readout_block(synthesize_ua(tree).op(start=1), "phase", 1, 2, 1, 6)
+
+
+@pytest.mark.parametrize("m,g", [(2, -1), (0, 1)], ids=["g-1", "m0"])
+@pytest.mark.parametrize("entry", ["qadc", "transform", "perceptron"])
+def test_bad_m_or_g_is_refused_before_any_readout_block(monkeypatch, entry, m, g):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fused a readout load before checking m and g")
+
+    monkeypatch.setattr(qadc, "fuse", refuse)
+    tree = build_tree(np.array([0.6, 0.8]))
+    with pytest.raises(ConfigError, match="g:" if g < 0 else "m:"):
+        if entry == "qadc":
+            run_qadc(tree, "abs", 1, m, g)
+        elif entry == "transform":
+            nonlinear_transform(tree, "square", 1, m, g)
+        else:
+            perceptron_run(tree, AnsatzCircuit(1, 1, np.zeros((1, 1, 2))), "tanh", m, g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_readout_layout_places_b_and_the_phase_register_after_the_mirror(variant, n):
+    # the nonlinear pipeline's register arithmetic (nb, anc) rests on these
+    m, g = 3, 2
+    layout = readout_layout(variant, n, m, g)
+    mirror = n if variant == "abs" else 0
+    assert [(name, width) for name, _, width in layout.registers] == [
+        ("ad", n), ("data", n), ("a", mirror), ("b", 1), ("regp", m + g)]
+    assert layout.start("b") == 2 * n + mirror
+    assert layout.reg("regp") == (2 * n + mirror + 1, m + g)
+    assert layout.n_qubits == 2 * n + mirror + 1 + m + g
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -444,16 +478,17 @@ def _pe_records(gates):
 @pytest.mark.parametrize("n,m,g", [(1, 2, 1), (2, 3, 2)])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fused_load_iterate_powers_match_the_unfused_iterate(variant, n, m, g):
-    layout = (abs_layout if variant == "abs" else part_layout)(n, m, g)
+    layout = readout_layout(variant, n, m, g)
     tree = _random_tree(n, 17 * n + m)
     prep = _loader(layout, tree)
     if variant == "abs":
-        flat = g_from_prep(layout, v_from_prep(layout, prep))
+        load = address_copy_op(layout) + v_from_prep(layout, prep)
     else:
-        flat = g_prime_from_prep(layout, w_from_prep(layout, prep, variant == "imag"))
+        load = w_from_prep(layout, prep, variant == "imag")
+    flat = readout_iterate(layout, load)
     t = m + g
     want = power_records(flat, t)
-    got = _pe_records(readout_block(layout, prep, variant, m, g, layout.n_qubits)[0][1].gates)
+    got = _pe_records(readout_block(prep, variant, n, m, g, layout.n_qubits)[0][1].gates)
     assert len(got) == t
     for j, (rec, ref) in enumerate(zip(got, want)):
         assert rec.params.count == ref.params.count == 1 << j
@@ -512,7 +547,7 @@ def test_phase_register_returns_to_zero_up_to_the_unclean_mass(variant, shape, s
 
     with mock.patch.object(core, "clean_component", spy):
         res = run_qadc(_random_tree(n, seed), variant, n, m, g)
-    layout = (abs_layout if variant == "abs" else part_layout)(n, m, g)
+    layout = readout_layout(variant, n, m, g)
     (state,) = final
     off_zero = 1.0 - core.register_distribution(state, [layout.reg("regp")])[0]
     assert off_zero <= 1.0 - res.clean_probability + 1e-12
