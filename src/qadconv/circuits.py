@@ -4,13 +4,22 @@ A CircuitOp is an immutable tuple of Gate records. Applying one copies the
 amplitude buffer once and then runs each record's in-place kernel, looked up
 by kind in KINDS. Inversion, control wrapping, and primitive counting all
 work structurally on the records through the same table. The QFT is one
-"qft" record, an in-place FFT. Phase estimation emits one "power" record
-per phase bit: the iterate raised to 2^j, compiled into per-key-value dense
-blocks by repeated squaring. fuse compiles runs of gates the same way,
-compiled powers included, into count-1 power records whose block tables
-hold at most 4^FUSE_QUBITS entries; a fused record keeps its source gates,
-so its inverse (conjugate-transposed blocks) and its logical count come
-from the same rules as any power record.
+"qft" record, an in-place FFT. Generic phase estimation (phase_estimate_op)
+emits one "power" record per phase bit: the iterate raised to 2^j,
+compiled into per-key-value dense blocks by repeated squaring. fuse
+compiles runs of gates the same way, compiled powers included, into
+count-1 power records whose block tables hold at most 4^FUSE_QUBITS
+entries; a fused record keeps its source gates, so its inverse
+(conjugate-transposed blocks) and its logical count come from the same
+rules as any power record.
+
+For an iterate whose eigenbasis V is known, the whole cascade of
+controlled powers is V diag(e^(i phi omega)) V^H: spectral_record writes
+the diagonal as one "spectral" record (a phase table that carries the
+iterate and its logical count 2^t - 1), and an "eigenbasis" record holds
+V^H in factored form, Householder reflections and a 2x2 mix per key value,
+so it needs no table of its own; fuse compiles a small one into blocks.
+The qADC readouts estimate this way.
 """
 
 from __future__ import annotations
@@ -83,10 +92,12 @@ class RegisterLayout:
 #   mux-ry        key register + (target,)           2^w_key angles
 #   qft           the register                       (sign,): +1 QFT, -1 inverse
 #   power         key qubits + target qubits         PowerTable
+#   eigenbasis    key qubits + target qubits         Eigenbasis
+#   spectral      eigen-index + phase register       SpectralTable
 #
 # A table's length fixes its register's width, which is how oracle and
-# mux-ry records split their wires; a PowerTable's `keys` count splits a
-# power record's wires.
+# mux-ry records split their wires; the `keys` count of a PowerTable or an
+# Eigenbasis splits a power or eigenbasis record's wires.
 
 
 def _reg(qubits) -> tuple[int, int]:
@@ -157,20 +168,49 @@ def _inverse_gates(gates, memo) -> tuple:
     return tuple(g.dagger(memo) for g in reversed(gates))
 
 
-def _power_inverse(table, memo):
+def _inverse_iterate(iterate, memo) -> tuple:
     """memo maps id(iterate) to (iterate, its inverse) within one inversion,
     so the records of a phase estimation, which share one iterate, also
     share one daggered iterate. It holds the iterate so the id stays its."""
-    key = id(table.iterate)
+    key = id(iterate)
     if key not in memo:
-        memo[key] = (table.iterate, _inverse_gates(table.iterate, memo))
+        memo[key] = (iterate, _inverse_gates(iterate, memo))
+    return memo[key][1]
+
+
+def _power_inverse(table, memo):
     blocks = None if table.blocks is None else table.blocks.conj().transpose(0, 2, 1)
-    return replace(table, iterate=memo[key][1], blocks=blocks)
+    return replace(table, iterate=_inverse_iterate(table.iterate, memo), blocks=blocks)
 
 
 def _power_cost(g) -> int:
     return g.params.count * sum(h.primitive_count for h in g.params.iterate)
 
+
+def _eigenbasis(g, amps, n):
+    basis = g.params
+    keys, rest, b = g.wires[:basis.keys], g.wires[basis.keys:-1], g.wires[-1]
+    at_zero = (*g.controls, *((q, 0) for q in rest))
+    if basis.mix_first:
+        core.apply_block_table_inplace(amps, n, keys, (b,), basis.mix, at_zero)
+    core.apply_reflection_table_inplace(amps, n, (*keys, b), rest, basis.vectors, g.controls)
+    if not basis.mix_first:
+        core.apply_block_table_inplace(amps, n, keys, (b,), basis.mix, at_zero)
+
+
+def _eigenbasis_inverse(basis, _memo):
+    # the reflections are self-inverse; the mix is conjugate-transposed and
+    # moves to the other side of them
+    return replace(basis, mix=basis.mix.conj().transpose(0, 2, 1), mix_first=not basis.mix_first)
+
+
+def _spectral(g, amps, n):
+    core.apply_phase_table_inplace(amps, n, _reg(g.wires), g.params.phases, g.controls)
+
+
+def _spectral_inverse(table, memo):
+    return replace(table, iterate=_inverse_iterate(table.iterate, memo),
+                   phases=table.phases.conj())
 
 
 class Kind(NamedTuple):
@@ -195,6 +235,10 @@ KINDS = {
     "mux-ry": Kind(_mux_ry, _negate, lambda g: len(g.params)),
     "qft": Kind(_qft, _negate, _qft_cost),
     "power": Kind(_power, _power_inverse, _power_cost),
+    # a change of basis that the simulation pulls out of phase estimation,
+    # not a gate of the logical circuit
+    "eigenbasis": Kind(_eigenbasis, _eigenbasis_inverse, lambda g: 0),
+    "spectral": Kind(_spectral, _spectral_inverse, _power_cost),
 }
 
 
@@ -214,6 +258,42 @@ class PowerTable:
     count: int
     keys: int
     blocks: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Eigenbasis:
+    """Params of an eigenbasis record: per key value v, a unitary V_v^H on
+    the target wires, in factored form. The record's first `keys` wires are
+    keys; its highest target b splits the targets into two halves.
+    vectors[v | b << keys] is the Householder vector (squared norm 2) that
+    reflects half b where the keys hold v, and mix[v] is a 2x2 unitary on b
+    where the other targets are 0. The reflections come first, then the
+    mix; with mix_first the mix comes first (the inverse). No table of
+    2^(keys + 2 targets) entries is held, so a record of any size applies
+    in a few passes over the state; fuse compiles a small one into blocks
+    like any other gate.
+    """
+
+    keys: int
+    vectors: np.ndarray
+    mix: np.ndarray
+    mix_first: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class SpectralTable:
+    """Params of a spectral record: the phase-estimation cascade of
+    `iterate`, prod_j (C_j iterate^(2^j)), written in the iterate's
+    eigenbasis. That cascade is diagonal: phases[v | phi << w] =
+    e^(i phi omega_v), where v is the value of the record's low w wires
+    (the eigen-index), omega_v the iterate's eigenphase there and phi the
+    value of the wires above (the phase register). `count` is the logical
+    number of iterate applications, 2^t - 1.
+    """
+
+    iterate: tuple
+    count: int
+    phases: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,9 +408,9 @@ POWER_TABLE_BUDGET = 1 << 20
 
 
 def _roles(g) -> tuple[set, set]:
-    """(wires, controls) of one gate as qubit sets. A power record reads its
-    first params.keys wires only as controls."""
-    k = g.params.keys if g.kind == "power" else 0
+    """(wires, controls) of one gate as qubit sets. A power or eigenbasis
+    record reads its first params.keys wires only as controls."""
+    k = g.params.keys if g.kind in ("power", "eigenbasis") else 0
     return set(g.wires[k:]), set(g.wires[:k]) | {q for q, _ in g.controls}
 
 
@@ -466,3 +546,30 @@ def phase_estimate_op(unitary: CircuitOp, regp) -> CircuitOp:
     gates.extend(iqft_op(s, t).gates)
     return CircuitOp(tuple(gates), label="phase-estimate")
 
+
+def spectral_record(unitary: CircuitOp, phases, regp) -> Gate:
+    """Phase estimation's controlled powers of `unitary` for a state already
+    in the unitary's eigenbasis, as one spectral record.
+
+    phases[v] is the unitary's eigenphase on eigen-index v, the value of the
+    register of log2(len(phases)) qubits just below the phase register regp.
+    The record is the phase table e^(i phi phases[v]) over both registers,
+    built in place by doubling: the rows for phi in [2^j, 2^(j+1)) are the
+    rows below them times e^(i 2^j phases). It carries PE_CTRL_TAG, the
+    unitary's gates and the logical count 2^t - 1 of the power records it
+    replaces, so primitive and controlled-unitary counts are theirs.
+    """
+    s, t = regp
+    phases = np.asarray(phases, dtype=np.float64)
+    w = phases.size.bit_length() - 1
+    if t < 1:
+        raise RegisterError("phase register must have at least one bit")
+    if phases.size != 1 << w or w > s:
+        raise RegisterError(f"{phases.size} eigenphases do not fill a register below qubit {s}")
+    table = np.empty((1 << t, 1 << w), dtype=np.complex128)
+    table[0] = 1.0
+    for j in range(t):
+        np.multiply(table[:1 << j], np.exp(1j * (1 << j) * phases), out=table[1 << j:2 << j])
+    params = SpectralTable(unitary.gates, (1 << t) - 1, table.reshape(-1))
+    return Gate("spectral", tuple(range(s - w, s + t)), params, tag=PE_CTRL_TAG,
+                label=unitary.label)

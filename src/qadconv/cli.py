@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, reference
-from .circuits import PE_CTRL_TAG, CircuitOp, Gate, phase_estimate_op
+from .circuits import CircuitOp, Gate, fuse, phase_estimate_op
 from .errors import (
     ConfigError,
     QadconvError,
@@ -43,8 +43,10 @@ from .qadc import (
     address_copy_op,
     part_spectrum,
     readout_block,
+    readout_eigenbasis,
     readout_iterate,
     readout_layout,
+    readout_test,
     run_qadc,
     spectrum_oracle,
     v_from_prep,
@@ -54,6 +56,9 @@ from .qdac import MODES, make_digital_state, predict_success, qdac_run
 SCHEMA = "qadconv/v1"
 KINDS = ("prep", "qdac", "qadc-abs", "qadc-real", "qadc-imag",
          "nonlinear", "perceptron", "spectrum", "verify")
+
+# Most points a spectrum sweep may ask for; checked before any is built.
+SWEEP_POINT_CAP = 1 << 16
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -401,7 +406,12 @@ def _spectrum_points(cfg: ExperimentConfig) -> list[float]:
         raise ConfigError("sweep", f"start, stop and step must be finite, got {cfg.sweep!r}")
     if step <= 0 or stop < start:
         raise ConfigError("sweep", "need step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not span < SWEEP_POINT_CAP:  # also refuses a span that overflowed to inf
+        raise ResourceLimitError(
+            f"sweep {cfg.sweep!r} asks for {span + 1:.3g} points, which exceeds the cap "
+            f"of {SWEEP_POINT_CAP}")
+    count = int(math.floor(span + 1e-9)) + 1
     return [start + i * step for i in range(count)]
 
 
@@ -525,43 +535,54 @@ def _check_pe_distribution() -> float:
     return worst
 
 
-def _check_compiled_pe() -> float:
-    """Phase estimation with the magnitude-readout iterate, its power
-    records compiled into blocks against the same records replaying the
-    iterate, forward and inverse, on a random state."""
-    rng = np.random.default_rng(20260102)
-    layout = readout_layout("abs", 1, 2, 1)
-    nq = layout.n_qubits
-    tree = build_tree([0.6, 0.8j], normalize="silent")
+def _block_deviation(variant, tree, n, m, g, seed, replay=False) -> float:
+    """The readout block readout_block builds (spectral estimate, recover,
+    un-estimate) against the flat block: the unfused load, phase_estimate_op
+    on the unfused iterate (its power records replaying the iterate when
+    `replay`), the same recover stage, then the inverse of load and
+    estimate; on a random state."""
+    layout = readout_layout(variant, n, m, g)
     prep = synthesize_ua(tree).op(start=layout.start("data"))
-    iterate = readout_iterate(layout, address_copy_op(layout) + v_from_prep(layout, prep))
+    stages = readout_block(prep, variant, n, m, g, layout.n_qubits)
+    load = address_copy_op(layout) + readout_test(layout, prep, variant)
+    pe = phase_estimate_op(readout_iterate(layout, load), layout.reg("regp"))
+    if replay:
+        pe = CircuitOp(tuple(
+            replace(h, params=replace(h.params, blocks=None)) if h.kind == "power" else h
+            for h in pe.gates))
+    estimate = load + pe
+    flat = estimate + stages[1][1] + estimate.inverse()
+    spectral = CircuitOp(tuple(gate for _, op in stages for gate in op.gates))
+    nq = layout.n_qubits + stages[1][0]
+    rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
     start = core.StateVector(nq, amps / np.linalg.norm(amps))
-    compiled = phase_estimate_op(iterate, layout.reg("regp"))
-    replay = CircuitOp(tuple(
-        replace(g, params=replace(g.params, blocks=None)) if g.kind == "power" else g
-        for g in compiled.gates
-    ))
-    worst = 0.0
-    for a, b in ((compiled, replay), (compiled.inverse(), replay.inverse())):
-        worst = max(worst, float(np.max(np.abs(a.apply(start).amps - b.apply(start).amps))))
-    return worst
+    return float(np.max(np.abs(spectral.apply(start).amps - flat.apply(start).amps)))
+
+
+def _check_compiled_pe() -> float:
+    """The magnitude readout block, its estimate in the iterate's
+    eigenbasis, against the flat block with phase estimation's power
+    records compiled into blocks and replaying the iterate."""
+    tree = build_tree([0.6, 0.8j], normalize="silent")
+    return max(_block_deviation("abs", tree, 1, 2, 1, 20260102, replay)
+               for replay in (False, True))
 
 
 def _unfuse(gates) -> tuple:
-    """gates with every fused record expanded, recursively, back into its
-    source gates; the phase-estimation power records stay compiled."""
+    """gates with every fused record (all power records of a readout
+    block) expanded, recursively, back into its source gates."""
     return tuple(
         h for g in gates
-        for h in (_unfuse(g.params.iterate) if g.kind == "power" and g.tag != PE_CTRL_TAG
-                  else (g,))
+        for h in (_unfuse(g.params.iterate) if g.kind == "power" else (g,))
     )
 
 
 def _check_fused_blocks() -> float:
-    """The fused load + estimate stage of the abs and real readout blocks,
-    and its structural inverse, against the same records with every fused
-    record expanded back into its source gates, on a random state."""
+    """Each stage of the abs and real readout blocks against the same
+    records with every fused record expanded back into its source gates
+    (the eigenbasis record then applies in factored form), and each whole
+    block against the flat block, on random states."""
     rng = np.random.default_rng(20260109)
     tree = build_tree([0.6, 0.8j], normalize="silent")
     worst = 0.0
@@ -575,6 +596,41 @@ def _check_fused_blocks() -> float:
             flat = CircuitOp(_unfuse(op.gates))
             dev = np.max(np.abs(op.apply(start).amps - flat.apply(start).amps))
             worst = max(worst, float(dev))
+        worst = max(worst, _block_deviation(variant, tree, 1, 2, 1, 20260109))
+    return worst
+
+
+def _check_readout_eigenbasis() -> float:
+    """V^H G V for the readout iterate G and the closed-form eigenbasis V,
+    both materialized per address: its distance from the diagonal of
+    eigenphases, and theirs from {+-2 pi theta_k, 0, pi} with theta_k from
+    spectrum_oracle or part_spectrum, for abs, real and imag, at the
+    address-0 values {0, +-1/sqrt2, +-1, 0.3}."""
+    worst = 0.0
+    for variant in ("abs", "real", "imag"):
+        layout = readout_layout(variant, 1, 1, 0)
+        s = layout.start("b") + 1
+        half = 1 << (s - 2)
+        for x in (0.0, math.sqrt(0.5), -math.sqrt(0.5), 1.0, -1.0, 0.3):
+            c = [1j * x if variant == "imag" else x, math.sqrt(1.0 - x * x)]
+            tree = build_tree(c, normalize="silent")
+            load = address_copy_op(layout) + fuse(
+                readout_test(layout, synthesize_ua(tree).op(start=1), variant))
+            basis, phases = readout_eigenbasis(layout, load)
+            g_mat = reference.dense_unitary(readout_iterate(layout, load), s)
+            v_dag = reference.dense_unitary(CircuitOp((basis,)), s)
+            diag = v_dag @ g_mat @ v_dag.conj().T
+            worst = max(worst, float(np.max(np.abs(diag - np.diag(np.exp(1j * phases))))))
+            for k, ck in enumerate(tree.amplitudes()):
+                if variant == "abs":
+                    theta = spectrum_oracle(abs(ck)).theta
+                else:
+                    theta = part_spectrum(ck.real if variant == "real" else ck.imag).theta
+                omega = 2.0 * math.pi * theta
+                want = np.zeros((2, half))
+                want[0, 0], want[1, 0], want[1, 1:] = omega, -omega, math.pi
+                got = phases.reshape(2, half, 2)[..., k]
+                worst = max(worst, float(np.max(np.abs(np.exp(1j * got) - np.exp(1j * want)))))
     return worst
 
 
@@ -667,6 +723,7 @@ ORACLE_CHECKS: tuple[tuple[str, float, object], ...] = (
     ("pe-distribution", 1e-10, _check_pe_distribution),
     ("compiled-pe", 1e-12, _check_compiled_pe),
     ("fused-blocks", 1e-12, _check_fused_blocks),
+    ("readout-eigenbasis", 1e-12, _check_readout_eigenbasis),
     ("prep-trees", 1e-10, _check_prep_trees),
     ("spectrum", 1e-10, _check_spectrum),
     ("qdac-exact", 1e-10, _check_qdac_exact),

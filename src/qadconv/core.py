@@ -158,9 +158,9 @@ def _view(amps, n, controls=(), regs=()):
 # In-place kernels. These edit an amplitude buffer through _view and are
 # shared by the public functions below and by circuits.CircuitOp.
 
-# Amplitudes per piece in the block-table and oracle kernels: their
-# temporaries stay this size whatever the state size, and a piece stays in
-# cache.
+# Amplitudes per piece in the block-table, reflection-table and oracle
+# kernels: their temporaries stay this size whatever the state size, and a
+# piece stays in cache.
 CHUNK = 1 << 13
 
 
@@ -288,6 +288,26 @@ def apply_block_table_inplace(amps, n, keys, targets, blocks, controls=()):
     view, axes = _view(amps, n, controls, [(q, 1) for q in (*keys[::-1], *targets[::-1])])
     for _, sub in _pieces(view, axes):
         sub[...] = np.matmul(blocks, sub.reshape(1 << k, 1 << w, -1)).reshape(sub.shape)
+
+
+def apply_reflection_table_inplace(amps, n, keys, targets, vectors, controls=()):
+    """Householder reflection keyed on the key qubits: wherever they hold
+    value v, the targets' state x becomes x - vectors[v] (vectors[v]^H x).
+    Each vectors[v] has squared norm 2 (a reflection) or is 0 (the
+    identity). Bit order as in apply_block_table_inplace."""
+    k, w = len(keys), len(targets)
+    vectors = np.asarray(vectors, dtype=np.complex128)
+    if vectors.shape != (1 << k, 1 << w):
+        raise RegisterError(
+            f"reflection table has shape {vectors.shape}, expected {(1 << k, 1 << w)}")
+    sq = np.sum(np.abs(vectors) ** 2, axis=1)
+    if np.max(np.minimum(np.abs(sq - 2.0), sq)) > 1e-12:
+        raise UnitaryError("reflection vectors must have squared norm 2 or 0")
+    view, axes = _view(amps, n, controls, [(q, 1) for q in (*keys[::-1], *targets[::-1])])
+    rows = vectors.conj()[:, None, :]
+    for _, sub in _pieces(view, axes):
+        x = sub.reshape(1 << k, 1 << w, -1)
+        sub[...] = (x - vectors[:, :, None] * np.matmul(rows, x)).reshape(sub.shape)
 
 
 # ---------------------------------------------------------------------------

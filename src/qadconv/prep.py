@@ -79,6 +79,9 @@ def build_tree(data, normalize: str = "warn") -> PrepTree:
         below = levels[-1]
         levels.append(below[0::2] + below[1::2])
     levels.reverse()
+    # c / |c| multiplies by 1 / |c|, which overflows for a subnormal |c|:
+    # those are first scaled by a power of two, which is exact
+    c = c * np.where(np.abs(c) < np.finfo(np.float64).tiny, 2.0**600, 1.0)
     mags = np.abs(c)
     phases = np.where(mags > 0, c / np.where(mags > 0, mags, 1.0), 1.0)
     return PrepTree(tuple(levels), phases)

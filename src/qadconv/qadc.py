@@ -11,11 +11,16 @@ readout_block estimates theta_k into a phase register, converts the phase
 pattern to the recovered value with a lookup oracle (one gather), and
 uncomputes everything except the address and value registers; run_qadc and
 the nonlinear pipeline both run it. The load is fused into dense block
-records (circuits.fuse) and the iterate is built from them. Load and
-estimate are fused again, the phase-estimation powers nesting in the block
-records where they fit; the inverse QFT stays one qft record, an in-place
-FFT on the phase register. The uncompute stage is that stage's structural
-inverse.
+records (circuits.fuse) and the iterate is built from them.
+
+The estimate runs in the iterate's eigenbasis V, which readout_eigenbasis
+writes down in closed form (the iterate is a product of two reflections):
+L V^H fuses into the load's block record, the 2^t - 1 controlled iterates
+become one spectral record e^(i phi omega), and the inverse QFT stays one
+qft record, an in-place FFT on the phase register. The V that would close
+phase estimation commutes with everything up to the un-estimate, whose
+leading V^H it cancels, so neither is applied. The uncompute stage is the
+estimate's structural inverse.
 """
 
 from __future__ import annotations
@@ -26,7 +31,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .circuits import PE_CTRL_TAG, CircuitOp, Gate, RegisterLayout, fuse, phase_estimate_op
+# phase_estimate_op is unused here, but perfbench's tracer test looks it up on this module
+from .circuits import (  # noqa: F401
+    PE_CTRL_TAG,
+    CircuitOp,
+    Eigenbasis,
+    Gate,
+    RegisterLayout,
+    fuse,
+    iqft_op,
+    phase_estimate_op,
+    spectral_record,
+)
 from .errors import ConfigError
 from .fixedpoint import FixedPointCodec, abs_recovery_oracle, real_recovery_oracle
 from .prep import UA_ENTRY_TAG, PrepTree, synthesize_ua
@@ -157,6 +173,14 @@ def w_from_prep(layout: RegisterLayout, prep: CircuitOp, imag: bool) -> CircuitO
     return CircuitOp(tuple(gates), label="w-imag" if imag else "w")
 
 
+def readout_test(layout: RegisterLayout, prep: CircuitOp, variant: str) -> CircuitOp:
+    """The test a readout's load runs after the address copy: V for abs,
+    W for real and W with the quarter phase for imag."""
+    if variant == "abs":
+        return v_from_prep(layout, prep)
+    return w_from_prep(layout, prep, imag=variant == "imag")
+
+
 def readout_iterate(layout: RegisterLayout, load: CircuitOp) -> CircuitOp:
     """The readout reflection, applied left to right: Z_b, load^-1, the
     reflection about |0> of data, mirror and b, load."""
@@ -171,36 +195,92 @@ def readout_iterate(layout: RegisterLayout, load: CircuitOp) -> CircuitOp:
     return CircuitOp(gates, label="g")
 
 
+def readout_eigenbasis(layout: RegisterLayout, load: CircuitOp) -> tuple[Gate, np.ndarray]:
+    """The eigenbasis of readout_iterate(layout, load), in closed form.
+
+    Where the address holds k, the iterate is (I - 2 psi psi^H) Z_b with
+    psi = L|k, 0>, and b is the highest of its target qubits (data, mirror,
+    b). Write psi's b = 0 and b = 1 halves as a_k u and b_k w, with u and w
+    unit vectors (e_0 for a half that is 0). On span{u, w} the iterate turns
+    by omega = 2 atan2(a_k, b_k) = 2 pi theta_k, with eigenvectors
+    (u +- i w)/sqrt2 for e^(+-i omega); it is +1 on the rest of the b = 0
+    half and -1 on the rest of the b = 1 half. A Householder reflection per half takes e_0 to
+    u (or w) up to a phase, and a 2x2 mix on b turns those two into
+    (u +- i w)/sqrt2. So V's columns are: target value 0, +omega; b = 1
+    with the other targets 0, -omega; the rest of b = 0, 0; the rest of
+    b = 1, pi. No eigensolver is called.
+
+    Returns the eigenbasis record V^H on qubits [0, b] (the address as its
+    keys) and the eigenphases omega[v], v the value of those qubits.
+    """
+    k = layout.width("ad")
+    s = layout.start("b") + 1
+    half = 1 << (s - k - 1)
+    # psi for every address at once: the load on sum_k |k, 0>
+    amps = np.zeros(1 << s, dtype=np.complex128)
+    amps[:1 << k] = 1.0
+    psi = load.apply(core.StateVector(s, amps)).amps.reshape(2, half, 1 << k)
+    psi = psi.transpose(0, 2, 1)  # [b, address, other targets]
+    norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=2))
+    unit = psi / np.where(norms > 0, norms, 1.0)[..., None]
+    unit[norms == 0, 0] = 1.0  # e_0 stands in for a half that is 0
+    # I - nu nu^H with nu ~ unit + p e_0, p the phase of unit[0] (1 where it
+    # is 0), takes e_0 to -conj(p) unit; adding p keeps nu away from 0
+    p = np.exp(1j * np.angle(unit[..., 0]))
+    nu = unit.copy()
+    nu[..., 0] += p
+    nu *= _SQRT2 / np.sqrt(np.sum(np.abs(nu) ** 2, axis=2))[..., None]
+    # V = (P_u + P_w) M with M e_0 = -(p_u e_0 + i p_w e_h)/sqrt2 and
+    # M e_h = -(p_u e_0 - i p_w e_h)/sqrt2; the record holds M^H
+    turn = np.array([[1.0, -1j], [1.0, 1j]]) / _SQRT2
+    mix = turn[None] * -p.conj().T[:, None, :]
+    omega = 2.0 * np.arctan2(norms[0], norms[1])
+    phases = np.zeros((2, half, 1 << k))
+    phases[1] = math.pi
+    phases[0, 0] = omega
+    phases[1, 0] = -omega
+    basis = Eigenbasis(k, nu.reshape(2 << k, half), mix)
+    return Gate("eigenbasis", tuple(range(s)), basis, label="eigenbasis"), phases.reshape(-1)
+
+
 def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
                   out_start: int) -> list:
     """One readout as (extra_qubits, op) stages for run_stages.
 
     Load and estimate; copy the recovered value into a value register of
     fresh qubits at out_start (m bits for abs, m + 1 signed bits for real
-    and imag); un-estimate and un-load. The load is the address copy into
-    the mirror (empty but for abs), then the fused V or W; the iterate's
-    inverse records have their blocks conjugate-transposed. Load and
-    estimate are fused again around the one qft record; the un-estimate
-    stage is their structural inverse. The copy is self-inverse and the
-    stages around it mirror each other, so the block is its own inverse.
-    prep is the data-load circuit on the data register.
+    and imag); un-estimate and un-load. The load L is the address copy into
+    the mirror (empty but for abs), then the fused V or W.
+
+    The estimate runs in the iterate's eigenbasis V (readout_eigenbasis):
+    L V^H, the phase register's Hadamards, one spectral record
+    e^(i phi omega) in place of the 2^t - 1 controlled iterates, and the
+    inverse qft record. Phase estimation would close with V; V acts only
+    on the address and target qubits, so it commutes with the inverse QFT,
+    the recover gather and the un-estimate's QFT, and cancels against the
+    un-estimate's leading V^H. Both are left out, so the block is the same
+    unitary as with textbook phase estimation, and every marginal over the
+    address and the phase or value registers is unchanged at every stage.
+    L V^H fuses into the load's block record; the un-estimate stage is the
+    estimate's structural inverse. The copy is self-inverse and the stages
+    around it mirror each other, so the block is its own inverse. prep is
+    the data-load circuit on the data register.
     """
     layout = readout_layout(variant, n, m, g)
-    if variant == "abs":
-        test_op = v_from_prep(layout, prep)
-        oracle = abs_recovery_oracle(m, guard_bits=g)
-    else:
-        test_op = w_from_prep(layout, prep, imag=variant == "imag")
-        oracle = real_recovery_oracle(m, guard_bits=g)
-    load = address_copy_op(layout) + fuse(test_op)
-    pe = phase_estimate_op(readout_iterate(layout, load), layout.reg("regp"))
+    recovery = abs_recovery_oracle if variant == "abs" else real_recovery_oracle
+    oracle = recovery(m, guard_bits=g)
+    load = address_copy_op(layout) + fuse(readout_test(layout, prep, variant))
+    basis, phases = readout_eigenbasis(layout, load)
+    regp = layout.reg("regp")
+    cascade = spectral_record(readout_iterate(layout, load), phases, regp)
+    fwd = fuse(load + CircuitOp((basis,)) + hadamard_layer(layout, "regp")
+               + CircuitOp((cascade,))) + iqft_op(*regp)
     width = oracle.out_codec.width
     wires = tuple(layout.qubits("regp")) + tuple(range(out_start, out_start + width))
     recover = CircuitOp(
         (Gate("oracle", wires, tuple(int(x) for x in oracle.table), label=oracle.name),),
         label="recover",
     )
-    fwd = fuse(load + pe)
     return [(0, fwd), (width, recover), (0, fwd.inverse())]
 
 
@@ -289,15 +369,17 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
 
 def _controlled_ua_count(gates, controlled: bool = False) -> int:
     """Controlled-U applications: the loader entries (UA_ENTRY_TAG records)
-    inside phase-estimation power records, each times the logical counts of
-    the power records around it. Power records nest both ways: fused
-    records hold the phase-estimation records, whose iterates hold the
-    fused load."""
+    inside phase-estimation records (PE_CTRL_TAG: a readout's spectral
+    record, or the power records of phase_estimate_op), each times the
+    logical counts of the records around it. A spectral record counts its
+    iterate 2^t - 1 times, as the controlled powers it stands for would.
+    Records nest: fused records hold power records and phase-estimation
+    records, whose iterates hold the fused load."""
     total = 0
     for gate in gates:
         if gate.tag == UA_ENTRY_TAG:
             total += controlled
-        elif gate.kind == "power":
+        elif gate.kind in ("power", "spectral"):
             inner = controlled or gate.tag == PE_CTRL_TAG
             total += gate.params.count * _controlled_ua_count(gate.params.iterate, inner)
     return total

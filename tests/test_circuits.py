@@ -283,6 +283,37 @@ _ITERATE_MATRIX = (
 )
 
 
+# an eigenbasis record on key qubit 0 and targets 1 and 2 (b = 2): the
+# Householder vector of each (key, b) value, one of them 0 (the identity),
+# then a 2x2 mix on b where qubit 1 is 0
+_HOUSEHOLDER = np.array([[1.0, 1.0j], [0.0, 0.0], [-0.6, 0.8], [1.2j, -1.6]]) * np.array(
+    [[1.0], [1.0], [math.sqrt(2)], [_R]])  # squared norms 2, 0, 2, 2
+_MIX = np.array([_ry(0.9) * np.exp(0.3j), _H @ np.diag([1, np.exp(-1.1j)])])
+_EIGENBASIS = circuits.Eigenbasis(1, _HOUSEHOLDER, _MIX)
+
+
+def _eigenbasis_matrix():
+    """Per key value v (qubit 0): I - u u^H on qubit 1 for each value of b
+    (qubit 2), then _MIX[v] on b where qubit 1 is 0."""
+    m = np.zeros((8, 8), dtype=np.complex128)
+    for v in (0, 1):
+        reflect = np.zeros((4, 4), dtype=np.complex128)  # target index q1 + 2 q2
+        for b in (0, 1):
+            u = _HOUSEHOLDER[v | b << 1]
+            half = [2 * b, 2 * b + 1]
+            reflect[np.ix_(half, half)] = np.eye(2) - np.outer(u, u.conj())
+        mix = np.eye(4, dtype=np.complex128)
+        mix[np.ix_([0, 2], [0, 2])] = _MIX[v]
+        at = [v | t << 1 for t in range(4)]
+        m[np.ix_(at, at)] = mix @ reflect
+    return m
+
+
+# a spectral record: the phase table e^(i phi omega_v) with the eigen-index
+# v on qubits 0-1 and the phase register phi on qubit 2
+_OMEGA = np.array([0.7, -2.1, 0.0, math.pi])
+
+
 KIND_CASES = {
     "h": (Gate("h", (1,)), _embed_2x2(_H, 1)),
     "x": (Gate("x", (1,)), _embed_2x2(np.array([[0, 1], [1, 0]]), 1)),
@@ -304,6 +335,9 @@ KIND_CASES = {
     "qft": (Gate("qft", (0, 1, 2), (1,)), reference.dft_matrix(8)),
     "power": (circuits.power_records(_ITERATE, 3)[2],
               np.linalg.matrix_power(_ITERATE_MATRIX, 4)),
+    "eigenbasis": (Gate("eigenbasis", (0, 1, 2), _EIGENBASIS), _eigenbasis_matrix()),
+    "spectral": (circuits.spectral_record(_ITERATE, _OMEGA, (2, 1)),
+                 np.diag(np.exp(1j * np.outer([0, 1], _OMEGA).ravel()))),
 }
 
 
@@ -333,7 +367,7 @@ def test_gate_kind_matches_independent_matrix(kind, control):
 # kinds whose wires need not be contiguous: free qubits may sit between
 # wires 0|1 and 1|2; oracle and mux-ry only between their register and wire 2
 _GAPS = {"swap": (True, True), "reflect": (True, True), "power": (True, True),
-         "oracle": (False, True), "mux-ry": (False, True)}
+         "eigenbasis": (True, True), "oracle": (False, True), "mux-ry": (False, True)}
 
 
 @st.composite

@@ -240,6 +240,34 @@ def test_verify_fused_blocks_catches_a_broken_block_kernel(capsys, monkeypatch):
     assert record["metrics"]["rows"][0]["pass"] is False
 
 
+def test_verify_readout_eigenbasis_catches_a_broken_reflection_kernel(capsys, monkeypatch):
+    code, record = run_main(capsys, ["verify", "--scope", "readout-eigenbasis"])
+    assert code == 0
+    assert record["metrics"]["rows"][0]["max_deviation"] <= 1e-12
+
+    good = core.apply_reflection_table_inplace
+
+    def conjugated(amps, n, keys, targets, vectors, controls=()):
+        good(amps, n, keys, targets, vectors.conj(), controls)
+
+    monkeypatch.setattr(core, "apply_reflection_table_inplace", conjugated)
+    code, record = run_main(capsys, ["verify", "--scope", "readout-eigenbasis"])
+    assert code == 4
+    assert record["metrics"]["rows"][0]["pass"] is False
+
+
+@pytest.mark.parametrize("sweep", ["0:1:1e-300", "0:1e308:1e-300", "0:1:1e-5"])
+def test_oversized_sweep_exits_3_before_building_its_points(capsys, monkeypatch, sweep):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built sweep points past the cap")
+
+    # the point list comes from range(); the rows from the spectrum oracle
+    monkeypatch.setattr(cli, "range", refuse, raising=False)
+    monkeypatch.setattr(cli, "spectrum_oracle", refuse)
+    assert cli.main(["spectrum", "--sweep", sweep]) == 3
+    assert f"cap of {cli.SWEEP_POINT_CAP}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--sweep", "0:1:0.5"],
     ["spectrum", "--r", "0.5"],

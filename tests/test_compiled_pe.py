@@ -1,9 +1,11 @@
 """Compiled phase estimation against the flat unrolled circuit.
 
-The flat reference is built here, from the textbook definition: Hadamards,
+The flat reference is the textbook definition (textbook.py): Hadamards,
 then the iterate controlled on phase bit j and repeated 2^j times, then the
 inverse QFT gate by gate. Every comparison is to 1e-12.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,18 +13,9 @@ import pytest
 from qadconv import circuits, core, nonlinear, qadc
 from qadconv.circuits import CircuitOp, Gate, phase_estimate_op
 from qadconv.prep import build_tree, synthesize_ua
-from textbook import textbook_qft_op
+from textbook import flat_phase_estimate_op, flat_readout_block, unfused_load
 
 TOL = 1e-12
-
-
-def flat_phase_estimate_op(unitary, regp):
-    s, t = regp
-    gates = [Gate("h", (s + j,)) for j in range(t)]
-    for j in range(t):
-        gates.extend(unitary.controlled((s + j, 1)).gates * (1 << j))
-    gates.extend(textbook_qft_op(s, t).inverse().gates)
-    return CircuitOp(tuple(gates), label="phase-estimate")
 
 
 def random_state(n, seed):
@@ -32,8 +25,8 @@ def random_state(n, seed):
 
 
 def pe_records(gates):
-    """The phase-estimation power records among gates, also those nested in
-    the fused records that hold them."""
+    """The phase-estimation records among gates (a readout's spectral
+    record), also those nested in the fused records that hold them."""
     for gate in gates:
         if gate.tag == circuits.PE_CTRL_TAG:
             yield gate
@@ -44,16 +37,13 @@ def pe_records(gates):
 def readout_ops(variant, tree, n, m, g):
     """(layout, front, iterate): the Hadamard layer plus the unfused load
     that precedes phase estimation in the readout block run_qadc runs, and
-    the iterate that block's phase-estimation power records raise."""
+    the iterate whose controlled powers that block's spectral record
+    stands for."""
     layout = qadc.readout_layout(variant, n, m, g)
     prep = synthesize_ua(tree).op(start=layout.start("data"))
     estimate = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)[0][1]
     power = next(pe_records(estimate.gates))
-    if variant == "abs":
-        load = qadc.address_copy_op(layout) + qadc.v_from_prep(layout, prep)
-    else:
-        load = qadc.w_from_prep(layout, prep, imag=variant == "imag")
-    front = qadc.hadamard_layer(layout, "ad") + load
+    front = qadc.hadamard_layer(layout, "ad") + unfused_load(layout, prep, variant)
     return layout, front, CircuitOp(power.params.iterate, label=power.label)
 
 
@@ -110,13 +100,13 @@ def test_phase_estimate_is_linear_in_t():
 
 
 def test_amplify_inverts_the_compiled_pipeline(monkeypatch):
+    # the pipeline's readout blocks (spectral estimate) against the same
+    # blocks with textbook phase estimation, gate by gate
     tree = build_tree(np.array([0.6, 0.8]))
-    runs = []
-    for make_pe in (phase_estimate_op, flat_phase_estimate_op):
-        monkeypatch.setattr(qadc, "phase_estimate_op", make_pe)
-        runs.append(nonlinear.nonlinear_transform(tree, "square", 1, 2, 1,
-                                                  mode="amplify", rounds=2))
-    got, want = runs
+    got = nonlinear.nonlinear_transform(tree, "square", 1, 2, 1, mode="amplify", rounds=2)
+    monkeypatch.setattr(nonlinear, "readout_block",
+                        partial(flat_readout_block, estimate=flat_phase_estimate_op))
+    want = nonlinear.nonlinear_transform(tree, "square", 1, 2, 1, mode="amplify", rounds=2)
     assert got.attempts == want.attempts == 5
     assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= TOL
     assert abs(got.empirical_probability - want.empirical_probability) <= TOL

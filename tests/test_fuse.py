@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from qadconv import circuits, core, qadc
 from qadconv.circuits import FUSE_QUBITS, CircuitOp, Gate, fuse, power_records
 from qadconv.prep import build_tree, synthesize_ua
+from textbook import unfused_load
 
 TOL = 1e-12
 SINGLE = ("h", "x", "y", "z")
@@ -254,6 +255,11 @@ def test_a_power_records_key_wires_stay_keys_when_fused():
     assert max_dev(fuse(op).apply(start), op.apply(start)) <= TOL
 
 
+def eigenbasis_records(gates):
+    """The eigenbasis records among gates, also those inside fused records."""
+    return [h for gate in unfuse(gates) for h in (gate,) if h.kind == "eigenbasis"]
+
+
 @pytest.mark.parametrize("variant", ["abs", "real", "imag"])
 def test_readout_block_fuses_load_and_estimate_once(variant):
     n, m, g = 2, 2, 1
@@ -261,10 +267,7 @@ def test_readout_block_fuses_load_and_estimate_once(variant):
     rng = np.random.default_rng(7)
     c = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     prep = synthesize_ua(build_tree(c / np.linalg.norm(c))).op(start=layout.start("data"))
-    if variant == "abs":
-        load = qadc.address_copy_op(layout) + qadc.v_from_prep(layout, prep)
-    else:
-        load = qadc.w_from_prep(layout, prep, imag=variant == "imag")
+    load = unfused_load(layout, prep, variant)
     iterate = qadc.readout_iterate(layout, load)
     flat = load + circuits.phase_estimate_op(iterate, layout.reg("regp"))
     stages = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)
@@ -273,32 +276,49 @@ def test_readout_block_fuses_load_and_estimate_once(variant):
     assert len(fwd.gates) < len(flat.gates)
     assert fwd.primitive_count() == back.primitive_count() == flat.primitive_count()
     # the un-estimate is the structural inverse: its blocks are the forward
-    # blocks conjugate-transposed, in reverse order
+    # blocks conjugate-transposed and its phases conjugated, in reverse order
     for a, b in zip(fwd.gates, reversed(back.gates)):
         if a.kind == "power":
             assert np.array_equal(b.params.blocks, a.params.blocks.conj().transpose(0, 2, 1))
+        if a.kind == "spectral":
+            assert np.array_equal(b.params.phases, a.params.phases.conj())
+    # V^H sits inside the fused load record; with the V that closes
+    # textbook phase estimation put back, the estimate is the flat one
+    (basis,) = eigenbasis_records(fwd.gates)
+    closing = CircuitOp((basis,)).inverse()
     start = random_state(layout.n_qubits, 3)
-    assert max_dev(fwd.apply(start), flat.apply(start)) <= TOL
-    assert max_dev(back.apply(start), flat.inverse().apply(start)) <= TOL
+    assert max_dev((fwd + closing).apply(start), flat.apply(start)) <= TOL
+    assert max_dev((closing.inverse() + back).apply(start), flat.inverse().apply(start)) <= TOL
 
 
 @pytest.mark.parametrize("variant", ["abs", "real"])
 def test_readout_stages_are_block_records_and_one_qft(variant):
     # a gate left out of a block record would run through the single-qubit
     # kernel, whose half-state temporaries raise the peak memory of a
-    # readout; the one qft record is an in-place FFT whose buffers stay
-    # far below the state's size
+    # readout; the one qft record is an in-place FFT and the one spectral
+    # record an in-place phase table, whose buffers stay far below the
+    # state's size
     n, m, g = 2, 4, 3
     layout = qadc.readout_layout(variant, n, m, g)
     prep = synthesize_ua(build_tree(np.array([0.1, 0.5j, -0.7, 0.5]))).op(
         start=layout.start("data"))
     stages = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)
-    # the estimate ends in the inverse QFT, and the un-estimate undoes it
+    s, t = layout.reg("regp")
+    # the estimate ends in the inverse QFT, and the un-estimate undoes it;
+    # the controlled powers are one spectral record over address, targets
+    # and phase register
     for (_, op), sign in ((stages[0], -1), (stages[2], 1)):
         (qft,) = [gate for gate in op.gates if gate.kind == "qft"]
         assert qft.wires == tuple(layout.qubits("regp")) and qft.params == (sign,)
+        (spectral,) = [gate for gate in op.gates if gate.kind == "spectral"]
+        assert spectral.wires == tuple(range(s + t)) and spectral.tag == circuits.PE_CTRL_TAG
+        assert spectral.params.count == (1 << t) - 1
         assert all(gate.kind == "power" and gate.params.blocks is not None
-                   for gate in op.gates if gate is not qft)
+                   for gate in op.gates if gate is not qft and gate is not spectral)
+    # V^H fused into the load's block record, which is keyed on the address
+    load_record = stages[0][1].gates[0]
+    assert "eigenbasis" in [h.kind for h in load_record.params.iterate]
+    assert load_record.params.keys == n
 
 
 @pytest.mark.parametrize("variant", ["abs", "real", "imag"])

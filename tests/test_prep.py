@@ -76,6 +76,16 @@ def test_synthesize_complex_phases():
     np.testing.assert_allclose(out.amps, data, atol=1e-12)
 
 
+@pytest.mark.parametrize("data", [[5e-324, 1j], [-5e-324j, 1e-310 + 1e-310j, -1.0, 0.0]],
+                         ids=["real", "complex"])
+def test_subnormal_amplitudes_get_unit_phases(data):
+    data = np.asarray(data, dtype=complex)
+    tree = prep.build_tree(data)
+    assert np.max(np.abs(np.abs(tree.phases) - 1.0)) <= 1e-15
+    out = prep.synthesize_ua(tree).op().apply(core.new_zero_state(tree.depth))
+    np.testing.assert_allclose(out.amps, data, atol=1e-12)
+
+
 def test_preparation_fidelity_sweep():
     seed = 0
     for n in (2, 4, 8, 16):

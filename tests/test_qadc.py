@@ -5,10 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qadconv import core, qadc, reference
-from qadconv.circuits import PE_CTRL_TAG, CircuitOp, RegisterLayout, power_records
+from qadconv.circuits import PE_CTRL_TAG, CircuitOp, RegisterLayout, fuse, power_records
 from qadconv.errors import ConfigError, ResourceLimitError
 from qadconv.fixedpoint import abs_recovery_oracle
 from qadconv.nonlinear import AnsatzCircuit, nonlinear_transform, perceptron_run
@@ -31,6 +31,7 @@ from qadconv.qadc import (
     w_from_prep,
 )
 from qadconv.reference import dense_unitary
+from textbook import flat_phase_estimate_op, flat_readout_block, unfused_load
 
 
 def _loader(layout, tree):
@@ -465,7 +466,7 @@ def test_run_qadc_honours_the_callers_cap(caps_checked, variant):
 
 
 def _pe_records(gates):
-    """Phase-estimation power records in order, also where fused records hold them."""
+    """Phase-estimation records in order, also where fused records hold them."""
     out = []
     for gate in gates:
         if gate.tag == PE_CTRL_TAG:
@@ -475,32 +476,125 @@ def _pe_records(gates):
     return out
 
 
+def _full_blocks(blocks, k):
+    """A block table keyed on the k low qubits as one matrix over all its
+    qubits: entry [v + (r << k), v + (c << k)] is blocks[v][r, c]."""
+    kdim, dim = blocks.shape[0], blocks.shape[1]
+    full = np.zeros((kdim * dim, kdim * dim), dtype=np.complex128)
+    for v in range(kdim):
+        at = v + (np.arange(dim) << k)
+        full[np.ix_(at, at)] = blocks[v]
+    return full
+
+
 @pytest.mark.parametrize("n,m,g", [(1, 2, 1), (2, 3, 2)])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fused_load_iterate_powers_match_the_unfused_iterate(variant, n, m, g):
     layout = readout_layout(variant, n, m, g)
     tree = _random_tree(n, 17 * n + m)
     prep = _loader(layout, tree)
-    if variant == "abs":
-        load = address_copy_op(layout) + v_from_prep(layout, prep)
-    else:
-        load = w_from_prep(layout, prep, variant == "imag")
-    flat = readout_iterate(layout, load)
+    flat = readout_iterate(layout, unfused_load(layout, prep, variant))
     t = m + g
     want = power_records(flat, t)
-    got = _pe_records(readout_block(prep, variant, n, m, g, layout.n_qubits)[0][1].gates)
-    assert len(got) == t
-    for j, (rec, ref) in enumerate(zip(got, want)):
-        assert rec.params.count == ref.params.count == 1 << j
-        assert rec.wires == ref.wires
-        assert np.max(np.abs(rec.params.blocks - ref.params.blocks)) <= 1e-12
-        # the loader sits inside fused load records, not among the iterate's gates
-        iterate = rec.params.iterate
-        assert not any(h.tag == UA_ENTRY_TAG for h in iterate)
-        assert sum(h.kind == "power" for h in iterate) >= 2
-        assert len(iterate) < len(flat.gates)
+    fwd = readout_block(prep, variant, n, m, g, layout.n_qubits)[0][1]
+    (spectral,) = _pe_records(fwd.gates)
+    assert spectral.kind == "spectral" and spectral.params.count == (1 << t) - 1
+    (basis,) = [h for gate in fwd.gates if gate.kind == "power"
+                for h in gate.params.iterate if h.kind == "eigenbasis"]
+    # V lambda^(2^j) V^H, from the eigenbasis record and the spectral
+    # record's row phi = 2^j, is the squared power of the flat iterate
+    s = layout.start("regp")
+    v = dense_unitary(CircuitOp((basis,)), s).conj().T
+    rows = spectral.params.phases.reshape(1 << t, 1 << s)
+    for j, ref in enumerate(want):
+        assert ref.params.count == 1 << j
+        power = v @ np.diag(rows[1 << j]) @ v.conj().T
+        assert np.max(np.abs(power - _full_blocks(ref.params.blocks, n))) <= 1e-12
+    # the loader sits inside fused load records, not among the iterate's gates
+    iterate = spectral.params.iterate
+    assert not any(h.tag == UA_ENTRY_TAG for h in iterate)
+    assert sum(h.kind == "power" for h in iterate) >= 2
+    assert len(iterate) < len(flat.gates)
     # two loader entries per iterate, in the estimate and the un-estimate
     assert run_qadc(tree, variant, n, m, g).controlled_ua_count == 4 * ((1 << t) - 1)
+
+
+def _tree_with_part(variant, n, x, seed):
+    """A random n-address tree whose address-0 amplitude has part x: x
+    itself for abs and real, i x for imag."""
+    rng = np.random.default_rng(seed)
+    rest = rng.normal(size=(1 << n) - 1) + 1j * rng.normal(size=(1 << n) - 1)
+    rest *= math.sqrt(max(1.0 - x * x, 0.0)) / np.linalg.norm(rest)
+    return build_tree(np.concatenate([[1j * x if variant == "imag" else x], rest]),
+                      normalize="silent")
+
+
+@settings(max_examples=100, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), n=st.integers(1, 2), x=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(variant="real", n=1, x=0.0, seed=0)
+@example(variant="abs", n=2, x=1.0, seed=1)
+@example(variant="real", n=2, x=-1.0, seed=2)
+@example(variant="real", n=1, x=math.sqrt(0.5), seed=3)
+@example(variant="imag", n=2, x=-math.sqrt(0.5), seed=4)
+@example(variant="abs", n=1, x=math.sqrt(0.5), seed=5)
+@example(variant="real", n=2, x=1 - 1e-9, seed=6)
+@example(variant="imag", n=1, x=-1 + 1e-9, seed=7)
+@example(variant="abs", n=2, x=1e-9, seed=8)
+def test_spectral_block_equals_the_flat_block(variant, n, x, seed):
+    # the estimate in the iterate's eigenbasis, with V cancelled across
+    # recover, against textbook-shaped phase estimation with compiled powers
+    m, g = 2, 1
+    layout = readout_layout(variant, n, m, g)
+    prep = _loader(layout, _tree_with_part(variant, n, x, seed))
+    stages = readout_block(prep, variant, n, m, g, layout.n_qubits)
+    flat = flat_readout_block(prep, variant, n, m, g, layout.n_qubits)
+    nq = layout.n_qubits + stages[1][0]
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
+    start = core.from_amplitudes(amps / np.linalg.norm(amps))
+    got, want = run_stages(start, stages), run_stages(start, flat)
+    assert np.max(np.abs(got.amps - want.amps)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), n=st.integers(1, 2), m=st.integers(1, 2),
+       g=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_every_path_counts_the_same_primitives_and_controlled_unitaries(variant, n, m, g,
+                                                                        seed):
+    # flat: gate by gate; compiled: phase_estimate_op's power records;
+    # fused: those fused with the load; spectral: readout_block
+    layout = readout_layout(variant, n, m, g)
+    prep = _loader(layout, _random_tree(n, seed))
+    out = layout.n_qubits
+    spectral = readout_block(prep, variant, n, m, g, out)
+    compiled = flat_readout_block(prep, variant, n, m, g, out)
+    fused_fwd = fuse(compiled[0][1])
+    fused = [(0, fused_fwd), compiled[1], (0, fused_fwd.inverse())]
+    flat = flat_readout_block(prep, variant, n, m, g, out, estimate=flat_phase_estimate_op)
+    regp = set(layout.qubits("regp"))
+    flat_cu = sum(gate.tag == UA_ENTRY_TAG and any(q in regp for q, _ in gate.controls)
+                  for _, op in flat for gate in op.gates)
+    t = m + g
+    assert flat_cu == 4 * ((1 << t) - 1)
+    for path in (compiled, fused, spectral):
+        assert sum(qadc._controlled_ua_count(op.gates) for _, op in path) == flat_cu
+    prims = {sum(op.primitive_count() for _, op in path)
+             for path in (flat, compiled, fused, spectral)}
+    assert len(prims) == 1
+
+
+def test_no_lapack_routine_is_reachable_from_the_readouts(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK routine called on the op path")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "qr", "svd", "inv", "pinv", "solve",
+                 "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    tree = _random_tree(2, 11)
+    run_qadc(tree, "abs", 2, 3, 2)
+    run_qadc(tree, "real", 2, 3, 2)
+    perceptron_run(tree, AnsatzCircuit(2, 1, np.full((1, 2, 2), 0.4)), "tanh", 2, 1)
 
 
 def _amplitude_law(tree, variant, n, m, g) -> np.ndarray:
