@@ -1,8 +1,9 @@
 """Register layouts, composable gate sequences, QFT, and phase estimation.
 
-A CircuitOp is an immutable tuple of Gate records. Applying one copies the
-amplitude buffer once and then runs each record's in-place kernel, looked up
-by kind in KINDS. Inversion, control wrapping, and primitive counting all
+A CircuitOp is an immutable tuple of Gate records. Applying one runs each
+record's in-place kernel, looked up by kind in KINDS, on a copy of the
+amplitude buffer, or on the buffer itself for a caller that owns it
+(inplace=True). Inversion, control wrapping, and primitive counting all
 work structurally on the records through the same table. The QFT is one
 "qft" record, an in-place FFT. Generic phase estimation (phase_estimate_op)
 emits one "power" record per phase bit: the iterate raised to 2^j,
@@ -366,9 +367,12 @@ class CircuitOp:
             qs |= g.used_qubits()
         return qs
 
-    def apply(self, state: core.StateVector) -> core.StateVector:
+    def apply(self, state: core.StateVector, *, inplace: bool = False) -> core.StateVector:
+        """Run the records in order on a copy of state's amplitudes, or,
+        with inplace=True, on state.amps itself; either way the returned
+        state holds the buffer that was run on."""
         n = state.n_qubits
-        amps = state.amps.copy()
+        amps = state.amps if inplace else state.amps.copy()
         for g in self.gates:
             KINDS[g.kind].run(g, amps, n)
         return core.StateVector(n, amps)

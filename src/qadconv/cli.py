@@ -221,7 +221,7 @@ def _run_prep(cfg: ExperimentConfig) -> dict:
     values = _load_values(cfg)
     tree, norm = _normalized_tree(values)
     op = synthesize_ua(tree).op(0)
-    state = op.apply(core.new_zero_state(tree.depth, cap=cfg.cap))
+    state = op.apply(core.new_zero_state(tree.depth, cap=cfg.cap), inplace=True)
     want = values / norm
     fidelity = float(abs(np.vdot(want, state.amps)))
     return {

@@ -11,11 +11,13 @@ Conventions, used everywhere in this package:
   down, a control qubit is indexed at its value, a (start, width) register
   is one axis indexed by its value, and each run of other qubits is one
   axis. The view never copies, and `_view` is where qubits are checked.
-* The `*_inplace` kernels edit an amplitude buffer through that view;
-  circuits.CircuitOp copies a state once per apply and runs them on the
-  copy. The seven wrappers that copy a state and run one kernel
-  (apply_single ... apply_multiplexed_ry) have no caller in the package;
-  they stay because the benchmark's tracer patches them by name.
+* The `*_inplace` kernels edit an amplitude buffer through that view.
+  circuits.CircuitOp runs them on a copy of a state, or on the state's own
+  buffer where the caller owns it, so a pipeline copies its input once and
+  runs every later stage in place. The seven wrappers that copy a state
+  and run one kernel (apply_single ... apply_multiplexed_ry) have no caller
+  in the package; they stay because the benchmark's tracer patches them by
+  name.
 """
 
 from __future__ import annotations
@@ -364,17 +366,32 @@ def apply_multiplexed_ry(state: StateVector, key_reg, target: int, angles) -> St
     return StateVector(state.n_qubits, amps)
 
 
-def postselect(state: StateVector, qubit: int, bit: int) -> tuple[StateVector, float]:
-    """Project onto qubit == bit and renormalize; returns the exact branch probability."""
+def _mass(view) -> float:
+    """Sum of |amplitude|^2 over a view, in index order, with one float
+    temporary the size of the view."""
+    p = np.abs(view)  # a C-order copy, so the sum runs in index order
+    return float(np.sum(np.square(p, out=p).ravel()))
+
+
+def postselect(state: StateVector, qubit: int, bit: int, *,
+               inplace: bool = False) -> tuple[StateVector, float]:
+    """Project onto qubit == bit and renormalize; returns the exact branch
+    probability. The projected state is a new buffer, or, with
+    inplace=True, state's own: the other branch is zeroed and the branch
+    scaled where they lie, so a caller that owns state allocates no second
+    one. The amplitudes are the same either way."""
     n = state.n_qubits
     branch, _ = _view(state.amps, n, ((qubit, bit),))
-    # np.abs makes a C-order copy, so the sum runs in index order
-    prob = float(np.sum((np.abs(branch) ** 2).ravel()))
+    prob = _mass(branch)
     if prob < 1e-24:
         raise DegenerateBranchError(
             f"branch qubit{qubit}={bit} has probability {prob!r}"
         )
-    amps = np.zeros_like(state.amps)
+    if inplace:
+        amps = state.amps
+        _view(amps, n, ((qubit, 1 - bit),))[0][...] = 0.0
+    else:
+        amps = np.zeros_like(state.amps)
     np.divide(branch, np.sqrt(prob), out=_view(amps, n, ((qubit, bit),))[0])
     return StateVector(n, amps), prob
 
@@ -392,7 +409,8 @@ def register_distribution(state: StateVector, regs) -> np.ndarray:
     Returns an array of shape (2**w1, 2**w2, ...) indexed by register values
     in the order given.
     """
-    p, axes = _view(np.abs(state.amps) ** 2, state.n_qubits, regs=regs)
+    p = np.abs(state.amps)
+    p, axes = _view(np.square(p, out=p), state.n_qubits, regs=regs)
     # the other axes keep their order, so the rest sums in index order
     p = np.moveaxis(p, axes, range(len(axes)))
     return p.reshape([1 << w for _, w in regs] + [-1]).sum(axis=-1)
@@ -409,7 +427,7 @@ def clean_component(state: StateVector, regs) -> tuple[StateVector, float]:
     view, axes = _view(state.amps, n, [(q, 0) for q in range(n) if q not in kept], regs)
     # the first listed register becomes the low bits of the sub-state index
     amps = view.transpose(axes[::-1]).ravel()
-    mass = float(np.sum(np.abs(amps) ** 2))
+    mass = _mass(amps)
     if mass < 1e-24:
         raise DegenerateBranchError("no amplitude left outside the traced registers")
     return StateVector(len(kept), amps / np.sqrt(mass)), mass

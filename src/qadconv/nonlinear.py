@@ -227,7 +227,7 @@ def perceptron_run(tree: PrepTree, ansatz: AnsatzCircuit, sigma, m: int, g: int,
     if _arity(sigma) != 1:
         raise ConfigError("sigma", "the perceptron activation takes one argument")
     ua = synthesize_ua(tree)
-    rotated = (ua.op(0) + ansatz.op(0)).apply(core.new_zero_state(n, cap=cap))
+    rotated = (ua.op(0) + ansatz.op(0)).apply(core.new_zero_state(n, cap=cap), inplace=True)
     return _pipeline(
         ua.op(start=n) + ansatz.op(start=n),
         rotated.amps, n, sigma, m, g, rng=rng, mode=mode, shots=shots, rounds=None,
@@ -260,7 +260,7 @@ def swap_test_readout(output: core.StateVector, k: int, shots: int, rng) -> Perc
     gates = [Gate("h", (anc,))]
     gates.extend(Gate("swap", (i, n + i), controls=((anc, 1),)) for i in range(n))
     gates.append(Gate("h", (anc,)))
-    state = CircuitOp(tuple(gates)).apply(state)
+    state = CircuitOp(tuple(gates)).apply(state, inplace=True)
     p_zero = float(core.register_distribution(state, [(anc, 1)])[0])
     p_hat = int(rng.binomial(shots, p_zero)) / shots
     estimate = min(max(2.0 * p_hat - 1.0, 0.0), 1.0)

@@ -219,7 +219,7 @@ def readout_eigenbasis(layout: RegisterLayout, load: CircuitOp) -> tuple[Gate, n
     # psi for every address at once: the load on sum_k |k, 0>
     amps = np.zeros(1 << s, dtype=np.complex128)
     amps[:1 << k] = 1.0
-    psi = load.apply(core.StateVector(s, amps)).amps.reshape(2, half, 1 << k)
+    psi = load.apply(core.StateVector(s, amps), inplace=True).amps.reshape(2, half, 1 << k)
     psi = psi.transpose(0, 2, 1)  # [b, address, other targets]
     norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=2))
     unit = psi / np.where(norms > 0, norms, 1.0)[..., None]
@@ -287,11 +287,15 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
 def run_stages(state: core.StateVector, stages,
                cap: int = core.DEFAULT_QUBIT_CAP) -> core.StateVector:
     """Apply (extra, op) stages in order; each first tensors `extra` fresh
-    zero qubits on top, so registers join the state as late as possible."""
-    for extra, op in stages:
+    zero qubits on top, so registers join the state as late as possible.
+
+    The caller's state is never modified: the first stage copies it, or
+    tensors it into a new buffer if it adds qubits, and every later stage
+    runs in place on the buffer it is handed."""
+    for i, (extra, op) in enumerate(stages):
         if extra:
             state = core.tensor(core.new_zero_state(extra, cap=cap), state, cap=cap)
-        state = op.apply(state)
+        state = op.apply(state, inplace=bool(extra or i))
     return state
 
 
@@ -353,7 +357,7 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     estimate = hadamard_layer(layout, "ad") + stages[0][1]
     # held in a list that is popped into run_stages, so no reference to the
     # pre-recover state stays alive while the later stages run
-    held = [estimate.apply(core.new_zero_state(reg_s, cap=cap))]
+    held = [estimate.apply(core.new_zero_state(reg_s, cap=cap), inplace=True)]
 
     # phase-register statistics before anything is uncomputed
     t = m + g

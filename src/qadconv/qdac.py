@@ -49,7 +49,7 @@ def make_digital_state(data, m: int, signed: bool = False,
     codes = [codec.encode(v) for v in np.asarray(data, dtype=np.float64)]
     n_addr = _address_width(len(codes))
     op = digital_load_op(codes, n_addr, codec.width)
-    return op.apply(core.new_zero_state(n_addr + codec.width, cap=cap))
+    return op.apply(core.new_zero_state(n_addr + codec.width, cap=cap), inplace=True)
 
 
 def digital_load_op(codes, n_addr: int, value_width: int) -> CircuitOp:
@@ -152,7 +152,8 @@ def qdac_run(
         raise ZeroSuccessError("f~ vanishes on every data value")
 
     suffix, anc = conversion_suffix_op(f, d_codes, n_addr)
-    full = suffix.apply(core.tensor(core.new_zero_state(1, cap=cap), state, cap=cap))
+    full = suffix.apply(core.tensor(core.new_zero_state(1, cap=cap), state, cap=cap),
+                        inplace=True)
     # extract_codes accepted the state, so full is procedure|0...0>
     procedure = digital_load_op(d_codes, n_addr, w_v).then(suffix, label="qdac-full")
     return finish(full, anc, n_addr, predicted, mode, procedure, rng, shots, rounds)[0]
@@ -189,16 +190,24 @@ def finish(state: core.StateVector, anc: int, n_addr: int, predicted: float, mod
     Also returns p, the branch probability before any boosting. Callers
     pass mode, rng, shots and rounds through check_mode before building the
     state.
+
+    state is consumed, so it must be a buffer the caller owns. postselect
+    and sample project it in place and build no second full-size state;
+    amplify projects the boosted state in place, which the Grover rounds
+    build as one copy of state.
     """
-    branch, p = core.postselect(state, anc, 0)
+    amplify = mode == "amplify"
+    # amplify starts from the whole state, so there p is read off a copy
+    branch, p = core.postselect(state, anc, 0, inplace=not amplify)
     empirical, attempts, success = p, 1, True
     if mode == "sample":
         hits = int(rng.binomial(shots, p))
         empirical, attempts, success = hits / shots, shots, hits > 0
-    elif mode == "amplify":
+    elif amplify:
         r = grover_rounds(p) if rounds is None else int(rounds)
+        del branch  # not kept alive next to the boosted state
         boosted = amplitude_amplify(procedure, state, anc, r)
-        branch, empirical = core.postselect(boosted, anc, 0)
+        branch, empirical = core.postselect(boosted, anc, 0, inplace=True)
         attempts = 1 + 2 * r
     output, mass = core.clean_component(branch, [(0, n_addr)])
     return QdacOutcome(
@@ -236,7 +245,8 @@ def amplitude_amplify(
         + (Gate("reflect", tuple(range(state.n_qubits))),) + procedure.gates,
         label="grover-round",
     )
-    for _ in range(int(rounds)):
-        state = grover.apply(state)
+    # the first round copies state, so the caller's state is left as it was
+    for i in range(int(rounds)):
+        state = grover.apply(state, inplace=i > 0)
         np.negative(state.amps, out=state.amps)
     return state

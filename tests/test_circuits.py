@@ -411,6 +411,24 @@ def test_every_kind_matches_its_block_wherever_it_is_placed(case, seed):
     assert np.max(np.abs(got - _embed(block, place, n, controls, amps))) <= 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(placed_gates(), st.integers(0, 2**32 - 1))
+def test_every_kind_applies_in_place_as_it_applies_to_a_copy(case, seed):
+    kind, place, n, controls = case
+    gate = KIND_CASES[kind][0]
+    op = CircuitOp((replace(gate, wires=tuple(place[w] for w in gate.wires),
+                            controls=controls),))
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = core.StateVector(n, amps.copy())
+    by_value = op.apply(state)
+    assert state.amps.tobytes() == amps.tobytes()  # the caller's state is left alone
+    assert by_value.amps is not state.amps
+    in_place = op.apply(state, inplace=True)
+    assert in_place.amps is state.amps
+    assert in_place.amps.tobytes() == by_value.amps.tobytes()
+
+
 def test_power_record_splits_keys_from_targets():
     gate = KIND_CASES["power"][0]
     assert gate.wires == (0, 1, 2)

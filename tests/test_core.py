@@ -170,6 +170,19 @@ def test_postselect():
         core.postselect(st, 1, 1)
 
 
+@pytest.mark.parametrize("qubit,bit", [(0, 0), (2, 1), (4, 0)])
+def test_postselect_in_place_matches_the_copy(qubit, bit):
+    rng = np.random.default_rng(qubit + 7 * bit)
+    amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+    st = core.StateVector(5, amps.copy())
+    kept, prob = core.postselect(st, qubit, bit)
+    assert st.amps.tobytes() == amps.tobytes()
+    owned, owned_prob = core.postselect(st, qubit, bit, inplace=True)
+    assert owned.amps is st.amps
+    assert owned_prob == prob
+    assert owned.amps.tobytes() == kept.amps.tobytes()
+
+
 def test_tensor_order():
     # tensor(a, b) puts a on the high qubits
     a = core.apply_single(core.new_zero_state(1), 0, core.X_MATRIX)

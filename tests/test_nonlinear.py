@@ -1,6 +1,7 @@
 """Pipeline, perceptron, swap-test readout, training loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qadconv.nonlinear import (
     train_demo,
 )
 from qadconv.prep import build_tree, synthesize_ua
-from qadconv.qadc import hadamard_layer, readout_block, readout_layout, run_stages
+from qadconv.qadc import hadamard_layer, readout_block, readout_layout, run_qadc, run_stages
 from qadconv.qdac import finish, grover_rounds, value_rotation
 from qadconv.reference import dense_unitary, grover_probability, is_unitary
 
@@ -407,3 +408,35 @@ def test_train_planted_optimum_hits_noise_floor():
     res = train_demo(targets, ansatz, tree, "identity", 3, 2, shots=shots,
                      rng=np.random.default_rng(3), budget=3)
     assert res.loss <= 9 * targets.size / shots
+
+
+def _unit_tree(n, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return build_tree(c / np.linalg.norm(c))
+
+
+# Entry points whose largest state has 20 qubits (16 MiB). Every stage after
+# the first and the closing postselection run in place, so a run holds that
+# state plus half of one: the float marginal read off it (run_qadc), or the
+# 19-qubit state the pipeline's ancilla is tensored onto. About 1.55 states.
+STATE_BYTES = 16 << 20
+MEMORY_CASES = {
+    "run_qadc": lambda: run_qadc(_unit_tree(2, 0), "real", 2, m=5, g=4),
+    "nonlinear_transform": lambda: nonlinear_transform(_unit_tree(3, 1), "tanh", 3, m=4, g=3),
+    "perceptron_run": lambda: perceptron_run(
+        _unit_tree(3, 1), AnsatzCircuit(3, 2, np.full((2, 3, 2), 0.3)), "tanh", m=4, g=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_CASES))
+def test_entry_points_hold_at_most_1_6_states(name):
+    run = MEMORY_CASES[name]
+    run()  # numpy's and the package's one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * STATE_BYTES, (name, peak / STATE_BYTES)

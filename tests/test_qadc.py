@@ -398,6 +398,29 @@ def test_every_readout_stage_preserves_the_norm(variant, n, m, g, seed):
         assert abs(np.linalg.norm(state.amps) - 1.0) <= 1e-12
 
 
+@settings(max_examples=20, deadline=None)
+@given(**small_readouts)
+def test_run_stages_leaves_the_callers_state_and_matches_stage_by_stage_copies(
+        variant, n, m, g, seed):
+    # the block starts with a stage on the caller's qubits; the stages from
+    # recover on start by adding qubits
+    layout = readout_layout(variant, n, m, g)
+    prep = _loader(layout, _random_tree(n, seed))
+    stages = readout_block(prep, variant, n, m, g, layout.n_qubits)
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    amps = rng.normal(size=1 << layout.n_qubits) + 1j * rng.normal(size=1 << layout.n_qubits)
+    for run in (stages, stages[1:]):
+        start = core.StateVector(layout.n_qubits, amps.copy())
+        want = start
+        for extra, op in run:
+            if extra:
+                want = core.tensor(core.new_zero_state(extra), want)
+            want = op.apply(want)
+        got = run_stages(start, run)
+        assert start.amps.tobytes() == amps.tobytes()
+        assert got.amps.tobytes() == want.amps.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(**small_readouts)
 def test_phase_success_matches_reference(variant, n, m, g, seed):

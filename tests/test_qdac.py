@@ -250,6 +250,32 @@ def test_amplify_round_sweep_matches_closed_form():
         assert out.empirical_probability == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("mode", ["postselect", "sample", "amplify"])
+def test_qdac_run_leaves_the_callers_state_unchanged(mode):
+    st = qdac.make_digital_state([0.4, -0.5, 0.1, 0.7], m=5, signed=True)
+    before = st.amps.tobytes()
+    orc = activation_oracle("tanh", 5, in_signed=True, out_signed=True)
+    qdac.qdac_run(st, orc, m=5, mode=mode, rng=np.random.default_rng(1))
+    assert st.amps.tobytes() == before
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 3])
+def test_amplitude_amplify_leaves_the_callers_state_and_matches_round_by_round_copies(rounds):
+    from qadconv.circuits import CircuitOp, Gate
+
+    proc = CircuitOp((Gate("h", (0,)), Gate("ry", (1,), (2.2,), controls=((0, 1),))))
+    st = proc.apply(core.new_zero_state(2))
+    before = st.amps.tobytes()
+    got = qdac.amplitude_amplify(proc, st, 1, rounds)
+    assert st.amps.tobytes() == before
+    grover = CircuitOp((Gate("reflect", (1,)),) + proc.inverse().gates
+                       + (Gate("reflect", (0, 1)),) + proc.gates)
+    want = st
+    for _ in range(rounds):
+        want = core.StateVector(2, -grover.apply(want).amps)
+    assert got.amps.tobytes() == want.amps.tobytes()
+
+
 ONE_INPUT = sorted(name for name, (_, arity) in ACTIVATIONS.items() if arity == 1)
 
 
