@@ -5,22 +5,21 @@ record's in-place kernel, looked up by kind in KINDS, on a copy of the
 amplitude buffer, or on the buffer itself for a caller that owns it
 (inplace=True). Inversion, control wrapping, and primitive counting all
 work structurally on the records through the same table. The QFT is one
-"qft" record, an in-place FFT. Generic phase estimation (phase_estimate_op)
-emits one "power" record per phase bit: the iterate raised to 2^j,
-compiled into per-key-value dense blocks by repeated squaring. fuse
-compiles runs of gates the same way, compiled powers included, into
-count-1 power records whose block tables hold at most 4^FUSE_QUBITS
-entries; a fused record keeps its source gates, so its inverse
-(conjugate-transposed blocks) and its logical count come from the same
-rules as any power record.
+"qft" record, an in-place FFT. fuse compiles runs of gates into "power"
+records whose per-key-value dense block tables hold at most 4^FUSE_QUBITS
+entries; a power record keeps its source gates, so its inverse
+(conjugate-transposed blocks) and its logical count come from them.
 
-For an iterate whose eigenbasis V is known, the whole cascade of
-controlled powers is V diag(e^(i phi omega)) V^H: spectral_record writes
-the diagonal as one "spectral" record (a phase table that carries the
-iterate and its logical count 2^t - 1), and an "eigenbasis" record holds
-V^H in factored form, Householder reflections and a 2x2 mix per key value,
-so it needs no table of its own; fuse compiles a small one into blocks.
-The qADC readouts estimate this way.
+Phase estimation has two forms. phase_estimate_op is the textbook circuit:
+Hadamards, the unitary controlled on phase bit j and repeated 2^j times,
+then the inverse qft record; it is the flat reference. For an iterate whose
+eigenbasis V is known, the whole cascade of controlled powers is
+V diag(e^(i phi omega)) V^H: spectral_record writes the diagonal as one
+"spectral" record (a phase table that carries the iterate and its logical
+count 2^t - 1), and an "eigenbasis" record holds V^H in factored form,
+Householder reflections and a 2x2 mix per key value, so it needs no table
+of its own; fuse compiles a small one into blocks. The qADC readouts
+estimate this way.
 """
 
 from __future__ import annotations
@@ -146,15 +145,9 @@ def _qft_cost(g) -> int:
 
 def _power(g, amps, n):
     table = g.params
-    if table.blocks is None:
-        gates = [h.with_controls(g.controls) for h in table.iterate]
-        for _ in range(table.count):
-            for h in gates:
-                KINDS[h.kind].run(h, amps, n)
-    else:
-        core.apply_block_table_inplace(
-            amps, n, g.wires[:table.keys], g.wires[table.keys:], table.blocks, g.controls
-        )
+    core.apply_block_table_inplace(
+        amps, n, g.wires[:table.keys], g.wires[table.keys:], table.blocks, g.controls
+    )
 
 
 def _negate(params, _memo) -> tuple:
@@ -171,8 +164,9 @@ def _inverse_gates(gates, memo) -> tuple:
 
 def _inverse_iterate(iterate, memo) -> tuple:
     """memo maps id(iterate) to (iterate, its inverse) within one inversion,
-    so the records of a phase estimation, which share one iterate, also
-    share one daggered iterate. It holds the iterate so the id stays its."""
+    so records that share one iterate, such as the repeated controlled
+    copies of phase estimation, also share one daggered iterate. It holds
+    the iterate so the id stays its."""
     key = id(iterate)
     if key not in memo:
         memo[key] = (iterate, _inverse_gates(iterate, memo))
@@ -180,12 +174,12 @@ def _inverse_iterate(iterate, memo) -> tuple:
 
 
 def _power_inverse(table, memo):
-    blocks = None if table.blocks is None else table.blocks.conj().transpose(0, 2, 1)
-    return replace(table, iterate=_inverse_iterate(table.iterate, memo), blocks=blocks)
+    return replace(table, iterate=_inverse_iterate(table.iterate, memo),
+                   blocks=table.blocks.conj().transpose(0, 2, 1))
 
 
 def _power_cost(g) -> int:
-    return g.params.count * sum(h.primitive_count for h in g.params.iterate)
+    return sum(h.primitive_count for h in g.params.iterate)
 
 
 def _eigenbasis(g, amps, n):
@@ -239,26 +233,24 @@ KINDS = {
     # a change of basis that the simulation pulls out of phase estimation,
     # not a gate of the logical circuit
     "eigenbasis": Kind(_eigenbasis, _eigenbasis_inverse, lambda g: 0),
-    "spectral": Kind(_spectral, _spectral_inverse, _power_cost),
+    "spectral": Kind(_spectral, _spectral_inverse, lambda g: g.params.count * _power_cost(g)),
 }
 
 
 @dataclass(frozen=True, eq=False)
 class PowerTable:
-    """Params of a power record: `iterate` (a gate tuple) applied `count`
-    times.
+    """Params of a power record: `iterate` (a gate tuple) compiled into
+    blocks.
 
-    The iterate uses its first `keys` wires only as controls, so its power
-    is block-diagonal over their value: blocks[v] is the power on the other
-    (target) wires where the keys hold v. blocks is None when the tables
-    would exceed POWER_TABLE_BUDGET; the record then replays the iterate.
-    Tables compare by identity, never element by element.
+    The iterate uses its first `keys` wires only as controls, so it is
+    block-diagonal over their value: blocks[v] is the iterate on the other
+    (target) wires where the keys hold v. Tables compare by identity, never
+    element by element.
     """
 
     iterate: tuple
-    count: int
     keys: int
-    blocks: np.ndarray | None = None
+    blocks: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,13 +394,7 @@ def iqft_op(start: int, width: int) -> CircuitOp:
 
 
 # ---------------------------------------------------------------------------
-# Phase estimation.
-
-PE_CTRL_TAG = "pe-ctrl-entry"
-
-# Complex entries (16 bytes each) the block tables of one phase estimation
-# may hold in total; an iterate whose tables would not fit is replayed.
-POWER_TABLE_BUDGET = 1 << 20
+# Fused block records.
 
 
 def _roles(g) -> tuple[set, set]:
@@ -428,30 +414,6 @@ def _key_split(gates) -> tuple[tuple, tuple]:
         wires |= gw
         ctrls |= gc
     return tuple(sorted(ctrls - wires)), tuple(sorted(wires))
-
-
-def power_records(unitary: CircuitOp, t: int) -> list:
-    """Power records of unitary^(2^j) for j = 0 .. t-1.
-
-    Key qubits are the ones the unitary only ever uses as controls; its
-    other qubits are targets. When t tables of 2^k blocks of 2^w x 2^w
-    entries fit POWER_TABLE_BUDGET, the unitary is materialized once per key
-    value and squared t-1 times; otherwise each record replays the unitary's
-    gates 2^j times.
-    """
-    if not unitary.gates:
-        raise RegisterError("cannot raise an empty circuit to a power")
-    keys, targets = _key_split(unitary.gates)
-    k, w = len(keys), len(targets)
-    fits = t << (k + 2 * w) <= POWER_TABLE_BUDGET
-    blocks = _materialize(unitary.gates, keys, targets) if fits else None
-    records = []
-    for j in range(t):
-        if j and blocks is not None:
-            blocks = blocks @ blocks
-        table = PowerTable(unitary.gates, 1 << j, k, blocks)
-        records.append(Gate("power", keys + targets, table, label=unitary.label))
-    return records
 
 
 def _materialize(gates, keys, targets) -> np.ndarray:
@@ -485,7 +447,7 @@ def _table_fits(wires: set, ctrls: set) -> bool:
 
 
 def fuse(op: CircuitOp) -> CircuitOp:
-    """Compile runs of gates into count-1 power records.
+    """Compile runs of gates into power records.
 
     Read left to right, a gate joins the current run while the run's block
     table stays within the FUSE_QUBITS bound (keys + 2 * targets <=
@@ -493,10 +455,9 @@ def fuse(op: CircuitOp) -> CircuitOp:
     next one. Each run becomes one power record: the run is its iterate,
     its keys are the run's control-only qubits (a power record's key wires
     count as controls), and its blocks are the run materialized per key
-    value, exactly as power_records makes them. Compiled power records join
-    runs like any other gate, and a run that is one compiled power record
-    passes through as it is. qft records, replay power records (no blocks)
-    and gates that alone exceed the bound pass through and close the run.
+    value. Power records join runs like any other gate, and a run that is
+    one power record passes through as it is. qft records and gates that
+    alone exceed the bound pass through and close the run.
     """
     out: list = []
     run: list = []
@@ -509,7 +470,7 @@ def fuse(op: CircuitOp) -> CircuitOp:
         elif run:
             keys, targets = _key_split(run)
             iterate = tuple(run)
-            table = PowerTable(iterate, 1, len(keys), _materialize(iterate, keys, targets))
+            table = PowerTable(iterate, len(keys), _materialize(iterate, keys, targets))
             out.append(Gate("power", keys + targets, table, label="fused"))
         run.clear()
         wires.clear()
@@ -517,7 +478,7 @@ def fuse(op: CircuitOp) -> CircuitOp:
 
     for g in op.gates:
         gw, gc = _roles(g)
-        apart = g.kind == "qft" or (g.kind == "power" and g.params.blocks is None)
+        apart = g.kind == "qft"
         if apart or not _table_fits(wires | gw, ctrls | gc):
             flush()
         if apart or not _table_fits(gw, gc):
@@ -530,14 +491,16 @@ def fuse(op: CircuitOp) -> CircuitOp:
     return CircuitOp(tuple(out), op.label)
 
 
-def phase_estimate_op(unitary: CircuitOp, regp) -> CircuitOp:
-    """Textbook phase estimation with compiled controlled powers.
+# ---------------------------------------------------------------------------
+# Phase estimation.
 
-    Hadamards on the phase register, then one power record U^(2^j) (see
-    power_records) controlled on register bit j, then the inverse qft
-    record. The power records carry PE_CTRL_TAG, and their params' logical
-    counts 2^j sum to the controlled-unitary application count 2^t - 1.
-    """
+PE_CTRL_TAG = "pe-ctrl-entry"
+
+
+def phase_estimate_op(unitary: CircuitOp, regp) -> CircuitOp:
+    """Textbook phase estimation: Hadamards on the phase register, then the
+    unitary controlled on register bit j and repeated 2^j times, 2^t - 1
+    controlled copies in all, then the inverse qft record."""
     s, t = regp
     if t < 1:
         raise RegisterError("phase register must have at least one bit")
@@ -545,8 +508,8 @@ def phase_estimate_op(unitary: CircuitOp, regp) -> CircuitOp:
     if used & set(range(s, s + t)):
         raise RegisterError("phase register collides with the unitary's qubits")
     gates: list = [Gate("h", (s + j,)) for j in range(t)]
-    for j, rec in enumerate(power_records(unitary, t)):
-        gates.append(replace(rec, controls=((s + j, 1),), tag=PE_CTRL_TAG))
+    for j in range(t):
+        gates.extend(unitary.controlled((s + j, 1)).gates * (1 << j))
     gates.extend(iqft_op(s, t).gates)
     return CircuitOp(tuple(gates), label="phase-estimate")
 
@@ -560,8 +523,8 @@ def spectral_record(unitary: CircuitOp, phases, regp) -> Gate:
     The record is the phase table e^(i phi phases[v]) over both registers,
     built in place by doubling: the rows for phi in [2^j, 2^(j+1)) are the
     rows below them times e^(i 2^j phases). It carries PE_CTRL_TAG, the
-    unitary's gates and the logical count 2^t - 1 of the power records it
-    replaces, so primitive and controlled-unitary counts are theirs.
+    unitary's gates and the logical count 2^t - 1 of the controlled copies
+    it replaces, so primitive and controlled-unitary counts are theirs.
     """
     s, t = regp
     phases = np.asarray(phases, dtype=np.float64)

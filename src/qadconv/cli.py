@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -535,22 +535,16 @@ def _check_pe_distribution() -> float:
     return worst
 
 
-def _block_deviation(variant, tree, n, m, g, seed, replay=False) -> float:
+def _block_deviation(variant, tree, n, m, g, seed) -> float:
     """The readout block readout_block builds (spectral estimate, recover,
     un-estimate) against the flat block: the unfused load, phase_estimate_op
-    on the unfused iterate (its power records replaying the iterate when
-    `replay`), the same recover stage, then the inverse of load and
-    estimate; on a random state."""
+    on the unfused iterate, the same recover stage, then the inverse of load
+    and estimate; on a random state."""
     layout = readout_layout(variant, n, m, g)
     prep = synthesize_ua(tree).op(start=layout.start("data"))
     stages = readout_block(prep, variant, n, m, g, layout.n_qubits)
     load = address_copy_op(layout) + readout_test(layout, prep, variant)
-    pe = phase_estimate_op(readout_iterate(layout, load), layout.reg("regp"))
-    if replay:
-        pe = CircuitOp(tuple(
-            replace(h, params=replace(h.params, blocks=None)) if h.kind == "power" else h
-            for h in pe.gates))
-    estimate = load + pe
+    estimate = load + phase_estimate_op(readout_iterate(layout, load), layout.reg("regp"))
     flat = estimate + stages[1][1] + estimate.inverse()
     spectral = CircuitOp(tuple(gate for _, op in stages for gate in op.gates))
     nq = layout.n_qubits + stages[1][0]
@@ -558,15 +552,6 @@ def _block_deviation(variant, tree, n, m, g, seed, replay=False) -> float:
     amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
     start = core.StateVector(nq, amps / np.linalg.norm(amps))
     return float(np.max(np.abs(spectral.apply(start).amps - flat.apply(start).amps)))
-
-
-def _check_compiled_pe() -> float:
-    """The magnitude readout block, its estimate in the iterate's
-    eigenbasis, against the flat block with phase estimation's power
-    records compiled into blocks and replaying the iterate."""
-    tree = build_tree([0.6, 0.8j], normalize="silent")
-    return max(_block_deviation("abs", tree, 1, 2, 1, 20260102, replay)
-               for replay in (False, True))
 
 
 def _unfuse(gates) -> tuple:
@@ -631,6 +616,22 @@ def _check_readout_eigenbasis() -> float:
                 want[0, 0], want[1, 0], want[1, 1:] = omega, -omega, math.pi
                 got = phases.reshape(2, half, 2)[..., k]
                 worst = max(worst, float(np.max(np.abs(np.exp(1j * got) - np.exp(1j * want)))))
+    return worst
+
+
+def _check_amplitude_law() -> float:
+    """The clean digital state run_qadc leaves for abs, real and imag
+    against reference.amplitude_law, on a complex 2-address tree and a
+    complex 4-address tree."""
+    rng = np.random.default_rng(20260110)
+    worst = 0.0
+    for n, m, g in ((1, 2, 1), (2, 3, 1)):
+        c = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        tree = build_tree(c / np.linalg.norm(c))
+        for variant in ("abs", "real", "imag"):
+            got = run_qadc(tree, variant, n, m, g).digital_state.amps
+            want = reference.amplitude_law(tree.amplitudes(), variant, m, g)
+            worst = max(worst, float(np.max(np.abs(got - want))))
     return worst
 
 
@@ -721,9 +722,9 @@ def _check_pipeline() -> float:
 ORACLE_CHECKS: tuple[tuple[str, float, object], ...] = (
     ("circuit-products", 1e-12, _check_circuit_products),
     ("pe-distribution", 1e-10, _check_pe_distribution),
-    ("compiled-pe", 1e-12, _check_compiled_pe),
     ("fused-blocks", 1e-12, _check_fused_blocks),
     ("readout-eigenbasis", 1e-12, _check_readout_eigenbasis),
+    ("amplitude-law", 1e-12, _check_amplitude_law),
     ("prep-trees", 1e-10, _check_prep_trees),
     ("spectrum", 1e-10, _check_spectrum),
     ("qdac-exact", 1e-10, _check_qdac_exact),
@@ -859,9 +860,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = _config_from_args(args)
     if cfg.cap != core.DEFAULT_QUBIT_CAP:
-        mib = (1 << cfg.cap) * 16 / 2**20
-        print(f"qubit cap {cfg.cap}: a full state holds {mib:.0f} MiB of amplitudes",
-              file=sys.stderr)
+        print(f"qubit cap {cfg.cap}: a full state holds {core.amplitude_mib(cfg.cap)} MiB "
+              "of amplitudes", file=sys.stderr)
     try:
         record = run(cfg)
     except ResourceLimitError as exc:

@@ -73,12 +73,19 @@ class StateVector:
     amps: np.ndarray
 
 
+def amplitude_mib(n_qubits: int) -> str:
+    """The MiB of amplitudes a state of n_qubits holds, 16 * 2^n / 2^20 =
+    2^(n - 16), for a message; past the float range it reads 2^(n - 16)."""
+    e = n_qubits - 16
+    return f"{2.0**e:.3g}" if e < 1024 else f"2^{e}"
+
+
 def check_qubit_cap(n_qubits: int, cap: int = DEFAULT_QUBIT_CAP) -> None:
     """Refuse a state of n_qubits above the cap, before anything of that
     size (a state, or a table indexed by its registers) is built."""
     if n_qubits > cap:
         raise ResourceLimitError(
-            f"{n_qubits} qubits ({16 * 2**n_qubits / 2**20:.3g} MiB of amplitudes) "
+            f"{n_qubits} qubits ({amplitude_mib(n_qubits)} MiB of amplitudes) "
             f"exceeds the cap of {cap}"
         )
 

@@ -373,19 +373,18 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
 
 def _controlled_ua_count(gates, controlled: bool = False) -> int:
     """Controlled-U applications: the loader entries (UA_ENTRY_TAG records)
-    inside phase-estimation records (PE_CTRL_TAG: a readout's spectral
-    record, or the power records of phase_estimate_op), each times the
-    logical counts of the records around it. A spectral record counts its
+    inside a readout's spectral record (PE_CTRL_TAG), which counts its
     iterate 2^t - 1 times, as the controlled powers it stands for would.
-    Records nest: fused records hold power records and phase-estimation
-    records, whose iterates hold the fused load."""
+    Records nest: fused records hold the spectral record, whose iterate
+    holds the fused load."""
     total = 0
     for gate in gates:
         if gate.tag == UA_ENTRY_TAG:
             total += controlled
         elif gate.kind in ("power", "spectral"):
             inner = controlled or gate.tag == PE_CTRL_TAG
-            total += gate.params.count * _controlled_ua_count(gate.params.iterate, inner)
+            count = gate.params.count if gate.kind == "spectral" else 1
+            total += count * _controlled_ua_count(gate.params.iterate, inner)
     return total
 
 

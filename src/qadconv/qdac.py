@@ -45,11 +45,13 @@ class QdacOutcome:
 def make_digital_state(data, m: int, signed: bool = False,
                        cap: int = core.DEFAULT_QUBIT_CAP) -> core.StateVector:
     """(1/sqrt(N)) sum_j |j>|code(d_j)> with the address in the low qubits."""
+    values = np.asarray(data, dtype=np.float64)
     codec = FixedPointCodec(m, signed=signed)
-    codes = [codec.encode(v) for v in np.asarray(data, dtype=np.float64)]
-    n_addr = _address_width(len(codes))
-    op = digital_load_op(codes, n_addr, codec.width)
-    return op.apply(core.new_zero_state(n_addr + codec.width, cap=cap), inplace=True)
+    n_addr = _address_width(len(values))
+    # the zero state checks the cap before a huge m reaches the encoder
+    state = core.new_zero_state(n_addr + codec.width, cap=cap)
+    codes = [codec.encode(v) for v in values]
+    return digital_load_op(codes, n_addr, codec.width).apply(state, inplace=True)
 
 
 def digital_load_op(codes, n_addr: int, value_width: int) -> CircuitOp:

@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 
 from qadconv import cli, core, reference
-from qadconv.circuits import (
-    PE_CTRL_TAG,
-    CircuitOp,
-    Gate,
-    phase_estimate_op,
-)
+from qadconv.circuits import CircuitOp, Gate, phase_estimate_op
 from qadconv.fixedpoint import FixedPointCodec, activation_oracle
 from qadconv.nonlinear import (
     AnsatzCircuit,
@@ -155,8 +150,8 @@ def test_05_phase_estimation():
     t = 5
     unit = CircuitOp((Gate("phase", (t,), (1.0,)),))
     pe = phase_estimate_op(unit, (0, t))
-    # logical controlled-U applications: the power records' counts 2^j
-    count = sum(g.params.count for g in pe.gates if g.tag == PE_CTRL_TAG)
+    # controlled-U applications: the copies of U controlled on the phase register
+    count = sum(any(q < t for q, _ in g.controls) for g in pe.gates)
     assert count == 2**t - 1
     note(f"05 phase estimation: PASS (dyadic dev {dyadic_dev:.2e}, "
          f"closed-form dev {closed_dev:.2e}, count {count})")

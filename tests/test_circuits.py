@@ -178,11 +178,68 @@ def test_phase_estimate_matches_closed_form():
 
 
 def test_phase_estimate_application_count():
+    # t Hadamards, U controlled on phase bit j 2^j times, one inverse qft
     t = 6
     op = circuits.phase_estimate_op(phase_unitary(1 / 3), (1, t))
-    tagged = [g for g in op.gates if g.tag == circuits.PE_CTRL_TAG]
-    assert [g.params.count for g in tagged] == [2**j for j in range(t)]
-    assert sum(g.params.count for g in tagged) == 2**t - 1
+    controlled = [g.controls for g in op.gates if g.controls]
+    assert [controlled.count(((1 + j, 1),)) for j in range(t)] == [2**j for j in range(t)]
+    assert len(controlled) == 2**t - 1
+    assert [g.kind for g in op.gates if not g.controls] == ["h"] * t + ["qft"]
+    assert op.gates[-1].params == (-1,)
+
+
+# a random iterate on qubits 0..w-1 (w = 2 or 3): qubit 0 is its key, read
+# only as a control and with both values, qubits 1..w-1 its targets
+@st.composite
+def keyed_iterates(draw):
+    w = draw(st.integers(2, 3))
+    targets = list(range(1, w))
+    gates = []
+    for i in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(["h", "x", "ry", "rz", "phase"] + ["swap"] * (w == 3)))
+        params = (draw(st.floats(-math.pi, math.pi)),) if kind in ("ry", "rz", "phase") else ()
+        wires = tuple(targets) if kind == "swap" else (draw(st.sampled_from(targets)),)
+        # the first two gates carry a value-0 and a value-1 key control
+        key = i if i < 2 else draw(st.sampled_from([None, 0, 1]))
+        controls = () if key is None else ((0, key),)
+        free = [q for q in targets if q not in wires]
+        if free and draw(st.booleans()):
+            controls += ((free[0], draw(st.integers(0, 1))),)
+        gates.append(Gate(kind, wires, params, controls))
+    return w, CircuitOp(tuple(gates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(keyed_iterates(), st.integers(1, 3), st.booleans())
+def test_phase_estimate_matches_a_dense_oracle(case, t, below):
+    # the oracle: H^t on the phase register, U^(2^j) from matrix_power
+    # controlled on phase bit j, then the inverse DFT; the phase register
+    # sits above the iterate, or below it with the iterate moved up
+    w, unitary = case
+    dim, size = 1 << w, 1 << t
+    u = reference.dense_unitary(unitary, w)
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    hadamards = np.ones((1, 1))
+    for _ in range(t):
+        hadamards = np.kron(hadamards, h)
+    want = np.kron(hadamards, np.eye(dim))  # index u + (phi << w)
+    for j in range(t):
+        bit = (np.arange(size) >> j) & 1
+        power = np.linalg.matrix_power(u, 1 << j)
+        controlled = np.kron(np.diag(bit), power) + np.kron(np.diag(1 - bit), np.eye(dim))
+        want = controlled @ want
+    want = np.kron(reference.dft_matrix(size).conj().T, np.eye(dim)) @ want
+    if below:  # index phi + (u << t)
+        want = want.reshape(size, dim, size, dim).transpose(1, 0, 3, 2).reshape(want.shape)
+        moved = CircuitOp(tuple(replace(g, wires=tuple(q + t for q in g.wires),
+                                        controls=tuple((q + t, v) for q, v in g.controls))
+                                for g in unitary.gates))
+        pe = circuits.phase_estimate_op(moved, (0, t))
+    else:
+        pe = circuits.phase_estimate_op(unitary, (w, t))
+    got = reference.dense_unitary(pe, w + t)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(reference.dense_unitary(pe.inverse(), w + t) - want.conj().T)) <= 1e-12
 
 
 def test_phase_estimate_rejects_overlap():
@@ -333,8 +390,7 @@ KIND_CASES = {
                _permutation(lambda i: i ^ (_TABLE[i & 3] << 2))),
     "mux-ry": (Gate("mux-ry", (0, 1, 2), _MUX_ANGLES), _mux_matrix()),
     "qft": (Gate("qft", (0, 1, 2), (1,)), reference.dft_matrix(8)),
-    "power": (circuits.power_records(_ITERATE, 3)[2],
-              np.linalg.matrix_power(_ITERATE_MATRIX, 4)),
+    "power": (circuits.fuse(_ITERATE).gates[0], _ITERATE_MATRIX),
     "eigenbasis": (Gate("eigenbasis", (0, 1, 2), _EIGENBASIS), _eigenbasis_matrix()),
     "spectral": (circuits.spectral_record(_ITERATE, _OMEGA, (2, 1)),
                  np.diag(np.exp(1j * np.outer([0, 1], _OMEGA).ravel()))),
@@ -434,37 +490,16 @@ def test_power_record_splits_keys_from_targets():
     assert gate.wires == (0, 1, 2)
     assert gate.params.keys == 1  # one block per value of key qubit 0
     assert gate.params.blocks.shape == (2, 4, 4)
-    assert gate.params.count == 4
-    assert gate.primitive_count == 4 * len(_ITERATE.gates)
+    assert gate.params.iterate == _ITERATE.gates
+    assert gate.primitive_count == len(_ITERATE.gates)
 
 
-@pytest.mark.parametrize("control", [None, 1, 0])
-def test_power_replay_matches_blocks(monkeypatch, control):
-    compiled = circuits.power_records(_ITERATE, 3)[2]
-    monkeypatch.setattr(circuits, "POWER_TABLE_BUDGET", 0)
-    replay = circuits.power_records(_ITERATE, 3)[2]
-    assert replay.params.blocks is None
-    ops = [CircuitOp((g,)) for g in (compiled, replay)]
-    if control is not None:
-        ops = [op.controlled((3, control)) for op in ops]
-    a, b = (reference.dense_unitary(op, 4) for op in ops)
-    assert np.max(np.abs(a - b)) <= 1e-12
-    a_inv, b_inv = (reference.dense_unitary(op.inverse(), 4) for op in ops)
-    assert np.max(np.abs(a_inv - b_inv)) <= 1e-12
-
-
-def test_power_records_print_shapes_and_compare_by_identity(monkeypatch):
+def test_power_record_tables_compare_by_identity():
     gate = KIND_CASES["power"][0]
-    assert gate.wires == (0, 1, 2)
-    assert gate.params.blocks.shape == (2, 4, 4)
-    assert gate.params.count == 4
-    twin = circuits.power_records(_ITERATE, 3)[2]
-    monkeypatch.setattr(circuits, "POWER_TABLE_BUDGET", 0)
-    replay = circuits.power_records(_ITERATE, 2)[1]
-    assert replay.wires == (0, 1, 2)
-    assert replay.params.blocks is None
-    assert replay.params.count == 2
-    assert len(replay.params.iterate) == 4
+    twin = circuits.fuse(_ITERATE).gates[0]
+    assert twin.wires == gate.wires
+    assert np.array_equal(twin.params.blocks, gate.params.blocks)
+    assert "blocks=array" in repr(gate.params)
     assert gate == gate
     assert gate != twin  # no elementwise ndarray comparison
     assert len({gate, twin}) == 2

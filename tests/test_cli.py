@@ -3,11 +3,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qadconv import cli, core
+from qadconv import cli, core, qadc
 from qadconv.errors import ConfigError
 
 
@@ -208,22 +209,6 @@ def test_verify_failure_exits_4(capsys, monkeypatch):
     assert record["metrics"]["rows"][0]["pass"] is False
 
 
-def test_verify_compiled_pe_catches_a_broken_block_kernel(capsys, monkeypatch):
-    code, record = run_main(capsys, ["verify", "--scope", "compiled-pe"])
-    assert code == 0
-    assert record["metrics"]["rows"][0]["max_deviation"] <= 1e-12
-
-    good = core.apply_block_table_inplace
-
-    def transposed(amps, n, keys, targets, blocks, controls=()):
-        good(amps, n, keys, targets, blocks.transpose(0, 2, 1), controls)
-
-    monkeypatch.setattr(core, "apply_block_table_inplace", transposed)
-    code, record = run_main(capsys, ["verify", "--scope", "compiled-pe"])
-    assert code == 4
-    assert record["metrics"]["rows"][0]["pass"] is False
-
-
 def test_verify_fused_blocks_catches_a_broken_block_kernel(capsys, monkeypatch):
     code, record = run_main(capsys, ["verify", "--scope", "fused-blocks"])
     assert code == 0
@@ -236,6 +221,24 @@ def test_verify_fused_blocks_catches_a_broken_block_kernel(capsys, monkeypatch):
 
     monkeypatch.setattr(core, "apply_block_table_inplace", transposed)
     code, record = run_main(capsys, ["verify", "--scope", "fused-blocks"])
+    assert code == 4
+    assert record["metrics"]["rows"][0]["pass"] is False
+
+
+@pytest.mark.parametrize("oracle", ["abs_recovery_oracle", "real_recovery_oracle"])
+def test_verify_amplitude_law_catches_a_broken_recovery_oracle(capsys, monkeypatch, oracle):
+    code, record = run_main(capsys, ["verify", "--scope", "amplitude-law"])
+    assert code == 0
+    assert record["metrics"]["rows"][0]["max_deviation"] <= 1e-12
+
+    good = getattr(qadc, oracle)
+
+    def off_by_one_code(m, guard_bits=0):
+        out = good(m, guard_bits)
+        return replace(out, table=(out.table + 1) % (1 << out.out_codec.width))
+
+    monkeypatch.setattr(qadc, oracle, off_by_one_code)
+    code, record = run_main(capsys, ["verify", "--scope", "amplitude-law"])
     assert code == 4
     assert record["metrics"]["rows"][0]["pass"] is False
 
@@ -340,9 +343,20 @@ def test_non_finite_data_exits_2(tmp_path, capsys):
     ["qdac", "--signed"],
 ])
 def test_huge_m_hits_the_cap_before_building_tables(capsys, argv):
-    code = cli.main(argv + ["--random", "4", "--seed", "1", "--m", "61"])
-    assert code == 3
-    assert "exceeds the cap" in capsys.readouterr().err
+    # m = 2000 makes sizes past the float range: the cap still exits 3
+    for m in ("61", "2000"):
+        code = cli.main(argv + ["--random", "4", "--seed", "1", "--m", m])
+        assert code == 3
+        assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_huge_cap_prints_its_estimate(capsys):
+    code = cli.main(["verify", "--scope", "none", "--cap", "2000"])
+    assert code == 0
+    assert "qubit cap 2000: a full state holds 2^1984 MiB" in capsys.readouterr().err
+    assert cli.main(["qadc", "--random", "4", "--seed", "1", "--m", "2000",
+                     "--cap", "2000"]) == 3
+    assert "exceeds the cap of 2000" in capsys.readouterr().err
 
 
 def test_huge_layer_count_hits_the_record_cap_before_building(capsys, monkeypatch):

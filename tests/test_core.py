@@ -37,6 +37,18 @@ def test_new_zero_state_rejects_bad_sizes():
     assert core.new_zero_state(25, cap=26).n_qubits == 25
 
 
+@pytest.mark.parametrize("n,want", [(16, "1"), (20, "16"), (61, "3.52e+13"),
+                                    (1039, "8.99e+307"), (1040, "2^1024"), (4010, "2^3994")])
+def test_amplitude_mib_formats_sizes_past_the_float_range(n, want):
+    # 16 * 2^n bytes = 2^(n - 16) MiB; 2.0**1024 would overflow a float
+    assert core.amplitude_mib(n) == want
+
+
+def test_the_cap_refuses_a_huge_state_by_its_message():
+    with pytest.raises(ResourceLimitError, match=r"2002 qubits \(2\^1986 MiB"):
+        core.check_qubit_cap(2002)
+
+
 def test_from_amplitudes_validation():
     with pytest.raises(DimensionError):
         core.from_amplitudes([1.0, 0.0, 0.0])

@@ -1,7 +1,7 @@
 """Fused block records against the flat gate list they compile.
 
-circuits.fuse merges runs of gates, compiled power records included, into
-count-1 power records whose block tables stay within 4^FUSE_QUBITS entries.
+circuits.fuse merges runs of gates, power records included, into power
+records whose block tables stay within 4^FUSE_QUBITS entries.
 The flat CircuitOp stays the reference: every comparison applies both to
 the same state and asks for agreement to 1e-12.
 """
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qadconv import circuits, core, qadc
-from qadconv.circuits import FUSE_QUBITS, CircuitOp, Gate, fuse, power_records
+from qadconv.circuits import FUSE_QUBITS, CircuitOp, Gate, fuse
 from qadconv.prep import build_tree, synthesize_ua
 from textbook import unfused_load
 
@@ -72,20 +72,21 @@ def records(draw, n):
 
 @st.composite
 def circuits_with_a_cascade(draw):
-    """A random circuit on 5-8 qubits with a power_records cascade in the
-    middle: U^(2^j) for j < t, each optionally controlled on its own qubit
-    above U's, as phase estimation lays them out; sometimes replayed."""
+    """A random circuit on 5-8 qubits with a cascade in the middle: for
+    j < t, the records fuse makes of U, each run optionally controlled on
+    its own qubit above U's, as phase estimation lays out its controlled
+    copies of U. The cascade's power records are made before this fuse
+    call, so they are labelled apart from the records it makes."""
     n = draw(st.integers(5, 8))
     t = draw(st.integers(1, min(3, n - 4)))
     before = draw(st.lists(records(n), min_size=1, max_size=12))
     after = draw(st.lists(records(n), min_size=1, max_size=12))
     unitary = CircuitOp(tuple(draw(st.lists(records(n - t), min_size=1, max_size=3))))
-    cascade = power_records(unitary, t)
-    if draw(st.booleans()):
-        cascade = [replace(p, params=replace(p.params, blocks=None)) for p in cascade]
-    for j, p in enumerate(cascade):
-        if draw(st.booleans()):
-            cascade[j] = p.with_controls(((n - t + j, draw(st.integers(0, 1))),))
+    fused = [replace(p, label="cascade") if is_fused(p) else p for p in fuse(unitary).gates]
+    cascade = []
+    for j in range(t):
+        controls = ((n - t + j, draw(st.integers(0, 1))),) if draw(st.booleans()) else ()
+        cascade.extend(p.with_controls(controls) for p in fused)
     return n, CircuitOp(tuple(before) + tuple(cascade) + tuple(after), label="random")
 
 
@@ -101,10 +102,6 @@ def max_dev(a, b):
 
 def is_fused(gate):
     return gate.kind == "power" and gate.label == "fused"
-
-
-def is_replay(gate):
-    return gate.kind == "power" and gate.params.blocks is None
 
 
 def table_size(gates):
@@ -160,17 +157,17 @@ def test_fused_equals_flat(case, seed):
     runs = []
     for gate in fused.gates:
         if is_fused(gate):
-            # a fused run: count 1 and within the table bound; a run that
-            # is one compiled power record is that record, not a fused one
+            # a fused run: within the table bound; a run that is one
+            # power record is that record, not a fused one
             table = gate.params
-            assert table.count == 1 and fits(table.iterate)
+            assert fits(table.iterate)
             assert table.blocks.size <= 4**FUSE_QUBITS
             assert not (len(table.iterate) == 1 and table.iterate[0].kind == "power")
             runs.append(list(table.iterate))
-        elif is_replay(gate) or gate.kind == "qft" or not fits([gate]):
+        elif gate.kind == "qft" or not fits([gate]):
             runs.append(None)  # passed through, closing the run before it
         else:
-            assert gate.kind == "power"  # a lone compiled power record
+            assert gate.kind == "power"  # a lone power record of the cascade
             runs.append([gate])
     # greedy: a run closes only where the next record's first gate would
     # break the bound
@@ -181,20 +178,19 @@ def test_fused_equals_flat(case, seed):
 
 def test_fuse_passes_wide_gates_and_powers_through():
     wide = Gate("reflect", tuple(range(FUSE_QUBITS + 1)))  # 2 * 7 > 12
-    compiled = power_records(CircuitOp((Gate("h", (0,)),)), 1)[0]
-    replay = replace(compiled, params=replace(compiled.params, blocks=None))
-    z = Gate("z", (2,))
-    op = CircuitOp((Gate("h", (0,)), wide, Gate("x", (1,)), replay, z, compiled))
+    (power,) = fuse(CircuitOp((Gate("h", (0,)),))).gates
+    x, z = Gate("x", (1,)), Gate("z", (2,))
+    op = CircuitOp((Gate("h", (0,)), wide, x, z, power))
     out = fuse(op).gates
-    # lone fitting gates become block records, wide and replay records pass
-    # through, and a compiled power joins a run like any other gate
-    assert [is_fused(gate) for gate in out] == [True, False, True, False, True]
+    # lone fitting gates become block records, wide records pass through,
+    # and a power record joins a run like any other gate
+    assert [is_fused(gate) for gate in out] == [True, False, True]
     assert out[0].params.iterate == (op.gates[0],)
     assert out[0].params.blocks.shape == (1, 2, 2)
-    assert out[1] is wide and out[3] is replay
-    assert out[4].params.iterate[0] is z and out[4].params.iterate[1] is compiled
-    # a run that is one compiled power record stays that record
-    assert fuse(CircuitOp((compiled,))).gates[0] is compiled
+    assert out[1] is wide
+    assert out[2].params.iterate == (x, z, power)
+    # a run that is one power record stays that record
+    assert fuse(CircuitOp((power,))).gates[0] is power
     assert fuse(CircuitOp(())).gates == ()
 
 
@@ -238,15 +234,16 @@ def test_fused_record_keys_are_control_only_qubits():
     assert gate.wires == (0, 1, 2)  # key qubit 0, then targets 1 and 2
     assert gate.params.keys == 1
     assert gate.params.blocks.shape == (2, 4, 4)
-    assert gate.params.count == 1
     assert gate.label == "fused"
 
 
-def test_a_power_records_key_wires_stay_keys_when_fused():
-    # U acts on qubit 2 under key qubit 1; its power records, controlled on
-    # qubits 3 and 4 as in phase estimation, fuse with keys 1, 3 and 4
-    unitary = CircuitOp((Gate("ry", (2,), (0.7,), controls=((1, 1),)),))
-    cascade = [p.with_controls(((3 + j, 1),)) for j, p in enumerate(power_records(unitary, 2))]
+def test_a_power_record_keeps_its_key_wires_in_a_fused_run():
+    # U acts on qubit 2 under key qubit 1; its power record, controlled on
+    # qubit 3 once and on qubit 4 twice as in phase estimation, fuses with
+    # keys 1, 3 and 4
+    (power,) = fuse(CircuitOp((Gate("ry", (2,), (0.7,), controls=((1, 1),)),))).gates
+    assert power.params.keys == 1
+    cascade = [power.with_controls(((q, 1),)) for q in (3, 4, 4)]
     op = CircuitOp((Gate("h", (0,)),) + tuple(cascade))
     (gate,) = fuse(op).gates
     assert gate.wires == (1, 3, 4, 0, 2)
@@ -330,10 +327,3 @@ def test_one_daggered_iterate_per_phase_estimation(variant):
     stages = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)
     assert len(pe_iterates(stages[0][1].gates)) == 1
     assert len(pe_iterates(stages[2][1].gates)) == 1
-
-
-def test_inverse_daggers_a_shared_iterate_once():
-    unitary = CircuitOp((Gate("ry", (1,), (0.7,), controls=((0, 1),)),))
-    pe = circuits.phase_estimate_op(unitary, (2, 4))
-    assert len(pe_iterates(pe.gates)) == 1
-    assert len(pe_iterates(pe.inverse().gates)) == 1

@@ -23,6 +23,7 @@ from qadconv.prep import build_tree, synthesize_ua
 from qadconv.qadc import hadamard_layer, readout_block, readout_layout, run_qadc, run_stages
 from qadconv.qdac import finish, grover_rounds, value_rotation
 from qadconv.reference import dense_unitary, grover_probability, is_unitary
+from textbook import flat_readout_block
 
 
 def test_ansatz_parameter_bookkeeping():
@@ -178,6 +179,21 @@ def test_amplify_rounds_override_keeps_conditional_state():
     overlap = abs(np.vdot(out.amplitudes, plain.amplitudes))
     assert overlap == pytest.approx(1.0, abs=1e-9)
     assert out.leakage == pytest.approx(plain.leakage, abs=1e-9)
+
+
+def test_amplify_inverts_the_compiled_pipeline(monkeypatch):
+    # the pipeline's readout blocks (spectral estimate) against the same
+    # blocks with textbook phase estimation, gate by gate
+    tree = build_tree(np.array([0.6, 0.8]))
+    got = nonlinear_transform(tree, "square", 1, 2, 1, mode="amplify", rounds=2)
+    monkeypatch.setattr(nonlinear, "readout_block", flat_readout_block)
+    want = nonlinear_transform(tree, "square", 1, 2, 1, mode="amplify", rounds=2)
+    assert got.attempts == want.attempts == 5
+    assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-12
+    assert abs(got.empirical_probability - want.empirical_probability) <= 1e-12
+    assert abs(got.success_probability - want.success_probability) <= 1e-12
+    assert abs(got.leakage - want.leakage) <= 1e-12
+    assert abs(got.fidelity - want.fidelity) <= 1e-12
 
 
 @pytest.mark.parametrize("mode", ["postselect", "amplify"])

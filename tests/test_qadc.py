@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qadconv import core, qadc, reference
-from qadconv.circuits import PE_CTRL_TAG, CircuitOp, RegisterLayout, fuse, power_records
+from qadconv.circuits import PE_CTRL_TAG, CircuitOp, RegisterLayout, phase_estimate_op
 from qadconv.errors import ConfigError, ResourceLimitError
 from qadconv.fixedpoint import abs_recovery_oracle
 from qadconv.nonlinear import AnsatzCircuit, nonlinear_transform, perceptron_run
@@ -31,7 +31,7 @@ from qadconv.qadc import (
     w_from_prep,
 )
 from qadconv.reference import dense_unitary
-from textbook import flat_phase_estimate_op, flat_readout_block, unfused_load
+from textbook import flat_readout_block, unfused_load
 
 
 def _loader(layout, tree):
@@ -499,17 +499,6 @@ def _pe_records(gates):
     return out
 
 
-def _full_blocks(blocks, k):
-    """A block table keyed on the k low qubits as one matrix over all its
-    qubits: entry [v + (r << k), v + (c << k)] is blocks[v][r, c]."""
-    kdim, dim = blocks.shape[0], blocks.shape[1]
-    full = np.zeros((kdim * dim, kdim * dim), dtype=np.complex128)
-    for v in range(kdim):
-        at = v + (np.arange(dim) << k)
-        full[np.ix_(at, at)] = blocks[v]
-    return full
-
-
 @pytest.mark.parametrize("n,m,g", [(1, 2, 1), (2, 3, 2)])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fused_load_iterate_powers_match_the_unfused_iterate(variant, n, m, g):
@@ -518,21 +507,20 @@ def test_fused_load_iterate_powers_match_the_unfused_iterate(variant, n, m, g):
     prep = _loader(layout, tree)
     flat = readout_iterate(layout, unfused_load(layout, prep, variant))
     t = m + g
-    want = power_records(flat, t)
+    s = layout.start("regp")
+    u = dense_unitary(flat, s)
     fwd = readout_block(prep, variant, n, m, g, layout.n_qubits)[0][1]
     (spectral,) = _pe_records(fwd.gates)
     assert spectral.kind == "spectral" and spectral.params.count == (1 << t) - 1
     (basis,) = [h for gate in fwd.gates if gate.kind == "power"
                 for h in gate.params.iterate if h.kind == "eigenbasis"]
     # V lambda^(2^j) V^H, from the eigenbasis record and the spectral
-    # record's row phi = 2^j, is the squared power of the flat iterate
-    s = layout.start("regp")
+    # record's row phi = 2^j, is the flat iterate's power U^(2^j)
     v = dense_unitary(CircuitOp((basis,)), s).conj().T
     rows = spectral.params.phases.reshape(1 << t, 1 << s)
-    for j, ref in enumerate(want):
-        assert ref.params.count == 1 << j
+    for j in range(t):
         power = v @ np.diag(rows[1 << j]) @ v.conj().T
-        assert np.max(np.abs(power - _full_blocks(ref.params.blocks, n))) <= 1e-12
+        assert np.max(np.abs(power - np.linalg.matrix_power(u, 1 << j))) <= 1e-12
     # the loader sits inside fused load records, not among the iterate's gates
     iterate = spectral.params.iterate
     assert not any(h.tag == UA_ENTRY_TAG for h in iterate)
@@ -540,6 +528,33 @@ def test_fused_load_iterate_powers_match_the_unfused_iterate(variant, n, m, g):
     assert len(iterate) < len(flat.gates)
     # two loader entries per iterate, in the estimate and the un-estimate
     assert run_qadc(tree, variant, n, m, g).controlled_ua_count == 4 * ((1 << t) - 1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n,m,g", [(1, 2, 1), (2, 2, 1), (2, 3, 0), (3, 2, 1)])
+def test_phase_estimate_matches_the_dense_oracle_on_readout_iterates(variant, n, m, g):
+    # phase_estimate_op on the unfused readout iterate U, after the address
+    # Hadamards and the load, against the same steps in dense numpy: the
+    # phase register's Hadamards, U^(2^j) from matrix_power where phase
+    # bit j is 1, then the inverse DFT on the phase register
+    layout = readout_layout(variant, n, m, g)
+    load = unfused_load(layout, _loader(layout, _random_tree(n, 100 * n + 10 * m + g)), variant)
+    iterate = readout_iterate(layout, load)
+    s, t = layout.reg("regp")
+    start = (hadamard_layer(layout, "ad") + load).apply(core.new_zero_state(s + t))
+    pe = phase_estimate_op(iterate, (s, t))
+    got = pe.apply(start)
+    u = dense_unitary(iterate, s)
+    powers = [np.linalg.matrix_power(u, 1 << j) for j in range(t)]
+    rows = np.empty((1 << t, 1 << s), dtype=np.complex128)
+    for phi in range(1 << t):
+        rows[phi] = start.amps[:1 << s] / math.sqrt(1 << t)  # phase register at 0
+        for j in range(t):
+            if phi >> j & 1:
+                rows[phi] = powers[j] @ rows[phi]
+    want = reference.dft_matrix(1 << t).conj().T @ rows
+    assert np.max(np.abs(got.amps - want.ravel())) <= 1e-12
+    assert np.max(np.abs(pe.inverse().apply(got).amps - start.amps)) <= 1e-12
 
 
 def _tree_with_part(variant, n, x, seed):
@@ -566,7 +581,7 @@ def _tree_with_part(variant, n, x, seed):
 @example(variant="abs", n=2, x=1e-9, seed=8)
 def test_spectral_block_equals_the_flat_block(variant, n, x, seed):
     # the estimate in the iterate's eigenbasis, with V cancelled across
-    # recover, against textbook-shaped phase estimation with compiled powers
+    # recover, against textbook phase estimation
     m, g = 2, 1
     layout = readout_layout(variant, n, m, g)
     prep = _loader(layout, _tree_with_part(variant, n, x, seed))
@@ -585,25 +600,19 @@ def test_spectral_block_equals_the_flat_block(variant, n, x, seed):
        g=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
 def test_every_path_counts_the_same_primitives_and_controlled_unitaries(variant, n, m, g,
                                                                         seed):
-    # flat: gate by gate; compiled: phase_estimate_op's power records;
-    # fused: those fused with the load; spectral: readout_block
+    # flat: phase_estimate_op gate by gate; spectral: readout_block
     layout = readout_layout(variant, n, m, g)
     prep = _loader(layout, _random_tree(n, seed))
     out = layout.n_qubits
     spectral = readout_block(prep, variant, n, m, g, out)
-    compiled = flat_readout_block(prep, variant, n, m, g, out)
-    fused_fwd = fuse(compiled[0][1])
-    fused = [(0, fused_fwd), compiled[1], (0, fused_fwd.inverse())]
-    flat = flat_readout_block(prep, variant, n, m, g, out, estimate=flat_phase_estimate_op)
+    flat = flat_readout_block(prep, variant, n, m, g, out)
     regp = set(layout.qubits("regp"))
     flat_cu = sum(gate.tag == UA_ENTRY_TAG and any(q in regp for q, _ in gate.controls)
                   for _, op in flat for gate in op.gates)
     t = m + g
     assert flat_cu == 4 * ((1 << t) - 1)
-    for path in (compiled, fused, spectral):
-        assert sum(qadc._controlled_ua_count(op.gates) for _, op in path) == flat_cu
-    prims = {sum(op.primitive_count() for _, op in path)
-             for path in (flat, compiled, fused, spectral)}
+    assert sum(qadc._controlled_ua_count(op.gates) for _, op in spectral) == flat_cu
+    prims = {sum(op.primitive_count() for _, op in path) for path in (flat, spectral)}
     assert len(prims) == 1
 
 
@@ -620,23 +629,6 @@ def test_no_lapack_routine_is_reachable_from_the_readouts(monkeypatch):
     perceptron_run(tree, AnsatzCircuit(2, 1, np.full((1, 2, 2), 0.4)), "tanh", 2, 1)
 
 
-def _amplitude_law(tree, variant, n, m, g) -> np.ndarray:
-    """sum_k sum_v p(v|k) |k>|v>, normalized, from the closed forms: the
-    clean amplitude of (k, v) is <0|U_k^dag P_v U_k|0>/sqrt(N) = p(v|k)/sqrt(N)."""
-    signed = variant != "abs"
-    part = {"abs": np.abs, "real": np.real, "imag": np.imag}[variant]
-    theta_of = reference.theta_from_part if signed else reference.theta_from_abs
-    width = m + 1 if signed else m
-    want = np.zeros((1 << width, 1 << n))
-    for k, x in enumerate(part(tree.amplitudes())):
-        dist = reference.code_distribution(theta_of(float(x)), m + g, m, signed)
-        for v, p in dist.items():
-            code = round(v * (1 << m)) % (1 << width)
-            want[code, k] += p
-    want = want.ravel()
-    return want / np.linalg.norm(want)
-
-
 @settings(max_examples=20, deadline=None)
 @given(variant=st.sampled_from(VARIANTS), shape=st.sampled_from([(1, 2, 1), (2, 3, 1), (2, 4, 3)]),
        seed=st.integers(0, 2**32 - 1))
@@ -644,7 +636,7 @@ def test_digital_state_follows_the_amplitude_law(variant, shape, seed):
     n, m, g = shape
     tree = _random_tree(n, seed)
     res = run_qadc(tree, variant, n, m, g)
-    want = _amplitude_law(tree, variant, n, m, g)
+    want = reference.amplitude_law(tree.amplitudes(), variant, m, g)
     assert np.max(np.abs(res.digital_state.amps - want)) <= 1e-12
 
 

@@ -383,6 +383,16 @@ def test_qdac_run_honours_the_callers_cap(caps_checked, mode):
     assert caps_checked and set(caps_checked) == {7}
 
 
+def test_huge_m_hits_the_cap_before_any_value_is_encoded(monkeypatch):
+    def refuse(self, v):
+        raise AssertionError("encoded past the cap")
+
+    monkeypatch.setattr(FixedPointCodec, "encode", refuse)
+    for signed in (False, True):
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            qdac.make_digital_state([0.3, 0.4, 0.5, 0.6], m=2000, signed=signed)
+
+
 def test_make_digital_state_honours_the_callers_cap(caps_checked):
     with pytest.raises(ResourceLimitError, match="cap of 5"):
         qdac.make_digital_state([0.3, 0.4, 0.5, 0.6], m=4, cap=5)

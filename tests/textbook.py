@@ -22,28 +22,17 @@ def textbook_qft_op(start, width):
     return CircuitOp(tuple(gates), label=f"qft[{start}:{start + width}]")
 
 
-def flat_phase_estimate_op(unitary, regp):
-    """Phase estimation gate by gate: Hadamards, then the unitary controlled
-    on phase bit j and repeated 2^j times, then the inverse textbook QFT."""
-    s, t = regp
-    gates = [Gate("h", (s + j,)) for j in range(t)]
-    for j in range(t):
-        gates.extend(unitary.controlled((s + j, 1)).gates * (1 << j))
-    gates.extend(textbook_qft_op(s, t).inverse().gates)
-    return CircuitOp(tuple(gates), label="phase-estimate")
-
-
 def unfused_load(layout, prep, variant):
     """A readout's load without fused records: the address copy, then V or W."""
     return qadc.address_copy_op(layout) + qadc.readout_test(layout, prep, variant)
 
 
-def flat_readout_block(prep, variant, n, m, g, out_start, estimate=phase_estimate_op):
+def flat_readout_block(prep, variant, n, m, g, out_start):
     """qadc.readout_block's stages as textbook phase estimation lays them
-    out: the unfused load, then `estimate` of the unfused iterate; the same
-    recover stage; then the inverse of load and estimate."""
+    out: the unfused load, then phase_estimate_op of the unfused iterate;
+    the same recover stage; then the inverse of load and estimate."""
     layout = qadc.readout_layout(variant, n, m, g)
     load = unfused_load(layout, prep, variant)
-    fwd = load + estimate(qadc.readout_iterate(layout, load), layout.reg("regp"))
+    fwd = load + phase_estimate_op(qadc.readout_iterate(layout, load), layout.reg("regp"))
     recover = qadc.readout_block(prep, variant, n, m, g, out_start)[1]
     return [(0, fwd), recover, (0, fwd.inverse())]
