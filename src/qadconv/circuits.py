@@ -15,8 +15,9 @@ Hadamards, the unitary controlled on phase bit j and repeated 2^j times,
 then the inverse qft record; it is the flat reference. For an iterate whose
 eigenbasis V is known, the whole cascade of controlled powers is
 V diag(e^(i phi omega)) V^H: spectral_record writes the diagonal as one
-"spectral" record (a phase table that carries the iterate and its logical
-count 2^t - 1), and an "eigenbasis" record holds V^H in factored form,
+"spectral" record, a phase table that carries the iterate's gates (never
+applied; primitive and controlled-unitary counts come from them) and the
+logical count 2^t - 1. An "eigenbasis" record holds V^H in factored form,
 Householder reflections and a 2x2 mix per key value, so it needs no table
 of its own; fuse compiles a small one into blocks. The qADC readouts
 estimate this way.
@@ -150,31 +151,20 @@ def _power(g, amps, n):
     )
 
 
-def _negate(params, _memo) -> tuple:
+def _negate(params) -> tuple:
     return tuple(-a for a in params)
 
 
-def _conjugate(params, _memo) -> tuple:
+def _conjugate(params) -> tuple:
     return tuple(np.conj(p) for p in params)
 
 
-def _inverse_gates(gates, memo) -> tuple:
-    return tuple(g.dagger(memo) for g in reversed(gates))
+def _inverse_gates(gates) -> tuple:
+    return tuple(g.dagger() for g in reversed(gates))
 
 
-def _inverse_iterate(iterate, memo) -> tuple:
-    """memo maps id(iterate) to (iterate, its inverse) within one inversion,
-    so records that share one iterate, such as the repeated controlled
-    copies of phase estimation, also share one daggered iterate. It holds
-    the iterate so the id stays its."""
-    key = id(iterate)
-    if key not in memo:
-        memo[key] = (iterate, _inverse_gates(iterate, memo))
-    return memo[key][1]
-
-
-def _power_inverse(table, memo):
-    return replace(table, iterate=_inverse_iterate(table.iterate, memo),
+def _power_inverse(table):
+    return replace(table, iterate=_inverse_gates(table.iterate),
                    blocks=table.blocks.conj().transpose(0, 2, 1))
 
 
@@ -193,7 +183,7 @@ def _eigenbasis(g, amps, n):
         core.apply_block_table_inplace(amps, n, keys, (b,), basis.mix, at_zero)
 
 
-def _eigenbasis_inverse(basis, _memo):
+def _eigenbasis_inverse(basis):
     # the reflections are self-inverse; the mix is conjugate-transposed and
     # moves to the other side of them
     return replace(basis, mix=basis.mix.conj().transpose(0, 2, 1), mix_first=not basis.mix_first)
@@ -203,14 +193,14 @@ def _spectral(g, amps, n):
     core.apply_phase_table_inplace(amps, n, _reg(g.wires), g.params.phases, g.controls)
 
 
-def _spectral_inverse(table, memo):
-    return replace(table, iterate=_inverse_iterate(table.iterate, memo),
+def _spectral_inverse(table):
+    return replace(table, iterate=_inverse_gates(table.iterate),
                    phases=table.phases.conj())
 
 
 class Kind(NamedTuple):
     run: Callable  # run(gate, amps, n): apply in place through core's kernel
-    inverse: Callable | None  # (params, memo) -> params of the inverse; None: self-inverse
+    inverse: Callable | None  # params -> params of the inverse; None: self-inverse
     cost: Callable | None  # gate -> logical primitive count; None: one
 
 
@@ -317,12 +307,9 @@ class Gate:
     def with_controls(self, extra) -> "Gate":
         return replace(self, controls=self.controls + tuple(extra))
 
-    def dagger(self, memo=None) -> "Gate":
-        """The inverse gate; memo is shared across one CircuitOp.inverse."""
+    def dagger(self) -> "Gate":
         inverse = KINDS[self.kind].inverse
-        if inverse is None:
-            return self
-        return replace(self, params=inverse(self.params, {} if memo is None else memo))
+        return self if inverse is None else replace(self, params=inverse(self.params))
 
 
 @dataclass(frozen=True)
@@ -339,9 +326,7 @@ class CircuitOp:
         return self.then(other)
 
     def inverse(self) -> "CircuitOp":
-        return CircuitOp(
-            _inverse_gates(self.gates, {}), f"{self.label}^-1" if self.label else ""
-        )
+        return CircuitOp(_inverse_gates(self.gates), f"{self.label}^-1" if self.label else "")
 
     def controlled(self, *controls) -> "CircuitOp":
         """Add (qubit, value) control pairs to every gate."""

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, reference
-from .circuits import CircuitOp, Gate, fuse, phase_estimate_op
+from .circuits import CircuitOp, Gate, phase_estimate_op
 from .errors import (
     ConfigError,
     QadconvError,
@@ -40,16 +40,15 @@ from .nonlinear import (
 )
 from .prep import build_tree, load_data, synthesize_ua
 from .qadc import (
-    address_copy_op,
+    flat_readout_block,
     part_spectrum,
     readout_block,
     readout_eigenbasis,
     readout_iterate,
     readout_layout,
-    readout_test,
+    readout_load,
     run_qadc,
     spectrum_oracle,
-    v_from_prep,
 )
 from .qdac import MODES, make_digital_state, predict_success, qdac_run
 
@@ -130,6 +129,12 @@ class ExperimentConfig:
             raise ConfigError("r", "give --r or --sweep")
         if self.cap < 1:
             raise ConfigError("cap", "qubit cap must be positive")
+        if self.random is not None:
+            # 2^n drawn values fill n address qubits: refuse them before the draw
+            core.check_qubit_cap((self.random - 1).bit_length(), self.cap)
+        if self.kind == "qdac" and self.f in ACTIVATIONS and ACTIVATIONS[self.f][1] != 1:
+            # a 2-input table has 4^m entries or more: refuse it before it is built
+            raise ConfigError("f", "digital-to-analog conversion needs a 1-input oracle")
 
     def echo(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -537,17 +542,15 @@ def _check_pe_distribution() -> float:
 
 def _block_deviation(variant, tree, n, m, g, seed) -> float:
     """The readout block readout_block builds (spectral estimate, recover,
-    un-estimate) against the flat block: the unfused load, phase_estimate_op
-    on the unfused iterate, the same recover stage, then the inverse of load
-    and estimate; on a random state."""
+    un-estimate) against flat_readout_block, the same block with textbook
+    phase estimation, each run as one circuit on a random state."""
     layout = readout_layout(variant, n, m, g)
     prep = synthesize_ua(tree).op(start=layout.start("data"))
-    stages = readout_block(prep, variant, n, m, g, layout.n_qubits)
-    load = address_copy_op(layout) + readout_test(layout, prep, variant)
-    estimate = load + phase_estimate_op(readout_iterate(layout, load), layout.reg("regp"))
-    flat = estimate + stages[1][1] + estimate.inverse()
-    spectral = CircuitOp(tuple(gate for _, op in stages for gate in op.gates))
-    nq = layout.n_qubits + stages[1][0]
+    out = layout.n_qubits
+    stages = readout_block(prep, variant, n, m, g, out)
+    spectral, flat = (CircuitOp(tuple(gate for _, op in path for gate in op.gates))
+                      for path in (stages, flat_readout_block(prep, variant, n, m, g, out)))
+    nq = out + stages[1][0]
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
     start = core.StateVector(nq, amps / np.linalg.norm(amps))
@@ -556,11 +559,8 @@ def _block_deviation(variant, tree, n, m, g, seed) -> float:
 
 def _unfuse(gates) -> tuple:
     """gates with every fused record (all power records of a readout
-    block) expanded, recursively, back into its source gates."""
-    return tuple(
-        h for g in gates
-        for h in (_unfuse(g.params.iterate) if g.kind == "power" else (g,))
-    )
+    block) expanded back into its source gates."""
+    return tuple(h for g in gates for h in (g.params.iterate if g.kind == "power" else (g,)))
 
 
 def _check_fused_blocks() -> float:
@@ -599,8 +599,7 @@ def _check_readout_eigenbasis() -> float:
         for x in (0.0, math.sqrt(0.5), -math.sqrt(0.5), 1.0, -1.0, 0.3):
             c = [1j * x if variant == "imag" else x, math.sqrt(1.0 - x * x)]
             tree = build_tree(c, normalize="silent")
-            load = address_copy_op(layout) + fuse(
-                readout_test(layout, synthesize_ua(tree).op(start=1), variant))
+            load = readout_load(layout, synthesize_ua(tree).op(start=1), variant)
             basis, phases = readout_eigenbasis(layout, load)
             g_mat = reference.dense_unitary(readout_iterate(layout, load), s)
             v_dag = reference.dense_unitary(CircuitOp((basis,)), s)
@@ -657,9 +656,9 @@ def _check_spectrum() -> float:
     for r in rng.uniform(0.02, 0.98, size=30):
         spec = spectrum_oracle(float(r))
         tree = build_tree([r, math.sqrt(1.0 - r * r)], normalize="silent")
-        v = v_from_prep(layout, synthesize_ua(tree).op(start=layout.start("data")))
-        gop = readout_iterate(layout, address_copy_op(layout) + v)
-        start = v.apply(core.new_zero_state(nq)).amps
+        load = readout_load(layout, synthesize_ua(tree).op(start=layout.start("data")), "abs")
+        gop = readout_iterate(layout, load)
+        start = load.apply(core.new_zero_state(nq)).amps
         idx = np.arange(start.size)
         branches = []
         for bit in (0, 1):

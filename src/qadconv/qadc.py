@@ -10,17 +10,18 @@ restriction to one address acts as a plane rotation by 2 pi theta_k.
 readout_block estimates theta_k into a phase register, converts the phase
 pattern to the recovered value with a lookup oracle (one gather), and
 uncomputes everything except the address and value registers; run_qadc and
-the nonlinear pipeline both run it. The load is fused into dense block
-records (circuits.fuse) and the iterate is built from them.
+the nonlinear pipeline both run it. The iterate is built from the plain
+load; the simulation never applies it, only counts its gates.
 
 The estimate runs in the iterate's eigenbasis V, which readout_eigenbasis
 writes down in closed form (the iterate is a product of two reflections):
-L V^H fuses into the load's block record, the 2^t - 1 controlled iterates
-become one spectral record e^(i phi omega), and the inverse QFT stays one
-qft record, an in-place FFT on the phase register. The V that would close
-phase estimation commutes with everything up to the un-estimate, whose
-leading V^H it cancels, so neither is applied. The uncompute stage is the
-estimate's structural inverse.
+L V^H fuses into block records, the 2^t - 1 controlled iterates become one
+spectral record e^(i phi omega), and the inverse QFT stays one qft record,
+an in-place FFT on the phase register. The V that would close phase
+estimation commutes with everything up to the un-estimate, whose leading
+V^H it cancels, so neither is applied. The uncompute stage is the
+estimate's structural inverse. flat_readout_block lays out the same block
+with textbook phase estimation, the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-# phase_estimate_op is unused here, but perfbench's tracer test looks it up on this module
-from .circuits import (  # noqa: F401
+from .circuits import (
     PE_CTRL_TAG,
     CircuitOp,
     Eigenbasis,
@@ -128,26 +128,16 @@ def hadamard_layer(layout: RegisterLayout, name: str) -> CircuitOp:
     )
 
 
-def address_copy_op(layout: RegisterLayout) -> CircuitOp:
-    """CNOTs fanning the address bits into the mirror register; empty when
-    the layout has no mirror."""
-    ad = layout.start("ad")
-    a, n = layout.reg("a")
-    return CircuitOp(
-        tuple(
-            Gate("x", (a + i,), controls=((ad + i, 1),)) for i in range(n)
-        ),
-        label="copy-address",
-    )
-
-
 def v_from_prep(layout: RegisterLayout, prep: CircuitOp) -> CircuitOp:
-    """Data load followed by a measurement-free swap test against the mirror."""
+    """CNOTs copying the address into the mirror, the data load, then a
+    measurement-free swap test of data against the mirror."""
     b = layout.start("b")
     ds = layout.start("data")
     a = layout.start("a")
+    ad = layout.start("ad")
     n = layout.width("data")
-    gates = list(prep.gates)
+    gates = [Gate("x", (a + i,), controls=((ad + i, 1),)) for i in range(n)]
+    gates.extend(prep.gates)
     gates.append(Gate("h", (b,)))
     gates.extend(Gate("swap", (ds + i, a + i), controls=((b, 1),)) for i in range(n))
     gates.append(Gate("h", (b,)))
@@ -173,8 +163,8 @@ def w_from_prep(layout: RegisterLayout, prep: CircuitOp, imag: bool) -> CircuitO
     return CircuitOp(tuple(gates), label="w-imag" if imag else "w")
 
 
-def readout_test(layout: RegisterLayout, prep: CircuitOp, variant: str) -> CircuitOp:
-    """The test a readout's load runs after the address copy: V for abs,
+def readout_load(layout: RegisterLayout, prep: CircuitOp, variant: str) -> CircuitOp:
+    """A readout's load L, gate by gate: V (with its address copy) for abs,
     W for real and W with the quarter phase for imag."""
     if variant == "abs":
         return v_from_prep(layout, prep)
@@ -249,8 +239,7 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
 
     Load and estimate; copy the recovered value into a value register of
     fresh qubits at out_start (m bits for abs, m + 1 signed bits for real
-    and imag); un-estimate and un-load. The load L is the address copy into
-    the mirror (empty but for abs), then the fused V or W.
+    and imag); un-estimate and un-load. The load L is readout_load.
 
     The estimate runs in the iterate's eigenbasis V (readout_eigenbasis):
     L V^H, the phase register's Hadamards, one spectral record
@@ -261,27 +250,47 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
     un-estimate's leading V^H. Both are left out, so the block is the same
     unitary as with textbook phase estimation, and every marginal over the
     address and the phase or value registers is unchanged at every stage.
-    L V^H fuses into the load's block record; the un-estimate stage is the
-    estimate's structural inverse. The copy is self-inverse and the stages
-    around it mirror each other, so the block is its own inverse. prep is
-    the data-load circuit on the data register.
+    The estimate stage is fused once (circuits.fuse), which compiles L V^H
+    into block records; the un-estimate stage is the estimate's structural
+    inverse. The copy is self-inverse and the stages around it mirror each
+    other, so the block is its own inverse. prep is the data-load circuit
+    on the data register.
     """
     layout = readout_layout(variant, n, m, g)
-    recovery = abs_recovery_oracle if variant == "abs" else real_recovery_oracle
-    oracle = recovery(m, guard_bits=g)
-    load = address_copy_op(layout) + fuse(readout_test(layout, prep, variant))
+    load = readout_load(layout, prep, variant)
     basis, phases = readout_eigenbasis(layout, load)
     regp = layout.reg("regp")
     cascade = spectral_record(readout_iterate(layout, load), phases, regp)
     fwd = fuse(load + CircuitOp((basis,)) + hadamard_layer(layout, "regp")
                + CircuitOp((cascade,))) + iqft_op(*regp)
+    return [(0, fwd), _recover_stage(layout, variant, m, g, out_start), (0, fwd.inverse())]
+
+
+def flat_readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
+                       out_start: int) -> list:
+    """readout_block's stages with textbook phase estimation, the flat
+    reference it is checked against: the load, then phase_estimate_op of
+    the readout iterate; the same recover stage; then the inverse of load
+    and estimate. Gate by gate, so only small blocks are practical."""
+    layout = readout_layout(variant, n, m, g)
+    load = readout_load(layout, prep, variant)
+    fwd = load + phase_estimate_op(readout_iterate(layout, load), layout.reg("regp"))
+    return [(0, fwd), _recover_stage(layout, variant, m, g, out_start), (0, fwd.inverse())]
+
+
+def _recover_stage(layout: RegisterLayout, variant: str, m: int, g: int,
+                   out_start: int) -> tuple:
+    """(width, op): the lookup oracle that copies the value recovered from
+    the phase register into width fresh qubits at out_start."""
+    recovery = abs_recovery_oracle if variant == "abs" else real_recovery_oracle
+    oracle = recovery(m, guard_bits=g)
     width = oracle.out_codec.width
     wires = tuple(layout.qubits("regp")) + tuple(range(out_start, out_start + width))
     recover = CircuitOp(
         (Gate("oracle", wires, tuple(int(x) for x in oracle.table), label=oracle.name),),
         label="recover",
     )
-    return [(0, fwd), (width, recover), (0, fwd.inverse())]
+    return width, recover
 
 
 def run_stages(state: core.StateVector, stages,
@@ -371,20 +380,19 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     )
 
 
-def _controlled_ua_count(gates, controlled: bool = False) -> int:
-    """Controlled-U applications: the loader entries (UA_ENTRY_TAG records)
-    inside a readout's spectral record (PE_CTRL_TAG), which counts its
-    iterate 2^t - 1 times, as the controlled powers it stands for would.
-    Records nest: fused records hold the spectral record, whose iterate
-    holds the fused load."""
+def _controlled_ua_count(gates) -> int:
+    """Controlled-U applications: per spectral record (PE_CTRL_TAG), the
+    loader entries (UA_ENTRY_TAG records) in its iterate times its count
+    2^t - 1, as the controlled powers it stands for would apply them. A
+    small spectral record is fused into a power record, so power records
+    are searched too."""
     total = 0
     for gate in gates:
-        if gate.tag == UA_ENTRY_TAG:
-            total += controlled
-        elif gate.kind in ("power", "spectral"):
-            inner = controlled or gate.tag == PE_CTRL_TAG
-            count = gate.params.count if gate.kind == "spectral" else 1
-            total += count * _controlled_ua_count(gate.params.iterate, inner)
+        if gate.tag == PE_CTRL_TAG:
+            entries = sum(h.tag == UA_ENTRY_TAG for h in gate.params.iterate)
+            total += gate.params.count * entries
+        elif gate.kind == "power":
+            total += _controlled_ua_count(gate.params.iterate)
     return total
 
 

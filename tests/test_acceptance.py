@@ -24,13 +24,12 @@ from qadconv.nonlinear import (
 from qadconv.prep import build_tree, synthesize_ua
 from qadconv.qadc import (
     abs_qadc,
-    address_copy_op,
     imag_qadc,
     readout_iterate,
     readout_layout,
+    readout_load,
     real_qadc,
     spectrum_oracle,
-    v_from_prep,
 )
 from qadconv.qdac import amplitude_amplify, make_digital_state, predict_success, qdac_run
 
@@ -168,9 +167,9 @@ def test_06_iterate_spectrum():
         r = float(min(r, 0.999999))
         spec = spectrum_oracle(r)
         tree = build_tree([r, math.sqrt(max(0.0, 1.0 - r * r))], normalize="silent")
-        v = v_from_prep(layout, synthesize_ua(tree).op(start=layout.start("data")))
-        gop = readout_iterate(layout, address_copy_op(layout) + v)
-        start = v.apply(core.new_zero_state(nq)).amps
+        load = readout_load(layout, synthesize_ua(tree).op(start=layout.start("data")), "abs")
+        gop = readout_iterate(layout, load)
+        start = load.apply(core.new_zero_state(nq)).amps
         branches = []
         for bit in (0, 1):
             psi = np.where(((idx >> b_s) & 1) == bit, start, 0.0)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from qadconv import cli, core, qadc
-from qadconv.errors import ConfigError
+from qadconv.errors import ConfigError, ResourceLimitError
+from qadconv.fixedpoint import FunctionOracle
 
 
 def write_csv(tmp_path, name, values):
@@ -348,6 +349,38 @@ def test_huge_m_hits_the_cap_before_building_tables(capsys, argv):
         code = cli.main(argv + ["--random", "4", "--seed", "1", "--m", m])
         assert code == 3
         assert "exceeds the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prep", "--random", str(1 << 40)],
+    ["qadc", "--m", "2", "--random", str(1 << 40)],
+    ["qadc", "--m", "2", "--random", "9", "--cap", "3"],
+])
+def test_random_past_the_cap_exits_3_before_drawing(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew values past the cap")
+
+    monkeypatch.setattr(cli, "_load_values", refuse)
+    assert cli.main(argv + ["--seed", "1"]) == 3
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_random_fills_its_address_qubits_up_to_the_cap():
+    # 2^n values need n address qubits, one more value needs n + 1
+    cli.ExperimentConfig(kind="prep", random=1 << 24, seed=1).validate()
+    cli.ExperimentConfig(kind="prep", random=8, seed=1, cap=3).validate()
+    with pytest.raises(ResourceLimitError, match="25 qubits"):
+        cli.ExperimentConfig(kind="prep", random=(1 << 24) + 1, seed=1).validate()
+
+
+def test_qdac_refuses_a_two_input_activation_before_building_it(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an activation table")
+
+    monkeypatch.setattr(FunctionOracle, "build", refuse)
+    code = cli.main(["qdac", "--random", "4", "--seed", "1", "--m", "10", "--f", "product"])
+    assert code == 2
+    assert "1-input oracle" in capsys.readouterr().err
 
 
 def test_huge_cap_prints_its_estimate(capsys):

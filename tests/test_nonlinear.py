@@ -20,10 +20,16 @@ from qadconv.nonlinear import (
     train_demo,
 )
 from qadconv.prep import build_tree, synthesize_ua
-from qadconv.qadc import hadamard_layer, readout_block, readout_layout, run_qadc, run_stages
+from qadconv.qadc import (
+    flat_readout_block,
+    hadamard_layer,
+    readout_block,
+    readout_layout,
+    run_qadc,
+    run_stages,
+)
 from qadconv.qdac import finish, grover_rounds, value_rotation
 from qadconv.reference import dense_unitary, grover_probability, is_unitary
-from textbook import flat_readout_block
 
 
 def test_ansatz_parameter_bookkeeping():

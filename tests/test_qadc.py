@@ -16,13 +16,14 @@ from qadconv.prep import UA_ENTRY_TAG, build_tree, synthesize_ua
 from qadconv.qadc import (
     GroverSpectrum,
     abs_qadc,
-    address_copy_op,
+    flat_readout_block,
     hadamard_layer,
     imag_qadc,
     part_spectrum,
     readout_block,
     readout_iterate,
     readout_layout,
+    readout_load,
     real_qadc,
     run_qadc,
     run_stages,
@@ -31,7 +32,6 @@ from qadconv.qadc import (
     w_from_prep,
 )
 from qadconv.reference import dense_unitary
-from textbook import flat_readout_block, unfused_load
 
 
 def _loader(layout, tree):
@@ -39,8 +39,8 @@ def _loader(layout, tree):
 
 
 def _abs_iterate(layout, tree):
-    """The magnitude iterate around the unfused load: address copy, then V."""
-    return readout_iterate(layout, address_copy_op(layout) + v_from_prep(layout, _loader(layout, tree)))
+    """The magnitude iterate around the load: address copy, then V."""
+    return readout_iterate(layout, readout_load(layout, _loader(layout, tree), "abs"))
 
 
 def test_spectrum_oracle_anchors():
@@ -105,7 +105,7 @@ def test_v_branch_norms_random_complex():
     c /= np.linalg.norm(c)
     tree = build_tree(c)
     layout = readout_layout("abs", 2, 1, 1)
-    op = hadamard_layer(layout, "ad") + address_copy_op(layout) + v_from_prep(layout, _loader(layout, tree))
+    op = hadamard_layer(layout, "ad") + readout_load(layout, _loader(layout, tree), "abs")
     state = op.apply(core.new_zero_state(layout.n_qubits))
     joint = core.register_distribution(state, [layout.reg("ad"), layout.reg("b")])
     for k in range(4):
@@ -501,11 +501,11 @@ def _pe_records(gates):
 
 @pytest.mark.parametrize("n,m,g", [(1, 2, 1), (2, 3, 2)])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_fused_load_iterate_powers_match_the_unfused_iterate(variant, n, m, g):
+def test_spectral_record_powers_match_the_readout_iterate(variant, n, m, g):
     layout = readout_layout(variant, n, m, g)
     tree = _random_tree(n, 17 * n + m)
     prep = _loader(layout, tree)
-    flat = readout_iterate(layout, unfused_load(layout, prep, variant))
+    flat = readout_iterate(layout, readout_load(layout, prep, variant))
     t = m + g
     s = layout.start("regp")
     u = dense_unitary(flat, s)
@@ -521,11 +521,12 @@ def test_fused_load_iterate_powers_match_the_unfused_iterate(variant, n, m, g):
     for j in range(t):
         power = v @ np.diag(rows[1 << j]) @ v.conj().T
         assert np.max(np.abs(power - np.linalg.matrix_power(u, 1 << j))) <= 1e-12
-    # the loader sits inside fused load records, not among the iterate's gates
+    # the record carries the readout iterate around the plain load, gate for
+    # gate, with one loader entry in L^-1 and one in L
     iterate = spectral.params.iterate
-    assert not any(h.tag == UA_ENTRY_TAG for h in iterate)
-    assert sum(h.kind == "power" for h in iterate) >= 2
-    assert len(iterate) < len(flat.gates)
+    assert [(h.kind, h.wires, h.controls) for h in iterate] == [
+        (h.kind, h.wires, h.controls) for h in flat.gates]
+    assert sum(h.tag == UA_ENTRY_TAG for h in iterate) == 2
     # two loader entries per iterate, in the estimate and the un-estimate
     assert run_qadc(tree, variant, n, m, g).controlled_ua_count == 4 * ((1 << t) - 1)
 
@@ -533,12 +534,12 @@ def test_fused_load_iterate_powers_match_the_unfused_iterate(variant, n, m, g):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("n,m,g", [(1, 2, 1), (2, 2, 1), (2, 3, 0), (3, 2, 1)])
 def test_phase_estimate_matches_the_dense_oracle_on_readout_iterates(variant, n, m, g):
-    # phase_estimate_op on the unfused readout iterate U, after the address
+    # phase_estimate_op on the readout iterate U, after the address
     # Hadamards and the load, against the same steps in dense numpy: the
     # phase register's Hadamards, U^(2^j) from matrix_power where phase
     # bit j is 1, then the inverse DFT on the phase register
     layout = readout_layout(variant, n, m, g)
-    load = unfused_load(layout, _loader(layout, _random_tree(n, 100 * n + 10 * m + g)), variant)
+    load = readout_load(layout, _loader(layout, _random_tree(n, 100 * n + 10 * m + g)), variant)
     iterate = readout_iterate(layout, load)
     s, t = layout.reg("regp")
     start = (hadamard_layer(layout, "ad") + load).apply(core.new_zero_state(s + t))

@@ -1,10 +1,9 @@
-"""Textbook circuits that the library replaces with compiled records, kept
-here as the flat references the tests compare those records with."""
+"""The textbook QFT, gate by gate: the flat reference the tests compare the
+library's qft record with."""
 
 import math
 
-from qadconv import qadc
-from qadconv.circuits import CircuitOp, Gate, phase_estimate_op
+from qadconv.circuits import CircuitOp, Gate
 
 
 def textbook_qft_op(start, width):
@@ -21,18 +20,3 @@ def textbook_qft_op(start, width):
         gates.append(Gate("swap", (start + k, start + width - 1 - k)))
     return CircuitOp(tuple(gates), label=f"qft[{start}:{start + width}]")
 
-
-def unfused_load(layout, prep, variant):
-    """A readout's load without fused records: the address copy, then V or W."""
-    return qadc.address_copy_op(layout) + qadc.readout_test(layout, prep, variant)
-
-
-def flat_readout_block(prep, variant, n, m, g, out_start):
-    """qadc.readout_block's stages as textbook phase estimation lays them
-    out: the unfused load, then phase_estimate_op of the unfused iterate;
-    the same recover stage; then the inverse of load and estimate."""
-    layout = qadc.readout_layout(variant, n, m, g)
-    load = unfused_load(layout, prep, variant)
-    fwd = load + phase_estimate_op(qadc.readout_iterate(layout, load), layout.reg("regp"))
-    recover = qadc.readout_block(prep, variant, n, m, g, out_start)[1]
-    return [(0, fwd), recover, (0, fwd.inverse())]
