@@ -50,7 +50,7 @@ from .qadc import (
     run_qadc,
     spectrum_oracle,
 )
-from .qdac import MODES, make_digital_state, predict_success, qdac_run
+from .qdac import MODES, check_shots, make_digital_state, predict_success, qdac_run
 
 SCHEMA = "qadconv/v1"
 KINDS = ("prep", "qdac", "qadc-abs", "qadc-real", "qadc-imag",
@@ -119,8 +119,7 @@ class ExperimentConfig:
             raise ConfigError("seed", "sample mode needs an explicit --seed")
         if self.kind == "perceptron" and self.seed is None:
             raise ConfigError("seed", "the perceptron draws its angles from --seed")
-        if self.shots < 1:
-            raise ConfigError("shots", "need at least one shot")
+        check_shots(self.shots)
         if self.layers < 0:
             raise ConfigError("layers", "the layer count cannot be negative")
         if not 0.0 <= self.perturb < math.inf:
@@ -547,10 +546,10 @@ def _block_deviation(variant, tree, n, m, g, seed) -> float:
     layout = readout_layout(variant, n, m, g)
     prep = synthesize_ua(tree).op(start=layout.start("data"))
     out = layout.n_qubits
-    stages = readout_block(prep, variant, n, m, g, out)
-    spectral, flat = (CircuitOp(tuple(gate for _, op in path for gate in op.gates))
-                      for path in (stages, flat_readout_block(prep, variant, n, m, g, out)))
-    nq = out + stages[1][0]
+    ops = readout_block(prep, variant, n, m, g, out)
+    spectral, flat = (CircuitOp(tuple(gate for op in path for gate in op.gates))
+                      for path in (ops, flat_readout_block(prep, variant, n, m, g, out)))
+    nq = 1 + max(ops[1].used_qubits())
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
     start = core.StateVector(nq, amps / np.linalg.norm(amps))
@@ -574,10 +573,10 @@ def _check_fused_blocks() -> float:
     prep = synthesize_ua(tree).op(start=1)
     for variant in ("abs", "real"):
         nq = readout_layout(variant, 1, 2, 1).n_qubits
-        stages = readout_block(prep, variant, 1, 2, 1, nq)
+        fwd, _, back = readout_block(prep, variant, 1, 2, 1, nq)
         amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
         start = core.StateVector(nq, amps / np.linalg.norm(amps))
-        for op in (stages[0][1], stages[2][1]):
+        for op in (fwd, back):
             flat = CircuitOp(_unfuse(op.gates))
             dev = np.max(np.abs(op.apply(start).amps - flat.apply(start).amps))
             worst = max(worst, float(dev))

@@ -13,11 +13,11 @@ Conventions, used everywhere in this package:
   axis. The view never copies, and `_view` is where qubits are checked.
 * The `*_inplace` kernels edit an amplitude buffer through that view.
   circuits.CircuitOp runs them on a copy of a state, or on the state's own
-  buffer where the caller owns it, so a pipeline copies its input once and
-  runs every later stage in place. The seven wrappers that copy a state
-  and run one kernel (apply_single ... apply_multiplexed_ry) have no caller
-  in the package; they stay because the benchmark's tracer patches them by
-  name.
+  buffer where the caller owns it: a readout allocates its state once, at
+  its final width, and runs every stage in place. The seven wrappers that
+  copy a state and run one kernel (apply_single ... apply_multiplexed_ry)
+  have no caller in the package; they stay because the benchmark's tracer
+  patches them by name.
 """
 
 from __future__ import annotations

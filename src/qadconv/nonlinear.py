@@ -12,9 +12,11 @@ re-estimate act only on qubits below the value registers, which the
 f-rotation leaves alone, so that pair cancels too: a 1-input f runs H,
 load + estimate, copy out, f-rotation, copy out, un-estimate + un-load.
 The value register still holds the digital value while f is evaluated.
-It ends in qdac.finish, the readout qdac_run uses:
-postselect the ancilla, sample it with one binomial draw, or amplify it
-with Grover rounds started from the state the pipeline has just built.
+The state is one buffer at its final width, value registers and ancilla
+on top, and every stage runs in place on it (qadc.run_stages). It ends
+in qdac.finish, the readout qdac_run uses: postselect the ancilla,
+sample it with one binomial draw, or amplify it with Grover rounds
+started from the state the pipeline has just built.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .fixedpoint import (
 )
 from .prep import PrepTree, synthesize_ua
 from .qadc import hadamard_layer, readout_block, readout_layout, run_stages
-from .qdac import check_mode, finish, value_rotation
+from .qdac import check_mode, check_shots, finish, value_rotation
 
 
 # Most gate records an ansatz may hold. Every readout iterate carries the
@@ -157,12 +159,13 @@ def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
     n .. 2n-1); `source` holds the amplitudes the classical target applies
     f to."""
     check_mode(mode, rng, shots, rounds)
-    # the qubit cap also bounds every 2^m-sized table: check it before building any
     base = readout_layout("real", n, m, g)
     nb = base.n_qubits
     mw = FixedPointCodec(m, signed=True).width
     anc = nb + _arity(f) * mw
-    core.check_qubit_cap(anc + 1, cap)
+    # the run's one buffer; allocating it checks the qubit cap, which also
+    # bounds every 2^m-sized table, before any is built
+    state = core.new_zero_state(anc + 1, cap=cap)
     f = _resolve_activation(f, m)
     target = _classical_target(source, f)
     fvals = np.clip(f.decoded_outputs(), -1.0, 1.0)
@@ -177,22 +180,19 @@ def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
     if f.arity == 2:
         blocks.append(readout_block(prep, "imag", n, m, g, nb + mw))
     *done, (fwd, recover, back) = blocks
-    forward = [(0, hadamard_layer(base, "ad"))] + [st for b in done for st in b]
-    forward += [fwd, recover]
-    rest = [(1, CircuitOp((value_rotation(f, nb),), label="f-rotation")),
-            (0, recover[1]), back]
-    rest += [(0, op) for b in reversed(done) for _, op in b]
+    forward = [hadamard_layer(base, "ad")] + [op for b in done for op in b] + [fwd, recover]
+    rest = [CircuitOp((value_rotation(f, nb),), label="f-rotation"), recover, back]
+    rest += [op for b in reversed(done) for op in b]
 
-    # popped into run_stages, so the converted state is not kept alive
-    # while the rotation and the revert run
-    held = [run_stages(core.new_zero_state(nb, cap=cap), forward, cap=cap)]
+    live = run_stages(state.amps, 0, forward)
     # success probability predicted from the pipeline's own registers; the
     # un-estimate still to come touches neither the address nor the values
-    key_joint = core.register_distribution(held[0], [(0, n), (nb, anc - nb)])
+    key_joint = core.register_distribution(core.StateVector(live, state.amps[:1 << live]),
+                                           [(0, n), (nb, anc - nb)])
     predicted = float((key_joint.reshape(1 << n, -1) @ (fvals**2)).sum())
-    state = run_stages(held.pop(), rest, cap=cap)
+    run_stages(state.amps, live, rest)
 
-    procedure = CircuitOp(tuple(gate for _, op in forward + rest for gate in op.gates))
+    procedure = CircuitOp(tuple(gate for op in forward + rest for gate in op.gates))
     out, p = finish(state, anc, n, predicted, mode, procedure, rng, shots, rounds)
     return NonlinearOutcome(
         success=out.success,
@@ -246,8 +246,7 @@ class PerceptronReadout:
 
 def swap_test_readout(output: core.StateVector, k: int, shots: int, rng) -> PerceptronReadout:
     """Estimate |<k|output>|^2 from a sampled swap test against |k>."""
-    if shots < 1:
-        raise ConfigError("shots", "need at least one shot")
+    check_shots(shots)
     if rng is None:
         raise ConfigError("rng", "readout sampling needs a seeded generator")
     n = output.n_qubits

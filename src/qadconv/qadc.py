@@ -10,8 +10,8 @@ restriction to one address acts as a plane rotation by 2 pi theta_k.
 readout_block estimates theta_k into a phase register, converts the phase
 pattern to the recovered value with a lookup oracle (one gather), and
 uncomputes everything except the address and value registers; run_qadc and
-the nonlinear pipeline both run it. The iterate is built from the plain
-load; the simulation never applies it, only counts its gates.
+the nonlinear pipeline run it in place on one buffer (run_stages). The
+iterate is built from the plain load; it is never applied, only counted.
 
 The estimate runs in the iterate's eigenbasis V, which readout_eigenbasis
 writes down in closed form (the iterate is a product of two reflections):
@@ -235,7 +235,7 @@ def readout_eigenbasis(layout: RegisterLayout, load: CircuitOp) -> tuple[Gate, n
 
 def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
                   out_start: int) -> list:
-    """One readout as (extra_qubits, op) stages for run_stages.
+    """One readout as three ops for run_stages: estimate, recover, un-estimate.
 
     Load and estimate; copy the recovered value into a value register of
     fresh qubits at out_start (m bits for abs, m + 1 signed bits for real
@@ -250,11 +250,11 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
     un-estimate's leading V^H. Both are left out, so the block is the same
     unitary as with textbook phase estimation, and every marginal over the
     address and the phase or value registers is unchanged at every stage.
-    The estimate stage is fused once (circuits.fuse), which compiles L V^H
-    into block records; the un-estimate stage is the estimate's structural
-    inverse. The copy is self-inverse and the stages around it mirror each
-    other, so the block is its own inverse. prep is the data-load circuit
-    on the data register.
+    The estimate is fused once (circuits.fuse), which compiles L V^H into
+    block records; the un-estimate is the estimate's structural inverse.
+    The copy is self-inverse and the ops around it mirror each other, so
+    the block is its own inverse. prep is the data-load circuit on the
+    data register.
     """
     layout = readout_layout(variant, n, m, g)
     load = readout_load(layout, prep, variant)
@@ -263,49 +263,46 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
     cascade = spectral_record(readout_iterate(layout, load), phases, regp)
     fwd = fuse(load + CircuitOp((basis,)) + hadamard_layer(layout, "regp")
                + CircuitOp((cascade,))) + iqft_op(*regp)
-    return [(0, fwd), _recover_stage(layout, variant, m, g, out_start), (0, fwd.inverse())]
+    return [fwd, _recover_stage(layout, variant, m, g, out_start), fwd.inverse()]
 
 
 def flat_readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
                        out_start: int) -> list:
-    """readout_block's stages with textbook phase estimation, the flat
+    """readout_block's ops with textbook phase estimation, the flat
     reference it is checked against: the load, then phase_estimate_op of
-    the readout iterate; the same recover stage; then the inverse of load
+    the readout iterate; the same recover op; then the inverse of load
     and estimate. Gate by gate, so only small blocks are practical."""
     layout = readout_layout(variant, n, m, g)
     load = readout_load(layout, prep, variant)
     fwd = load + phase_estimate_op(readout_iterate(layout, load), layout.reg("regp"))
-    return [(0, fwd), _recover_stage(layout, variant, m, g, out_start), (0, fwd.inverse())]
+    return [fwd, _recover_stage(layout, variant, m, g, out_start), fwd.inverse()]
 
 
 def _recover_stage(layout: RegisterLayout, variant: str, m: int, g: int,
-                   out_start: int) -> tuple:
-    """(width, op): the lookup oracle that copies the value recovered from
-    the phase register into width fresh qubits at out_start."""
+                   out_start: int) -> CircuitOp:
+    """The lookup oracle that copies the value recovered from the phase
+    register into the value register of fresh qubits at out_start."""
     recovery = abs_recovery_oracle if variant == "abs" else real_recovery_oracle
     oracle = recovery(m, guard_bits=g)
     width = oracle.out_codec.width
     wires = tuple(layout.qubits("regp")) + tuple(range(out_start, out_start + width))
-    recover = CircuitOp(
+    return CircuitOp(
         (Gate("oracle", wires, tuple(int(x) for x in oracle.table), label=oracle.name),),
         label="recover",
     )
-    return width, recover
 
 
-def run_stages(state: core.StateVector, stages,
-               cap: int = core.DEFAULT_QUBIT_CAP) -> core.StateVector:
-    """Apply (extra, op) stages in order; each first tensors `extra` fresh
-    zero qubits on top, so registers join the state as late as possible.
+def run_stages(amps: np.ndarray, live: int, ops) -> int:
+    """Run ops in order, in place, on the low slice amps[:2^live] of a
+    buffer allocated at the run's final width, and return the new live.
 
-    The caller's state is never modified: the first stage copies it, or
-    tensors it into a new buffer if it adds qubits, and every later stage
-    runs in place on the buffer it is handed."""
-    for i, (extra, op) in enumerate(stages):
-        if extra:
-            state = core.tensor(core.new_zero_state(extra, cap=cap), state, cap=cap)
-        state = op.apply(state, inplace=bool(extra or i))
-    return state
+    live only grows: before each op it becomes one more than the highest
+    qubit this op or an earlier one touches. The qubits above it are still
+    |0>, so a register joins the state by widening the slice, not a copy."""
+    for op in ops:
+        live = max(live, 1 + max(op.used_qubits()))
+        op.apply(core.StateVector(live, amps[:1 << live]), inplace=True)
+    return live
 
 
 # ---------------------------------------------------------------------------
@@ -353,28 +350,27 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     "abs" the magnitudes |c_k|, "real" and "imag" the signed parts."""
     if n != tree.depth:
         raise ConfigError("n", f"tree has {tree.depth} address qubits, got n={n}")
-    # the qubit cap also bounds the 2^t-entry recovery table: check it first
     layout = readout_layout(variant, n, m, g)
     codec = FixedPointCodec(m, signed=variant != "abs")
     reg_s = layout.n_qubits
-    core.check_qubit_cap(reg_s + codec.width, cap)
+    # the one buffer of the run, with the value register on top; allocating
+    # it checks the qubit cap, which also bounds the 2^t-entry recovery table
+    state = core.new_zero_state(reg_s + codec.width, cap=cap)
     true_values = np.array(PARTS[variant](tree.amplitudes()), dtype=np.float64)
     spectrum = spectrum_oracle if variant == "abs" else part_spectrum
     thetas = [spectrum(x).theta for x in true_values]
 
-    stages = readout_block(synthesize_ua(tree).op(start=n), variant, n, m, g, reg_s)
-    estimate = hadamard_layer(layout, "ad") + stages[0][1]
-    # held in a list that is popped into run_stages, so no reference to the
-    # pre-recover state stays alive while the later stages run
-    held = [estimate.apply(core.new_zero_state(reg_s, cap=cap), inplace=True)]
+    ops = readout_block(synthesize_ua(tree).op(start=n), variant, n, m, g, reg_s)
+    live = run_stages(state.amps, 0, [hadamard_layer(layout, "ad") + ops[0]])
 
     # phase-register statistics before anything is uncomputed
     t = m + g
-    joint = core.register_distribution(held[0], [(0, n), layout.reg("regp")])
+    joint = core.register_distribution(core.StateVector(live, state.amps[:1 << live]),
+                                       [(0, n), layout.reg("regp")])
     phase_success = _phase_success(joint.reshape(1 << n, 1 << t), thetas, t, m)
-    state = run_stages(held.pop(), stages[1:], cap=cap)
+    run_stages(state.amps, live, ops[1:])
 
-    ua_count = sum(_controlled_ua_count(op.gates) for _, op in stages)
+    ua_count = sum(_controlled_ua_count(op.gates) for op in ops)
     return _summarize(
         variant, m, g, state, n, reg_s, codec, true_values, phase_success, ua_count,
     )

@@ -165,16 +165,21 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_shots(shots) -> None:
+    """The one shot rule: a whole number in [1, 2^63 - 1], the range of Generator.binomial."""
+    if not _is_int(shots) or not 1 <= shots <= np.iinfo(np.int64).max:
+        raise ConfigError("shots", f"need a whole number in [1, 2^63 - 1], got {shots!r}")
+
+
 def check_mode(mode: str, rng, shots, rounds) -> None:
     """Refuse a mode not in MODES, sample mode with no generator, a shot
-    count that is not a whole number >= 1, or a round count that is neither
-    None nor a whole number >= 0, before any circuit is built."""
+    count that breaks check_shots, or a round count that is neither None
+    nor a whole number >= 0, before any circuit is built."""
     if mode not in MODES:
         raise ConfigError("mode", f"unknown mode {mode!r}")
     if mode == "sample" and rng is None:
         raise ConfigError("rng", "sample mode needs a seeded generator")
-    if not _is_int(shots) or shots < 1:
-        raise ConfigError("shots", f"need a whole number of shots >= 1, got {shots!r}")
+    check_shots(shots)
     if rounds is not None and (not _is_int(rounds) or rounds < 0):
         raise ConfigError("rounds", f"need None or a whole number of rounds >= 0, "
                                     f"got {rounds!r}")

@@ -383,6 +383,16 @@ def test_qdac_refuses_a_two_input_activation_before_building_it(capsys, monkeypa
     assert "1-input oracle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["qdac", "--random", "2", "--seed", "1", "--m", "3", "--mode", "sample"],
+    ["perceptron", "--random", "4", "--seed", "1", "--m", "2", "--g", "1"],
+])
+def test_shots_past_the_binomial_range_exit_2(capsys, argv):
+    # Generator.binomial takes at most 2^63 - 1 trials
+    assert cli.main(argv + ["--shots", "100000000000000000000000"]) == 2
+    assert "shots" in capsys.readouterr().err
+
+
 def test_huge_cap_prints_its_estimate(capsys):
     code = cli.main(["verify", "--scope", "none", "--cap", "2000"])
     assert code == 0

@@ -254,8 +254,7 @@ def test_readout_block_fuses_load_and_estimate_once(variant):
     load = qadc.readout_load(layout, prep, variant)
     iterate = qadc.readout_iterate(layout, load)
     flat = load + circuits.phase_estimate_op(iterate, layout.reg("regp"))
-    stages = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)
-    fwd, back = stages[0][1], stages[2][1]
+    fwd, _, back = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)
     assert any(is_fused(gate) for gate in fwd.gates)
     assert len(fwd.gates) < len(flat.gates)
     assert fwd.primitive_count() == back.primitive_count() == flat.primitive_count()
@@ -286,12 +285,12 @@ def test_readout_stages_are_block_records_and_one_qft(variant):
     layout = qadc.readout_layout(variant, n, m, g)
     prep = synthesize_ua(build_tree(np.array([0.1, 0.5j, -0.7, 0.5]))).op(
         start=layout.start("data"))
-    stages = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)
+    fwd, _, back = qadc.readout_block(prep, variant, n, m, g, layout.n_qubits)
     s, t = layout.reg("regp")
     # the estimate ends in the inverse QFT, and the un-estimate undoes it;
     # the controlled powers are one spectral record over address, targets
     # and phase register
-    for (_, op), sign in ((stages[0], -1), (stages[2], 1)):
+    for op, sign in ((fwd, -1), (back, 1)):
         (qft,) = [gate for gate in op.gates if gate.kind == "qft"]
         assert qft.wires == tuple(layout.qubits("regp")) and qft.params == (sign,)
         (spectral,) = [gate for gate in op.gates if gate.kind == "spectral"]
@@ -300,6 +299,6 @@ def test_readout_stages_are_block_records_and_one_qft(variant):
         assert all(gate.kind == "power" and gate.params.blocks is not None
                    for gate in op.gates if gate is not qft and gate is not spectral)
     # V^H fused into the load's block record, which is keyed on the address
-    load_record = stages[0][1].gates[0]
+    load_record = fwd.gates[0]
     assert "eigenbasis" in [h.kind for h in load_record.params.iterate]
     assert load_record.params.keys == n

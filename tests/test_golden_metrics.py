@@ -26,6 +26,8 @@ COMMANDS = (
     "perceptron --random 4 --m 3 --g 2 --seed 2",
     "qdac --random 4 --m 6 --seed 1",
     "qdac --random 8 --m 6 --seed 1 --mode amplify",
+    "nonlinear --f product --random 4 --complex --m 3 --g 2 --seed 2",
+    "nonlinear --f tanh --random 8 --complex --m 3 --g 2 --seed 4 --mode amplify",
 )
 
 

@@ -370,12 +370,13 @@ def _random_tree(n, seed):
 def test_readout_block_is_its_own_inverse(variant, n, m, g, seed):
     layout = readout_layout(variant, n, m, g)
     prep = _loader(layout, _random_tree(n, seed))
-    stages = readout_block(prep, variant, n, m, g, layout.n_qubits)
+    ops = readout_block(prep, variant, n, m, g, layout.n_qubits)
     width = m if variant == "abs" else m + 1
-    assert [extra for extra, _ in stages] == [0, width, 0]
-    assert stages[1][1].label == "recover"
-    block = CircuitOp(tuple(gate for _, op in stages for gate in op.gates))
     nq = layout.n_qubits + width
+    # only recover reaches the value register above the readout's qubits
+    assert [1 + max(op.used_qubits()) for op in ops] == [layout.n_qubits, nq, layout.n_qubits]
+    assert ops[1].label == "recover"
+    block = CircuitOp(tuple(gate for op in ops for gate in op.gates))
     rng = np.random.default_rng(seed ^ 0x5EED)
     amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
     start = core.from_amplitudes(amps / np.linalg.norm(amps))
@@ -388,37 +389,52 @@ def test_readout_block_is_its_own_inverse(variant, n, m, g, seed):
 def test_every_readout_stage_preserves_the_norm(variant, n, m, g, seed):
     layout = readout_layout(variant, n, m, g)
     prep = _loader(layout, _random_tree(n, seed))
-    stages = readout_block(prep, variant, n, m, g, layout.n_qubits)
-    nq = layout.n_qubits
+    ops = readout_block(prep, variant, n, m, g, layout.n_qubits)
+    live = layout.n_qubits
     rng = np.random.default_rng(seed ^ 0x5EED)
-    amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
-    state = core.from_amplitudes(amps / np.linalg.norm(amps))
-    for stage in stages:
-        state = run_stages(state, [stage])
-        assert abs(np.linalg.norm(state.amps) - 1.0) <= 1e-12
+    amps = rng.normal(size=1 << live) + 1j * rng.normal(size=1 << live)
+    buf = np.zeros(1 << (1 + max(ops[1].used_qubits())), dtype=np.complex128)
+    buf[:1 << live] = amps / np.linalg.norm(amps)
+    for op in ops:
+        live = run_stages(buf, live, [op])
+        assert abs(np.linalg.norm(buf[:1 << live]) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(buf) - 1.0) <= 1e-12
+
+
+def _tensor_stages(state, ops):
+    """The reference for run_stages: per op, tensor fresh zero qubits on top
+    of the state up to the op's highest qubit, then apply the op to a copy."""
+    for op in ops:
+        extra = 1 + max(op.used_qubits()) - state.n_qubits
+        if extra > 0:
+            state = core.tensor(core.new_zero_state(extra), state)
+        state = op.apply(state)
+    return state
 
 
 @settings(max_examples=20, deadline=None)
 @given(**small_readouts)
-def test_run_stages_leaves_the_callers_state_and_matches_stage_by_stage_copies(
+def test_run_stages_on_one_buffer_matches_stage_by_stage_tensor_products(
         variant, n, m, g, seed):
-    # the block starts with a stage on the caller's qubits; the stages from
-    # recover on start by adding qubits
+    # both runs hold recover, which widens the live slice, and then the
+    # un-estimate, which touches only the qubits below the value register
+    # but must run on the widened slice
     layout = readout_layout(variant, n, m, g)
     prep = _loader(layout, _random_tree(n, seed))
-    stages = readout_block(prep, variant, n, m, g, layout.n_qubits)
+    ops = readout_block(prep, variant, n, m, g, layout.n_qubits)
+    nq = layout.n_qubits
+    total = 1 + max(ops[1].used_qubits())
     rng = np.random.default_rng(seed ^ 0x5EED)
-    amps = rng.normal(size=1 << layout.n_qubits) + 1j * rng.normal(size=1 << layout.n_qubits)
-    for run in (stages, stages[1:]):
-        start = core.StateVector(layout.n_qubits, amps.copy())
-        want = start
-        for extra, op in run:
-            if extra:
-                want = core.tensor(core.new_zero_state(extra), want)
-            want = op.apply(want)
-        got = run_stages(start, run)
-        assert start.amps.tobytes() == amps.tobytes()
-        assert got.amps.tobytes() == want.amps.tobytes()
+    amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
+    for run in (ops, ops[1:]):
+        buf = np.zeros(1 << total, dtype=np.complex128)
+        buf[:1 << nq] = amps
+        live = run_stages(buf, nq, run)
+        want = _tensor_stages(core.StateVector(nq, amps.copy()), run)
+        assert live == want.n_qubits == total
+        # the tensor product writes 0 * x, a -0.0 where x < 0; adding 0.0
+        # turns every zero into +0.0 and leaves the other bytes alone
+        assert (buf + 0.0).tobytes() == (want.amps + 0.0).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -509,7 +525,7 @@ def test_spectral_record_powers_match_the_readout_iterate(variant, n, m, g):
     t = m + g
     s = layout.start("regp")
     u = dense_unitary(flat, s)
-    fwd = readout_block(prep, variant, n, m, g, layout.n_qubits)[0][1]
+    fwd = readout_block(prep, variant, n, m, g, layout.n_qubits)[0]
     (spectral,) = _pe_records(fwd.gates)
     assert spectral.kind == "spectral" and spectral.params.count == (1 << t) - 1
     (basis,) = [h for gate in fwd.gates if gate.kind == "power"
@@ -586,14 +602,16 @@ def test_spectral_block_equals_the_flat_block(variant, n, x, seed):
     m, g = 2, 1
     layout = readout_layout(variant, n, m, g)
     prep = _loader(layout, _tree_with_part(variant, n, x, seed))
-    stages = readout_block(prep, variant, n, m, g, layout.n_qubits)
+    ops = readout_block(prep, variant, n, m, g, layout.n_qubits)
     flat = flat_readout_block(prep, variant, n, m, g, layout.n_qubits)
-    nq = layout.n_qubits + stages[1][0]
+    nq = 1 + max(ops[1].used_qubits())
     rng = np.random.default_rng(seed ^ 0x5EED)
     amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
-    start = core.from_amplitudes(amps / np.linalg.norm(amps))
-    got, want = run_stages(start, stages), run_stages(start, flat)
-    assert np.max(np.abs(got.amps - want.amps)) <= 1e-12
+    got = amps / np.linalg.norm(amps)
+    want = got.copy()
+    run_stages(got, nq, ops)
+    run_stages(want, nq, flat)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -609,11 +627,11 @@ def test_every_path_counts_the_same_primitives_and_controlled_unitaries(variant,
     flat = flat_readout_block(prep, variant, n, m, g, out)
     regp = set(layout.qubits("regp"))
     flat_cu = sum(gate.tag == UA_ENTRY_TAG and any(q in regp for q, _ in gate.controls)
-                  for _, op in flat for gate in op.gates)
+                  for op in flat for gate in op.gates)
     t = m + g
     assert flat_cu == 4 * ((1 << t) - 1)
-    assert sum(qadc._controlled_ua_count(op.gates) for _, op in spectral) == flat_cu
-    prims = {sum(op.primitive_count() for _, op in path) for path in (flat, spectral)}
+    assert sum(qadc._controlled_ua_count(op.gates) for op in spectral) == flat_cu
+    prims = {sum(op.primitive_count() for op in path) for path in (flat, spectral)}
     assert len(prims) == 1
 
 

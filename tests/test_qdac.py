@@ -188,6 +188,7 @@ BAD_COUNTS = [
     dict(mode="sample", shots=-3),
     dict(mode="sample", shots=2.5),
     dict(mode="postselect", shots=True),
+    dict(mode="sample", shots=1 << 63),
     dict(mode="amplify", rounds=-2),
     dict(mode="amplify", rounds=1.0),
 ]
