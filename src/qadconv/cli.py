@@ -248,8 +248,7 @@ def _run_qdac(cfg: ExperimentConfig) -> dict:
     rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
     out = qdac_run(digital, f, cfg.m, rng=rng, mode=cfg.mode,
                    shots=cfg.shots, rounds=cfg.rounds, cap=cfg.cap)
-    codec = f.in_codecs[0]
-    f_vals = f.out_codec.decode_array([f.table[codec.encode(v)] for v in values])
+    f_vals = f.decoded_outputs()[f.in_codecs[0].encode(values)]
     target = f_vals / np.linalg.norm(f_vals)
     fidelity = float(abs(np.vdot(target, out.output.amps)))
     return {

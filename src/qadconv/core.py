@@ -376,8 +376,10 @@ def apply_multiplexed_ry(state: StateVector, key_reg, target: int, angles) -> St
 def _mass(view) -> float:
     """Sum of |amplitude|^2 over a view, in index order, with one float
     temporary the size of the view."""
-    p = np.abs(view)  # a C-order copy, so the sum runs in index order
-    return float(np.sum(np.square(p, out=p).ravel()))
+    # a 1-d C-order copy, so the sum runs in index order; reshape also makes
+    # the 0-d view of a 1-qubit branch an array that square can write into
+    p = np.abs(view).reshape(-1)
+    return float(np.sum(np.square(p, out=p)))
 
 
 def postselect(state: StateVector, qubit: int, bit: int, *,

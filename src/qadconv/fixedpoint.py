@@ -1,11 +1,13 @@
 """Binary-fraction codecs and the classical lookup oracles used in circuits.
 
 A codec maps real values to small integer codes (m fractional bits, optional
-two's-complement sign bit). A FunctionOracle carries a frozen code-to-code
-table (table) that the circuit-level XOR oracles consume. For most oracles
-the table is just encode(fn(decode(code))), and fn stays on the oracle as
-the double-precision scalar map; the phase-recovery oracles build their
-tables directly, with no scalar map, see _recovery_table.
+two's-complement sign bit); it is the one place that rounds, clamps and
+wraps a code, and its encode and decode take a scalar or an array. A
+FunctionOracle carries a frozen code-to-code table (table) that the
+circuit-level XOR oracles consume, built through the codec: for most oracles
+it is encode(fn(decode(code))) over every code at once, and fn stays on the
+oracle as the double-precision scalar map; a phase-recovery oracle's table
+is its recovery map encoded, with no scalar map, see _recovery_table.
 """
 
 from __future__ import annotations
@@ -54,26 +56,31 @@ class FixedPointCodec:
     def vmax(self) -> float:
         return self.code_max / (1 << self.m)
 
-    def encode(self, v: float) -> int:
-        """Value -> bit pattern (two's complement when signed)."""
-        v = float(v)
-        if not math.isfinite(v):
-            raise CodecRangeError(f"cannot encode {v!r}")
+    def _first_outside(self, v: np.ndarray) -> int:
+        """Flat index of the first value that is not finite or lies more
+        than one LSB outside [vmin, vmax], or -1 if there is none."""
         lsb = 2.0**-self.m
-        if v < self.vmin - lsb or v > self.vmax + lsb:
-            raise CodecRangeError(
-                f"{v!r} outside [{self.vmin}, {self.vmax}] by more than one LSB"
-            )
-        k = int(math.floor(v * (1 << self.m) + 0.5))
-        k = min(max(k, self.code_min), self.code_max)
-        return k % (1 << self.width)
+        bad = np.flatnonzero(~((v >= self.vmin - lsb) & (v <= self.vmax + lsb)))
+        return int(bad[0]) if bad.size else -1
 
-    def decode(self, pattern: int) -> float:
-        pattern = int(pattern) % (1 << self.width)
-        k = pattern
-        if self.signed and k >= (1 << self.m):
-            k -= 1 << (self.m + 1)
-        return k / (1 << self.m)
+    def encode(self, v):
+        """Value(s) -> bit pattern(s), two's complement when signed: round
+        half up, then clamp into the covered range. A scalar gives an int."""
+        v = np.asarray(v, dtype=np.float64)
+        i = self._first_outside(v)
+        if i >= 0:
+            x = float(v.flat[i])
+            raise CodecRangeError(
+                f"{x!r} outside [{self.vmin}, {self.vmax}] by more than one LSB"
+                if math.isfinite(x) else f"cannot encode {x!r}")
+        k = np.clip(np.floor(v * float(1 << self.m) + 0.5), self.code_min, self.code_max)
+        k = k.astype(np.int64) % (1 << self.width)
+        return int(k) if k.ndim == 0 else k
+
+    def decode(self, pattern):
+        """Bit pattern(s) -> value(s). A scalar gives a float."""
+        v = self.decode_array(pattern)
+        return float(v) if v.ndim == 0 else v
 
     def decode_array(self, patterns) -> np.ndarray:
         p = np.asarray(patterns, dtype=np.int64) % (1 << self.width)
@@ -105,22 +112,22 @@ class FunctionOracle:
     @classmethod
     def build(cls, name, fn, in_codecs, out_codec, table=None):
         in_codecs = tuple(in_codecs)
-        widths = [c.width for c in in_codecs]
-        total = sum(widths)
+        total = sum(c.width for c in in_codecs)
         if table is None:
-            table = np.zeros(1 << total, dtype=np.int64)
-            for packed in range(1 << total):
-                rem = packed
-                vals = []
-                for c in in_codecs:
-                    vals.append(c.decode(rem % (1 << c.width)))
-                    rem >>= c.width
-                try:
-                    table[packed] = out_codec.encode(fn(*vals))
-                except CodecRangeError as exc:
-                    raise OracleDomainError(
-                        f"oracle {name!r} leaves the output range at input {vals}: {exc}"
-                    ) from exc
+            # decode every packed input at once, call fn once per input as
+            # the plain Python map, and encode every output at once
+            packed, args = np.arange(1 << total), []
+            for c in in_codecs:
+                args.append(c.decode_array(packed).tolist())
+                packed >>= c.width
+            outs = np.array([fn(*a) for a in zip(*args)], dtype=np.float64)
+            try:
+                table = out_codec.encode(outs)
+            except CodecRangeError as exc:
+                bad = [a[out_codec._first_outside(outs)] for a in args]
+                raise OracleDomainError(
+                    f"oracle {name!r} leaves the output range at input {bad}: {exc}"
+                ) from exc
         else:
             table = np.asarray(table, dtype=np.int64)
             if table.shape != (1 << total,):
@@ -156,21 +163,14 @@ def arccos_oracle(m: int) -> FunctionOracle:
     return FunctionOracle.build("arccos", fn, (codec,), codec)
 
 
-def _recovery_table(t: int, m: int, signed: bool) -> np.ndarray:
+def _recovery_table(t: int, out: FixedPointCodec) -> np.ndarray:
     """Fold each t-bit phase pattern through b <-> 2^t - b, then evaluate the
-    recovery map at the cell midpoint and round into m bits. The fold makes
+    recovery map at the cell midpoint and encode it with out. The fold makes
     the table exactly symmetric between the two phase-estimation branches."""
-    out = FixedPointCodec(m, signed=signed)
-    b = np.arange(1 << t, dtype=np.int64)
-    fold = np.minimum(b, (1 << t) - b)
-    theta = (fold + 0.5) / (1 << t)
+    b = np.arange(1 << t)
+    theta = (np.minimum(b, (1 << t) - b) + 0.5) / (1 << t)
     val = 2.0 * np.sin(np.pi * theta) ** 2 - 1.0
-    if not signed:
-        val = np.sqrt(np.clip(val, 0.0, None))
-    codes = np.clip(
-        np.floor(val * (1 << m) + 0.5).astype(np.int64), out.code_min, out.code_max
-    )
-    return codes % (1 << out.width)
+    return out.encode(val if out.signed else np.sqrt(np.clip(val, 0.0, None)))
 
 
 def abs_recovery_oracle(m: int, guard_bits: int = 0) -> FunctionOracle:
@@ -179,18 +179,16 @@ def abs_recovery_oracle(m: int, guard_bits: int = 0) -> FunctionOracle:
     The table is built midpoint-folded (see _recovery_table), which keeps
     it total and branch-symmetric: a negative radicand reads as zero.
     """
-    t = m + guard_bits
-    return FunctionOracle.build("abs-recovery", None, (FixedPointCodec(t),),
-                                FixedPointCodec(m),
-                                table=_recovery_table(t, m, signed=False))
+    t, out = m + guard_bits, FixedPointCodec(m)
+    return FunctionOracle.build("abs-recovery", None, (FixedPointCodec(t),), out,
+                                table=_recovery_table(t, out))
 
 
 def real_recovery_oracle(m: int, guard_bits: int = 0) -> FunctionOracle:
     """x = 2 sin^2(pi theta) - 1 from an (m+guard_bits)-bit phase, signed out."""
-    t = m + guard_bits
-    return FunctionOracle.build("real-recovery", None, (FixedPointCodec(t),),
-                                FixedPointCodec(m, signed=True),
-                                table=_recovery_table(t, m, signed=True))
+    t, out = m + guard_bits, FixedPointCodec(m, signed=True)
+    return FunctionOracle.build("real-recovery", None, (FixedPointCodec(t),), out,
+                                table=_recovery_table(t, out))
 
 
 ACTIVATIONS = {

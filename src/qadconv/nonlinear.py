@@ -158,11 +158,11 @@ def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
     """Convert, evaluate f, revert. prep loads the data register (qubits
     n .. 2n-1); `source` holds the amplitudes the classical target applies
     f to."""
-    check_mode(mode, rng, shots, rounds)
     base = readout_layout("real", n, m, g)
     nb = base.n_qubits
     mw = FixedPointCodec(m, signed=True).width
     anc = nb + _arity(f) * mw
+    check_mode(mode, rng, shots, rounds, anc + 1)
     # the run's one buffer; allocating it checks the qubit cap, which also
     # bounds every 2^m-sized table, before any is built
     state = core.new_zero_state(anc + 1, cap=cap)

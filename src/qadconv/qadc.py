@@ -300,7 +300,7 @@ def run_stages(amps: np.ndarray, live: int, ops) -> int:
     qubit this op or an earlier one touches. The qubits above it are still
     |0>, so a register joins the state by widening the slice, not a copy."""
     for op in ops:
-        live = max(live, 1 + max(op.used_qubits()))
+        live = max(live, 1 + max(op.used_qubits(), default=-1))
         op.apply(core.StateVector(live, amps[:1 << live]), inplace=True)
     return live
 
@@ -432,8 +432,7 @@ def _summarize(variant, m, g, state, n, reg_s, codec, true_values,
         within[k] = row[np.abs(decoded - true_values[k]) <= bound].sum()
 
     # overlap with the ideal digital state built from the true values
-    ideal_codes = [codec.encode(v) for v in true_values]
-    picks = [k | (code << reg_s) for k, code in enumerate(ideal_codes)]
+    picks = np.arange(n_addr) | (codec.encode(true_values) << reg_s)
     fidelity = float(abs(state.amps[picks].sum()) / math.sqrt(n_addr))
 
     digital, clean_mass = core.clean_component(state, [(0, n), (reg_s, reg_width)])

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import core
 from .circuits import CircuitOp, Gate
-from .errors import ConfigError, RegisterError, ZeroSuccessError
+from .errors import ConfigError, RegisterError, ResourceLimitError, ZeroSuccessError
 from .fixedpoint import FixedPointCodec, FunctionOracle
 
 MODES = ("postselect", "sample", "amplify")
@@ -50,8 +50,7 @@ def make_digital_state(data, m: int, signed: bool = False,
     n_addr = _address_width(len(values))
     # the zero state checks the cap before a huge m reaches the encoder
     state = core.new_zero_state(n_addr + codec.width, cap=cap)
-    codes = [codec.encode(v) for v in values]
-    return digital_load_op(codes, n_addr, codec.width).apply(state, inplace=True)
+    return digital_load_op(codec.encode(values), n_addr, codec.width).apply(state, inplace=True)
 
 
 def digital_load_op(codes, n_addr: int, value_width: int) -> CircuitOp:
@@ -136,7 +135,7 @@ def qdac_run(
     cap: int = core.DEFAULT_QUBIT_CAP,
 ) -> QdacOutcome:
     """Convert a digital state to the analog encoding of f over its values."""
-    check_mode(mode, rng, shots, rounds)
+    check_mode(mode, rng, shots, rounds, state.n_qubits + 1)
     if f.arity != 1:
         raise ConfigError("f", "digital-to-analog conversion needs a 1-input oracle")
     if f.out_codec.m != m:
@@ -145,17 +144,19 @@ def qdac_run(
     n_addr = state.n_qubits - w_v
     if n_addr < 0:
         raise RegisterError("state is narrower than the oracle's input register")
-    core.check_qubit_cap(state.n_qubits + 1, cap)
     d_codes = extract_codes(state, n_addr, w_v)
 
-    f_vals = f.out_codec.decode_array([f.table[c] for c in d_codes])
+    f_vals = f.decoded_outputs()[d_codes]
     predicted = float(np.mean(f_vals**2))
     if float(np.max(np.abs(f_vals))) == 0.0:
         raise ZeroSuccessError("f~ vanishes on every data value")
 
+    # the run's one buffer, the caller's state in its low half; allocating
+    # it checks the qubit cap, once extract_codes has freed its temporaries
+    full = core.new_zero_state(state.n_qubits + 1, cap=cap)
+    full.amps[:state.amps.size] = state.amps
     suffix, anc = conversion_suffix_op(f, d_codes, n_addr)
-    full = suffix.apply(core.tensor(core.new_zero_state(1, cap=cap), state, cap=cap),
-                        inplace=True)
+    suffix.apply(full, inplace=True)
     # extract_codes accepted the state, so full is procedure|0...0>
     procedure = digital_load_op(d_codes, n_addr, w_v).then(suffix, label="qdac-full")
     return finish(full, anc, n_addr, predicted, mode, procedure, rng, shots, rounds)[0]
@@ -171,10 +172,12 @@ def check_shots(shots) -> None:
         raise ConfigError("shots", f"need a whole number in [1, 2^63 - 1], got {shots!r}")
 
 
-def check_mode(mode: str, rng, shots, rounds) -> None:
+def check_mode(mode: str, rng, shots, rounds, n_qubits: int) -> None:
     """Refuse a mode not in MODES, sample mode with no generator, a shot
     count that breaks check_shots, or a round count that is neither None
-    nor a whole number >= 0, before any circuit is built."""
+    nor a whole number >= 0, before any circuit is built. More rounds than
+    2^n_qubits for a run on n_qubits, far past the ~sqrt(2^n_qubits) that
+    amplifying one basis state takes, is a resource limit."""
     if mode not in MODES:
         raise ConfigError("mode", f"unknown mode {mode!r}")
     if mode == "sample" and rng is None:
@@ -183,6 +186,9 @@ def check_mode(mode: str, rng, shots, rounds) -> None:
     if rounds is not None and (not _is_int(rounds) or rounds < 0):
         raise ConfigError("rounds", f"need None or a whole number of rounds >= 0, "
                                     f"got {rounds!r}")
+    if rounds is not None and rounds > 1 << n_qubits:
+        raise ResourceLimitError(f"{rounds} Grover rounds exceed 2^{n_qubits}, the bound "
+                                 f"for a {n_qubits}-qubit run")
 
 
 def finish(state: core.StateVector, anc: int, n_addr: int, predicted: float, mode: str,

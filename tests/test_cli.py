@@ -393,6 +393,23 @@ def test_shots_past_the_binomial_range_exit_2(capsys, argv):
     assert "shots" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["qdac", "--random", "2", "--seed", "1", "--m", "3", "--mode", "amplify",
+     "--rounds", "100000000000000000000000"],
+    ["nonlinear", "--random", "4", "--seed", "1", "--m", "2", "--g", "1", "--mode", "amplify",
+     "--rounds", "100000000000000000000"],
+])
+def test_rounds_past_the_run_bound_exit_3(capsys, argv):
+    assert cli.main(argv) == 3
+    assert "Grover rounds exceed" in capsys.readouterr().err
+
+
+def test_nonlinear_runs_on_a_single_amplitude(capsys):
+    code, record = run_main(capsys, ["nonlinear", "--random", "1", "--seed", "1", "--m", "2",
+                                     "--g", "1"])
+    assert code == 0 and record["metrics"]["fidelity"] == 1.0
+
+
 def test_huge_cap_prints_its_estimate(capsys):
     code = cli.main(["verify", "--scope", "none", "--cap", "2000"])
     assert code == 0

@@ -195,6 +195,17 @@ def test_postselect_in_place_matches_the_copy(qubit, bit):
     assert owned.amps.tobytes() == kept.amps.tobytes()
 
 
+@pytest.mark.parametrize("bit,p", [(0, 0.36), (1, 0.64)])
+def test_postselect_on_a_one_qubit_state(bit, p):
+    # the branch view of a 1-qubit state is 0-d
+    for inplace in (False, True):
+        kept, prob = core.postselect(core.from_amplitudes([0.6, 0.8]), 0, bit,
+                                     inplace=inplace)
+        assert prob == pytest.approx(p, abs=1e-15)
+        np.testing.assert_allclose(kept.amps, [1 - bit, bit], atol=1e-15)
+    assert core.postselect(core.new_zero_state(1), 0, 0)[1] == 1.0
+
+
 def test_tensor_order():
     # tensor(a, b) puts a on the high qubits
     a = core.apply_single(core.new_zero_state(1), 0, core.X_MATRIX)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qadconv import reference
 from qadconv.errors import CodecRangeError, OracleDomainError
@@ -15,6 +15,7 @@ from qadconv.fixedpoint import (
     arccos_oracle,
     real_recovery_oracle,
 )
+from textbook import textbook_table
 
 
 def test_encode_known_pattern():
@@ -65,6 +66,69 @@ def test_quantization_bound(frac, m):
     v = frac * codec.vmax
     err = abs(codec.decode(codec.encode(v)) - v)
     assert err <= 2.0 ** -(m + 1) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(min_value=1, max_value=12), signed=st.booleans(), data=st.data())
+def test_array_encode_matches_the_reference_quantizer(m, signed, data):
+    codec = FixedPointCodec(m, signed=signed)
+    lo, hi, lsb = codec.vmin, codec.vmax, 2.0**-m
+    vals = np.array(data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=40)))
+    quantize = reference.quantize_signed if signed else reference.quantize_unsigned
+    codes = codec.encode(vals)
+    assert codes.dtype == np.int64 and codes.shape == vals.shape
+    assert codec.decode(codes).tobytes() == quantize(vals, m).tobytes()
+    assert [codec.encode(v) for v in vals] == codes.tolist()
+    # up to one LSB past either end clamps to that end
+    edges = np.array([lo - lsb, np.nextafter(lo, -1.0), np.nextafter(hi, 2.0), hi + lsb])
+    assert codec.decode(codec.encode(edges)).tolist() == [lo, lo, hi, hi]
+    # the first value further out, or not finite, is refused and named
+    bad = data.draw(st.sampled_from([math.nextafter(lo - lsb, -2.0),
+                                     math.nextafter(hi + lsb, 2.0), math.nan, math.inf, -math.inf]))
+    at = data.draw(st.integers(min_value=0, max_value=vals.size))
+    with pytest.raises(CodecRangeError) as exc:
+        codec.encode(np.append(np.insert(vals, at, bad), hi + 7.0))
+    named = f"{bad!r} outside" if math.isfinite(bad) else f"cannot encode {bad!r}"
+    assert str(exc.value).startswith(named)
+
+
+def _assert_built_like_the_textbook(name, fn, in_codecs, out_codec):
+    """The oracle's table equals the per-input loop byte for byte, or both
+    refuse the same first input; the oracle adds the codec's reason."""
+    try:
+        want = textbook_table(name, fn, in_codecs, out_codec)
+    except OracleDomainError as exc:
+        with pytest.raises(OracleDomainError) as got:
+            FunctionOracle.build(name, fn, in_codecs, out_codec)
+        assert str(got.value).startswith(f"{exc}: ")
+        assert isinstance(got.value.__cause__, CodecRangeError)
+        return
+    got = FunctionOracle.build(name, fn, in_codecs, out_codec).table
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("in_signed,out_signed",
+                         [(False, False), (False, True), (True, False), (True, True)])
+@pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+def test_every_activation_table_matches_the_per_input_loop(name, in_signed, out_signed):
+    fn, arity = ACTIVATIONS[name]
+    for m in range(1, 9):
+        in_codecs = (FixedPointCodec(m, signed=in_signed),) * arity
+        _assert_built_like_the_textbook(name, fn, in_codecs,
+                                        FixedPointCodec(m, signed=out_signed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(-2.0, 2.0), b=st.floats(-1.0, 1.0), arity=st.integers(1, 2),
+       m=st.integers(1, 8), in_signed=st.booleans(), out_signed=st.booleans())
+def test_user_callable_tables_match_the_per_input_loop(a, b, arity, m, in_signed, out_signed):
+    m = min(m, 5) if arity == 2 else m
+
+    def fn(*xs):
+        return a * math.sin(sum(xs)) + b
+
+    _assert_built_like_the_textbook("user", fn, (FixedPointCodec(m, signed=in_signed),) * arity,
+                                    FixedPointCodec(m, signed=out_signed))
 
 
 def test_values_cover_range():

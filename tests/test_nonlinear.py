@@ -9,7 +9,7 @@ import pytest
 from qadconv import core, nonlinear, reference
 from qadconv.circuits import CircuitOp
 from qadconv.errors import ConfigError, RegisterError, ResourceLimitError, ZeroSuccessError
-from qadconv.fixedpoint import activation_oracle
+from qadconv.fixedpoint import FunctionOracle, activation_oracle
 from qadconv.nonlinear import (
     ANSATZ_RECORD_CAP,
     AnsatzCircuit,
@@ -200,6 +200,26 @@ def test_amplify_inverts_the_compiled_pipeline(monkeypatch):
     assert abs(got.success_probability - want.success_probability) <= 1e-12
     assert abs(got.leakage - want.leakage) <= 1e-12
     assert abs(got.fidelity - want.fidelity) <= 1e-12
+
+
+def test_pipeline_refuses_rounds_past_2_to_the_run_qubits_before_building(monkeypatch):
+    # ad, data, b, 3 phase bits, 3-bit signed value, ancilla: at most 2^10 rounds
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a readout block or a table before checking the rounds")
+
+    monkeypatch.setattr(nonlinear, "readout_block", refuse)
+    monkeypatch.setattr(FunctionOracle, "build", refuse)
+    tree = build_tree(np.array([0.6, 0.8]))
+    for rounds in (1025, 10**20):
+        with pytest.raises(ResourceLimitError, match="Grover rounds exceed 2\\^10"):
+            nonlinear_transform(tree, "square", 1, 2, 1, mode="amplify", rounds=rounds)
+
+
+@pytest.mark.parametrize("name,value", [("square", 1.0), ("tanh", -1.0)])
+def test_pipeline_runs_on_a_single_amplitude(name, value):
+    # n = 0, so the address Hadamard layer is an op with no gates
+    out = nonlinear_transform(build_tree(np.array([value])), name, 0, 2, 1)
+    assert out.output.n_qubits == 0 and out.fidelity == 1.0
 
 
 @pytest.mark.parametrize("mode", ["postselect", "amplify"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qadconv import core, qadc, reference
-from qadconv.circuits import PE_CTRL_TAG, CircuitOp, RegisterLayout, phase_estimate_op
+from qadconv.circuits import PE_CTRL_TAG, CircuitOp, Gate, RegisterLayout, phase_estimate_op
 from qadconv.errors import ConfigError, ResourceLimitError
 from qadconv.fixedpoint import abs_recovery_oracle
 from qadconv.nonlinear import AnsatzCircuit, nonlinear_transform, perceptron_run
@@ -410,6 +410,16 @@ def _tensor_stages(state, ops):
             state = core.tensor(core.new_zero_state(extra), state)
         state = op.apply(state)
     return state
+
+
+def test_run_stages_passes_over_an_op_with_no_gates():
+    # at n = 0 the address Hadamard layer touches no qubit
+    empty = hadamard_layer(readout_layout("real", 0, 2, 1), "ad")
+    assert empty.gates == ()
+    buf = np.array([1, 0, 0, 0], dtype=np.complex128)
+    assert run_stages(buf, 0, [empty]) == 0
+    assert run_stages(buf, 0, [empty, CircuitOp((Gate("x", (1,)),)), empty]) == 2
+    assert buf.tolist() == [0, 0, 1, 0]
 
 
 @settings(max_examples=20, deadline=None)

@@ -215,6 +215,21 @@ def test_zero_rounds_and_numpy_counts_are_accepted():
     assert out.attempts == 1
 
 
+def test_rounds_past_2_to_the_run_qubits_are_refused_before_the_suffix_is_built(monkeypatch):
+    # 1 address qubit, 4 value qubits and the ancilla: at most 2^6 rounds
+    st = qdac.make_digital_state([0.6, 0.8], m=4)
+    out = qdac.qdac_run(st, identity_oracle(4), m=4, mode="amplify", rounds=64)
+    assert out.attempts == 129
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the conversion suffix before checking the rounds")
+
+    monkeypatch.setattr(qdac, "conversion_suffix_op", refuse)
+    for rounds in (65, 10**23):
+        with pytest.raises(ResourceLimitError, match="Grover rounds exceed 2\\^6"):
+            qdac.qdac_run(st, identity_oracle(4), m=4, mode="amplify", rounds=rounds)
+
+
 def test_qdac_sample_mode_statistics():
     data = [0.6, 0.8]
     st = qdac.make_digital_state(data, m=8)
