@@ -8,7 +8,10 @@ work structurally on the records through the same table. The QFT is one
 "qft" record, an in-place FFT. fuse compiles runs of gates into "power"
 records whose per-key-value dense block tables hold at most 4^FUSE_QUBITS
 entries; a power record keeps its source gates, so its inverse
-(conjugate-transposed blocks) and its logical count come from them.
+(conjugate-transposed blocks) and its logical count come from them. A table
+whose imaginary parts are all exactly zero (a run of h, x, z, ry and swap
+gates, say) is stored as float64 and applied in real arithmetic, at half
+the flops of a complex table.
 
 Phase estimation has two forms. phase_estimate_op is the textbook circuit:
 Hadamards, the unitary controlled on phase bit j and repeated 2^j times,
@@ -234,8 +237,11 @@ class PowerTable:
 
     The iterate uses its first `keys` wires only as controls, so it is
     block-diagonal over their value: blocks[v] is the iterate on the other
-    (target) wires where the keys hold v. Tables compare by identity, never
-    element by element.
+    (target) wires where the keys hold v. blocks is float64 when every
+    entry is real (fuse stores it so wherever the imaginary parts are all
+    exactly zero, and the inverse keeps it so), and the block kernel then
+    applies it in real arithmetic; otherwise it is complex128. Tables
+    compare by identity, never element by element.
     """
 
     iterate: tuple
@@ -403,7 +409,8 @@ def _key_split(gates) -> tuple[tuple, tuple]:
 
 def _materialize(gates, keys, targets) -> np.ndarray:
     """blocks[v][r, c]: amplitude of target basis state r after the gates
-    act on target state c with the key qubits holding v."""
+    act on target state c with the key qubits holding v; float64 where
+    every imaginary part is exactly zero, complex128 otherwise."""
     k, w = len(keys), len(targets)
     dim, kdim = 1 << w, 1 << k
     # compact qubits: w low qubits holding the input column c, then the
@@ -418,7 +425,10 @@ def _materialize(gates, keys, targets) -> np.ndarray:
         local = Gate(g.kind, tuple(where[q] for q in g.wires), g.params,
                      tuple((where[q], v) for q, v in g.controls))
         KINDS[g.kind].run(local, amps, n)
-    return amps.reshape(dim, kdim, dim).transpose(1, 0, 2).copy()
+    blocks = amps.reshape(dim, kdim, dim).transpose(1, 0, 2)
+    # a table with no imaginary part at all is kept as float64, which the
+    # block kernel applies in real arithmetic
+    return (blocks if blocks.imag.any() else blocks.real).copy()
 
 
 # Bound on a fused record's block table: keys + 2 * targets stays within

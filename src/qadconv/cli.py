@@ -632,6 +632,22 @@ def _check_amplitude_law() -> float:
     return worst
 
 
+def _check_code_distribution() -> float:
+    """The per-address code distribution run_qadc reports for abs, real and
+    imag against reference.per_address_code_distribution, on a complex
+    2-address tree and a complex 4-address tree."""
+    rng = np.random.default_rng(20260111)
+    worst = 0.0
+    for n, m, g in ((1, 2, 1), (2, 3, 1)):
+        c = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        tree = build_tree(c / np.linalg.norm(c))
+        for variant in ("abs", "real", "imag"):
+            got = run_qadc(tree, variant, n, m, g).per_address_code_distribution
+            want = reference.per_address_code_distribution(tree.amplitudes(), variant, m, g)
+            worst = max(worst, float(np.max(np.abs(got - want))))
+    return worst
+
+
 def _check_prep_trees() -> float:
     rng = np.random.default_rng(20260103)
     worst = 0.0
@@ -722,6 +738,7 @@ ORACLE_CHECKS: tuple[tuple[str, float, object], ...] = (
     ("fused-blocks", 1e-12, _check_fused_blocks),
     ("readout-eigenbasis", 1e-12, _check_readout_eigenbasis),
     ("amplitude-law", 1e-12, _check_amplitude_law),
+    ("code-distribution", 1e-12, _check_code_distribution),
     ("prep-trees", 1e-10, _check_prep_trees),
     ("spectrum", 1e-10, _check_spectrum),
     ("qdac-exact", 1e-10, _check_qdac_exact),

@@ -283,11 +283,18 @@ def apply_multiplexed_ry_inplace(amps, n, key_reg, target, angles, controls=()):
 def apply_block_table_inplace(amps, n, keys, targets, blocks, controls=()):
     """Block-diagonal unitary: blocks[v] acts on the target qubits wherever
     the key qubits hold value v (bit b of v on keys[b]; bit b of a block
-    index on targets[b])."""
+    index on targets[b]).
+
+    A float64 table is applied in real arithmetic: it multiplies the real
+    and imaginary parts of each piece as one real matmul, read through the
+    float64 view of the piece, at half the flops of a complex one. Any
+    other table is applied as complex128."""
     k, w = len(keys), len(targets)
     if not w:
         raise RegisterError("a block table needs at least one target qubit")
-    blocks = np.asarray(blocks, dtype=np.complex128)
+    blocks = np.asarray(blocks)
+    if blocks.dtype != np.float64:
+        blocks = blocks.astype(np.complex128, copy=False)
     if blocks.shape != (1 << k, 1 << w, 1 << w):
         raise RegisterError(
             f"block table has shape {blocks.shape}, expected {(1 << k, 1 << w, 1 << w)}"
@@ -296,7 +303,13 @@ def apply_block_table_inplace(amps, n, keys, targets, blocks, controls=()):
     # flattening of each group gives its value
     view, axes = _view(amps, n, controls, [(q, 1) for q in (*keys[::-1], *targets[::-1])])
     for _, sub in _pieces(view, axes):
-        sub[...] = np.matmul(blocks, sub.reshape(1 << k, 1 << w, -1)).reshape(sub.shape)
+        x = sub.reshape(1 << k, 1 << w, -1)
+        if blocks.dtype == np.float64:
+            # (re, im) pairs interleaved along the last axis of a C-order copy
+            x = np.matmul(blocks, np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
+        else:
+            x = np.matmul(blocks, x)
+        sub[...] = x.reshape(sub.shape)
 
 
 def apply_reflection_table_inplace(amps, n, keys, targets, vectors, controls=()):

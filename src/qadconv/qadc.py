@@ -10,8 +10,10 @@ restriction to one address acts as a plane rotation by 2 pi theta_k.
 readout_block estimates theta_k into a phase register, converts the phase
 pattern to the recovered value with a lookup oracle (one gather), and
 uncomputes everything except the address and value registers; run_qadc and
-the nonlinear pipeline run it in place on one buffer (run_stages). The
-iterate is built from the plain load; it is never applied, only counted.
+the nonlinear pipeline run it in place on one buffer (run_stages). run_qadc
+reads the code distribution off the estimate: the (address, phase) joint
+before recover, pushed through the recovery table. The iterate is built
+from the plain load; it is never applied, only counted.
 
 The estimate runs in the iterate's eigenbasis V, which readout_eigenbasis
 writes down in closed form (the iterate is a product of two reflections):
@@ -347,7 +349,13 @@ def imag_qadc(tree: PrepTree, n: int, m: int, g: int = 3,
 def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
              cap: int = core.DEFAULT_QUBIT_CAP) -> QadcResult:
     """Read one part of the tree's amplitudes into an m-bit value register:
-    "abs" the magnitudes |c_k|, "real" and "imag" the signed parts."""
+    "abs" the magnitudes |c_k|, "real" and "imag" the signed parts.
+
+    All three stages of the readout block run on one buffer. The per-address
+    code distribution is read off the estimate: the (address, phase) joint
+    before recover, pushed through the recover record's table, which is the
+    (address, value) distribution of the final state. The fidelity and the
+    clean digital state are read from the final state."""
     if n != tree.depth:
         raise ConfigError("n", f"tree has {tree.depth} address qubits, got n={n}")
     layout = readout_layout(variant, n, m, g)
@@ -363,17 +371,30 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     ops = readout_block(synthesize_ua(tree).op(start=n), variant, n, m, g, reg_s)
     live = run_stages(state.amps, 0, [hadamard_layer(layout, "ad") + ops[0]])
 
-    # phase-register statistics before anything is uncomputed
+    # phase-register statistics before anything is uncomputed, and the code
+    # distribution they give through the recovery table
     t = m + g
     joint = core.register_distribution(core.StateVector(live, state.amps[:1 << live]),
-                                       [(0, n), layout.reg("regp")])
-    phase_success = _phase_success(joint.reshape(1 << n, 1 << t), thetas, t, m)
+                                       [(0, n), layout.reg("regp")]).reshape(1 << n, 1 << t)
+    phase_success = _phase_success(joint, thetas, t, m)
+    (recover,) = ops[1].gates
+    codes = _code_distribution(joint, recover.params, codec.width)
     run_stages(state.amps, live, ops[1:])
 
     ua_count = sum(_controlled_ua_count(op.gates) for op in ops)
     return _summarize(
-        variant, m, g, state, n, reg_s, codec, true_values, phase_success, ua_count,
+        variant, m, g, state, n, reg_s, codec, true_values, codes, phase_success, ua_count,
     )
+
+
+def _code_distribution(joint: np.ndarray, table, width: int) -> np.ndarray:
+    """The (address, value) distribution a readout ends with, from its
+    (address, phase) joint before recover: each row pushed through the
+    recovery table, summed in phase order. Exact, because recover XORs
+    table[phase] into fresh |0> qubits and the un-estimate never changes
+    the address or value registers."""
+    table = np.asarray(table, dtype=np.int64)
+    return np.array([np.bincount(table, weights=row, minlength=1 << width) for row in joint])
 
 
 def _controlled_ua_count(gates) -> int:
@@ -410,12 +431,14 @@ def _phase_success(joint: np.ndarray, thetas, t: int, m: int) -> np.ndarray:
     return out
 
 
-def _summarize(variant, m, g, state, n, reg_s, codec, true_values,
+def _summarize(variant, m, g, state, n, reg_s, codec, true_values, joint,
                phase_success, ua_count) -> QadcResult:
+    """The result of a finished readout. The per-address code statistics
+    come from joint, the (address, value) distribution read off the
+    estimate through the recovery table (_code_distribution); the fidelity
+    and the clean digital state are read from the final state."""
     reg_width = codec.width
     n_addr = 1 << n
-    joint = core.register_distribution(state, [(0, n), (reg_s, reg_width)])
-    joint = joint.reshape(n_addr, 1 << reg_width)
     decoded = codec.values()
     bound = 2.0**-m + 2.0 ** -(m + 1)
 

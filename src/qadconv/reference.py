@@ -134,22 +134,30 @@ def code_distribution(theta: float, t: int, m: int, signed: bool) -> dict:
     return agg
 
 
-def amplitude_law(amplitudes, variant: str, m: int, g: int) -> np.ndarray:
-    """The clean digital state a qADC readout leaves, sum_k sum_v p(v|k)
-    |k>|code(v)> normalized, with the address k in the low qubits; variant
-    is "abs", "real" or "imag". The clean amplitude of (k, v) is
-    <0|U_k^dag P_v U_k|0>/sqrt(N) = p(v|k)/sqrt(N), with p(v|k) from
-    code_distribution."""
+def per_address_code_distribution(amplitudes, variant: str, m: int, g: int) -> np.ndarray:
+    """p(code | k) for a qADC readout of the amplitudes, indexed [k, code];
+    variant is "abs", "real" or "imag" and the code is the value
+    register's pattern (m bits for abs, m + 1 signed bits otherwise). Each
+    row is code_distribution at the address's theta."""
     c = np.asarray(amplitudes, dtype=np.complex128)
     signed = variant != "abs"
     part = {"abs": np.abs, "real": np.real, "imag": np.imag}[variant]
     theta_of = theta_from_part if signed else theta_from_abs
     width = m + 1 if signed else m
-    want = np.zeros((1 << width, c.size))
+    out = np.zeros((c.size, 1 << width))
     for k, x in enumerate(part(c)):
         for v, p in code_distribution(theta_of(float(x)), m + g, m, signed).items():
-            want[round(v * (1 << m)) % (1 << width), k] += p
-    want = want.ravel()
+            out[k, round(v * (1 << m)) % (1 << width)] += p
+    return out
+
+
+def amplitude_law(amplitudes, variant: str, m: int, g: int) -> np.ndarray:
+    """The clean digital state a qADC readout leaves, sum_k sum_v p(v|k)
+    |k>|code(v)> normalized, with the address k in the low qubits; variant
+    is "abs", "real" or "imag". The clean amplitude of (k, v) is
+    <0|U_k^dag P_v U_k|0>/sqrt(N) = p(v|k)/sqrt(N), with p(v|k) from
+    per_address_code_distribution."""
+    want = per_address_code_distribution(amplitudes, variant, m, g).T.ravel()
     return want / np.linalg.norm(want)
 
 

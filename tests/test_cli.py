@@ -244,6 +244,26 @@ def test_verify_amplitude_law_catches_a_broken_recovery_oracle(capsys, monkeypat
     assert record["metrics"]["rows"][0]["pass"] is False
 
 
+def test_verify_code_distribution_catches_a_broken_pushforward(capsys, monkeypatch):
+    code, record = run_main(capsys, ["verify", "--scope", "code-distribution"])
+    assert code == 0
+    assert record["metrics"]["rows"][0]["max_deviation"] <= 1e-12
+
+    good = qadc._code_distribution
+
+    def off_by_one_code(joint, table, width):
+        return good(joint, (np.asarray(table) + 1) % (1 << width), width)
+
+    monkeypatch.setattr(qadc, "_code_distribution", off_by_one_code)
+    code, record = run_main(capsys, ["verify", "--scope", "code-distribution"])
+    assert code == 4
+    assert record["metrics"]["rows"][0]["pass"] is False
+    # the digital state still comes from the final state, so only the new
+    # check sees the fault
+    code, _ = run_main(capsys, ["verify", "--scope", "amplitude-law"])
+    assert code == 0
+
+
 def test_verify_readout_eigenbasis_catches_a_broken_reflection_kernel(capsys, monkeypatch):
     code, record = run_main(capsys, ["verify", "--scope", "readout-eigenbasis"])
     assert code == 0

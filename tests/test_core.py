@@ -275,6 +275,30 @@ def test_block_table_matches_index_loop(monkeypatch, chunk):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("chunk", [core.CHUNK, 4])
+@pytest.mark.parametrize("n,keys,targets,controls", [
+    (8, (), (1, 2, 3, 4, 5, 6), ()),  # (1, 64, 64)
+    (7, (5, 1), (0, 6, 3), ((4, 0),)),  # (4, 8, 8), keyed and controlled
+    (1, (), (0,), ()),  # a 1-qubit state: numpy's small-matrix loop
+], ids=["1x64x64", "4x8x8-keyed", "1-qubit"])
+def test_a_float64_block_table_gives_the_complex_tables_result(monkeypatch, chunk, n, keys,
+                                                               targets, controls):
+    # the float64 table runs as a real matmul on the (re, im) pairs of each
+    # piece; the same table as complex128 is the reference
+    monkeypatch.setattr(core, "CHUNK", chunk)
+    rng = np.random.default_rng(17)
+    k, w = len(keys), len(targets)
+    blocks = np.stack([np.linalg.qr(rng.normal(size=(1 << w, 1 << w)))[0] for _ in range(1 << k)])
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps /= np.linalg.norm(amps)
+    want = amps.copy()
+    core.apply_block_table_inplace(want, n, keys, targets, blocks.astype(np.complex128), controls)
+    got = amps.copy()
+    core.apply_block_table_inplace(got, n, keys, targets, blocks, controls)
+    assert blocks.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
 def test_block_table_validation():
     amps = np.zeros(8, dtype=np.complex128)
     eye = np.eye(2, dtype=np.complex128)[None]

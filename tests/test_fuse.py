@@ -212,6 +212,26 @@ def test_runs_close_at_the_table_bound():
     assert second.params.iterate == hs[FUSE_QUBITS:]
 
 
+def test_fuse_stores_a_real_table_as_float64():
+    real_run = (
+        Gate("h", (0,)),
+        Gate("x", (1,), controls=((0, 1),)),
+        Gate("ry", (2,), (0.3,)),
+        Gate("swap", (0, 2)),
+    )
+    start = random_state(3, 4)
+    for joining, dtype in ((None, np.float64), (Gate("phase", (1,), (0.4,)), np.complex128),
+                           (Gate("rz", (0,), (0.4,)), np.complex128)):
+        op = CircuitOp(real_run + ((joining,) if joining else ()))
+        fused = fuse(op)
+        (gate,) = fused.gates
+        assert gate.params.blocks.dtype == dtype
+        # the inverse conjugate-transposes the table and keeps its dtype
+        assert fused.inverse().gates[0].params.blocks.dtype == dtype
+        assert max_dev(fused.apply(start), op.apply(start)) <= TOL
+        assert max_dev(fused.inverse().apply(start), op.inverse().apply(start)) <= TOL
+
+
 def test_fused_record_keys_are_control_only_qubits():
     op = CircuitOp((
         Gate("h", (1,), controls=((0, 1),)),
@@ -302,3 +322,10 @@ def test_readout_stages_are_block_records_and_one_qft(variant):
     load_record = fwd.gates[0]
     assert "eigenbasis" in [h.kind for h in load_record.params.iterate]
     assert load_record.params.keys == n
+    assert load_record.params.blocks.dtype == np.complex128
+    # the records of phase-register Hadamards alone are real tables
+    hadamards = [gate for gate in fwd.gates[1:] if gate.kind == "power"]
+    assert hadamards
+    for gate in hadamards:
+        assert {h.kind for h in gate.params.iterate} == {"h"}
+        assert gate.params.blocks.dtype == np.float64

@@ -669,13 +669,9 @@ def test_digital_state_follows_the_amplitude_law(variant, shape, seed):
     assert np.max(np.abs(res.digital_state.amps - want)) <= 1e-12
 
 
-@settings(max_examples=20, deadline=None)
-@given(variant=st.sampled_from(VARIANTS), shape=st.sampled_from([(1, 2, 1), (2, 3, 1)]),
-       seed=st.integers(0, 2**32 - 1))
-def test_phase_register_returns_to_zero_up_to_the_unclean_mass(variant, shape, seed):
-    # the clean slice has every qubit outside the address and value
-    # registers at 0, the phase register among them
-    n, m, g = shape
+def _run_qadc_keeping_the_final_state(variant, n, m, g, seed):
+    """run_qadc's result and the final state of its readout block, the
+    state it reads the clean digital state from."""
     final = []
     clean_component = core.clean_component
 
@@ -685,7 +681,30 @@ def test_phase_register_returns_to_zero_up_to_the_unclean_mass(variant, shape, s
 
     with mock.patch.object(core, "clean_component", spy):
         res = run_qadc(_random_tree(n, seed), variant, n, m, g)
-    layout = readout_layout(variant, n, m, g)
     (state,) = final
+    return res, state
+
+
+@settings(max_examples=30, deadline=None)
+@given(**small_readouts)
+def test_code_distribution_read_off_the_estimate_is_the_final_states(variant, n, m, g, seed):
+    # the reference: the (address, value) marginal of the whole final state
+    res, state = _run_qadc_keeping_the_final_state(variant, n, m, g, seed)
+    width = m if variant == "abs" else m + 1
+    joint = core.register_distribution(
+        state, [(0, n), (readout_layout(variant, n, m, g).n_qubits, width)])
+    want = joint / joint.sum(axis=1, keepdims=True)
+    assert np.max(np.abs(res.per_address_code_distribution - want)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), shape=st.sampled_from([(1, 2, 1), (2, 3, 1)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_phase_register_returns_to_zero_up_to_the_unclean_mass(variant, shape, seed):
+    # the clean slice has every qubit outside the address and value
+    # registers at 0, the phase register among them
+    n, m, g = shape
+    res, state = _run_qadc_keeping_the_final_state(variant, n, m, g, seed)
+    layout = readout_layout(variant, n, m, g)
     off_zero = 1.0 - core.register_distribution(state, [layout.reg("regp")])[0]
     assert off_zero <= 1.0 - res.clean_probability + 1e-12
