@@ -732,6 +732,33 @@ def _check_pipeline() -> float:
     return worst
 
 
+def _check_amplify() -> float:
+    """qdac_run and nonlinear_transform in amplify mode against the Grover
+    law: 2r + 1 attempts with r = reference.grover_optimal_rounds(p), the
+    boosted success probability reference.grover_probability(p, r), and
+    the output amplitudes, sign included, against
+    reference.qdac_prediction and reference.pipeline_prediction. r is odd
+    in two of the three cases, so a round that drops its sign flips the
+    output there."""
+
+    def deviation(out, p, amps) -> float:
+        r = reference.grover_optimal_rounds(p)
+        return max(float(abs(out.attempts - (2 * r + 1))),
+                   abs(out.empirical_probability - reference.grover_probability(p, r)),
+                   float(np.max(np.abs(out.output.amps - amps))))
+
+    worst = 0.0
+    f = activation_oracle("identity", 6, in_signed=True, out_signed=True)
+    for values in ([0.2, -0.2], [0.25, -0.125, 0.0, 0.1875]):  # r = 3 and 4
+        out = qdac_run(make_digital_state(values, 6, signed=True), f, 6, mode="amplify")
+        amps, p = reference.qdac_prediction(values, 6, signed=True)
+        worst = max(worst, deviation(out, p, amps))
+    values = [0.5, 0.5, 0.5, -0.5]  # r = 1
+    out = nonlinear_transform(build_tree(values), "square", 2, 3, 2, mode="amplify")
+    pred = reference.pipeline_prediction(values, lambda v: v * v, 3, 2)
+    return max(worst, deviation(out, pred["success_probability"], pred["output"]))
+
+
 ORACLE_CHECKS: tuple[tuple[str, float, object], ...] = (
     ("circuit-products", 1e-12, _check_circuit_products),
     ("pe-distribution", 1e-10, _check_pe_distribution),
@@ -744,6 +771,7 @@ ORACLE_CHECKS: tuple[tuple[str, float, object], ...] = (
     ("qdac-exact", 1e-10, _check_qdac_exact),
     ("moment-identity", 1e-12, _check_moment_identity),
     ("pipeline", 1e-9, _check_pipeline),
+    ("amplify", 1e-9, _check_amplify),
 )
 
 

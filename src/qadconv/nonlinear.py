@@ -12,6 +12,11 @@ re-estimate act only on qubits below the value registers, which the
 f-rotation leaves alone, so that pair cancels too: a 1-input f runs H,
 load + estimate, copy out, f-rotation, copy out, un-estimate + un-load.
 The value register still holds the digital value while f is evaluated.
+A 1-input f's one block sees a clean input, so it runs its phase-register
+stages on the slice where the data register holds |0> (readout_block's
+clean_input); a 2-input f's blocks run on the whole state. The success
+probability is predicted from the joint read before the last recover,
+pushed through its recovery table.
 The state is one buffer at its final width, value registers and ancilla
 on top, and every stage runs in place on it (qadc.run_stages). It ends
 in qdac.finish, the readout qdac_run uses: postselect the ancilla,
@@ -37,7 +42,7 @@ from .fixedpoint import (
     activation_oracle,
 )
 from .prep import PrepTree, synthesize_ua
-from .qadc import hadamard_layer, readout_block, readout_layout, run_stages
+from .qadc import _code_distribution, hadamard_layer, readout_block, readout_layout, run_stages
 from .qdac import check_mode, check_shots, finish, value_rotation
 
 
@@ -175,20 +180,28 @@ def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
     # each readout block is its own inverse, so reverting replays them
     # backwards; the last block's un-estimate and the revert's first
     # re-estimate act only below nb, where the f-rotation does not, so that
-    # pair cancels and the rotation sits between two copies of the value
-    blocks = [readout_block(prep, "real", n, m, g, nb)]
+    # pair cancels and the rotation sits between two copies of the value.
+    # A lone block sees a clean input; a second one would see the first's
+    # leftovers, and the revert replays the first after the second.
+    blocks = [readout_block(prep, "real", n, m, g, nb, clean_input=f.arity == 1)]
     if f.arity == 2:
         blocks.append(readout_block(prep, "imag", n, m, g, nb + mw))
     *done, (fwd, recover, back) = blocks
-    forward = [hadamard_layer(base, "ad")] + [op for b in done for op in b] + [fwd, recover]
-    rest = [CircuitOp((value_rotation(f, nb),), label="f-rotation"), recover, back]
+    forward = [hadamard_layer(base, "ad")] + [op for b in done for op in b] + [fwd]
+    rest = [recover, CircuitOp((value_rotation(f, nb),), label="f-rotation"), recover, back]
     rest += [op for b in reversed(done) for op in b]
 
     live = run_stages(state.amps, 0, forward)
-    # success probability predicted from the pipeline's own registers; the
-    # un-estimate still to come touches neither the address nor the values
-    key_joint = core.register_distribution(core.StateVector(live, state.amps[:1 << live]),
-                                           [(0, n), (nb, anc - nb)])
+    # success probability predicted from the pipeline's own registers, read
+    # before the last recover: the (address, [real value,] phase) joint
+    # pushed through its recovery table, as run_qadc reads its codes
+    keys = [(0, n)] if f.arity == 1 else [(0, n), (nb, mw)]
+    joint = core.register_distribution(core.StateVector(live, state.amps[:1 << live]),
+                                       keys + [base.reg("regp")])
+    (copy,) = recover.gates
+    key_joint = _code_distribution(joint.reshape(-1, joint.shape[-1]), copy.params, mw)
+    if f.arity == 2:  # [address, real, imag] to f's input order, real the low bits
+        key_joint = key_joint.reshape(1 << n, 1 << mw, 1 << mw).transpose(0, 2, 1)
     predicted = float((key_joint.reshape(1 << n, -1) @ (fvals**2)).sum())
     run_stages(state.amps, live, rest)
 

@@ -24,6 +24,15 @@ estimation commutes with everything up to the un-estimate, whose leading
 V^H it cancels, so neither is applied. The uncompute stage is the
 estimate's structural inverse. flat_readout_block lays out the same block
 with textbook phase estimation, the reference it is checked against.
+
+Per address the iterate turns L|k, 0> within one plane, so V^H L|k, 0>
+lies in span{e_0, e_b}: from L V^H until the un-load the data and mirror
+registers hold |0>, provided the block's input is |0> on every register
+but the address. readout_block(..., clean_input=True) states that
+precondition, and then the phase register's Hadamards, the inverse QFT and
+recover (and their mirrors in the un-estimate) carry a (q, 0) control on
+every data and mirror qubit, so their kernels run on that slice only.
+run_qadc and a one-input nonlinear pipeline set it.
 """
 
 from __future__ import annotations
@@ -236,7 +245,7 @@ def readout_eigenbasis(layout: RegisterLayout, load: CircuitOp) -> tuple[Gate, n
 
 
 def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
-                  out_start: int) -> list:
+                  out_start: int, clean_input: bool = False) -> list:
     """One readout as three ops for run_stages: estimate, recover, un-estimate.
 
     Load and estimate; copy the recovered value into a value register of
@@ -257,23 +266,46 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
     The copy is self-inverse and the ops around it mirror each other, so
     the block is its own inverse. prep is the data-load circuit on the
     data register.
+
+    clean_input states a precondition: the block's input is |0> on every
+    register but the address. Then V^H L|k, 0> lies in span{e_0, e_b} for
+    every address k (readout_eigenbasis), so the data and mirror registers
+    hold |0> from L V^H until the un-load. The phase register's Hadamards,
+    the inverse QFT, recover and their mirrors in the un-estimate then
+    carry a (q, 0) control on every data and mirror qubit, and their
+    kernels run only on that slice: a 4^n-th of the state for abs, a 2^n-th
+    for real and imag. L V^H is fused on its own, the spectral record and
+    the un-load stay whole. On a clean input the block is the unrestricted
+    one; on any other input it is not.
     """
     layout = readout_layout(variant, n, m, g)
     load = readout_load(layout, prep, variant)
     basis, phases = readout_eigenbasis(layout, load)
     regp = layout.reg("regp")
-    cascade = spectral_record(readout_iterate(layout, load), phases, regp)
-    fwd = fuse(load + CircuitOp((basis,)) + hadamard_layer(layout, "regp")
-               + CircuitOp((cascade,))) + iqft_op(*regp)
-    return [fwd, _recover_stage(layout, variant, m, g, out_start), fwd.inverse()]
+    cascade = CircuitOp((spectral_record(readout_iterate(layout, load), phases, regp),))
+    estimate = load + CircuitOp((basis,))
+    hadamards = hadamard_layer(layout, "regp")
+    recover = _recover_stage(layout, variant, m, g, out_start)
+    if clean_input:
+        idle = tuple((q, 0) for q in (*layout.qubits("data"), *layout.qubits("a")))
+        fwd = (fuse(estimate) + fuse(hadamards).controlled(*idle)
+               + cascade + iqft_op(*regp).controlled(*idle))
+        recover = recover.controlled(*idle)
+    else:
+        # on the whole state the Hadamards cost less inside L V^H's block,
+        # where the fuse bound lets them join, than fused apart
+        fwd = fuse(estimate + hadamards + cascade) + iqft_op(*regp)
+    return [fwd, recover, fwd.inverse()]
 
 
 def flat_readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
-                       out_start: int) -> list:
+                       out_start: int, clean_input: bool = False) -> list:
     """readout_block's ops with textbook phase estimation, the flat
     reference it is checked against: the load, then phase_estimate_op of
     the readout iterate; the same recover op; then the inverse of load
-    and estimate. Gate by gate, so only small blocks are practical."""
+    and estimate. Gate by gate, so only small blocks are practical.
+    clean_input is accepted and ignored: the flat block runs every record
+    on the whole state."""
     layout = readout_layout(variant, n, m, g)
     load = readout_load(layout, prep, variant)
     fwd = load + phase_estimate_op(readout_iterate(layout, load), layout.reg("regp"))
@@ -368,7 +400,8 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     spectrum = spectrum_oracle if variant == "abs" else part_spectrum
     thetas = [spectrum(x).theta for x in true_values]
 
-    ops = readout_block(synthesize_ua(tree).op(start=n), variant, n, m, g, reg_s)
+    ops = readout_block(synthesize_ua(tree).op(start=n), variant, n, m, g, reg_s,
+                        clean_input=True)
     live = run_stages(state.amps, 0, [hadamard_layer(layout, "ad") + ops[0]])
 
     # phase-register statistics before anything is uncomputed, and the code
@@ -392,9 +425,14 @@ def _code_distribution(joint: np.ndarray, table, width: int) -> np.ndarray:
     (address, phase) joint before recover: each row pushed through the
     recovery table, summed in phase order. Exact, because recover XORs
     table[phase] into fresh |0> qubits and the un-estimate never changes
-    the address or value registers."""
-    table = np.asarray(table, dtype=np.int64)
-    return np.array([np.bincount(table, weights=row, minlength=1 << width) for row in joint])
+    the address or value registers. A row may stand for any key the
+    phase register is read with, an address and earlier values too."""
+    rows = len(joint)
+    bins = (np.arange(rows)[:, None] << width | np.asarray(table, dtype=np.int64)).ravel()
+    # one bincount adds each bin's weights in input order, so row by row in
+    # phase order
+    return np.bincount(bins, weights=joint.ravel(),
+                       minlength=rows << width).reshape(rows, 1 << width)
 
 
 def _controlled_ua_count(gates) -> int:

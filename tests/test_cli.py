@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qadconv import cli, core, qadc
+from qadconv import cli, core, qadc, qdac
 from qadconv.errors import ConfigError, ResourceLimitError
 from qadconv.fixedpoint import FunctionOracle
 
@@ -276,6 +276,36 @@ def test_verify_readout_eigenbasis_catches_a_broken_reflection_kernel(capsys, mo
 
     monkeypatch.setattr(core, "apply_reflection_table_inplace", conjugated)
     code, record = run_main(capsys, ["verify", "--scope", "readout-eigenbasis"])
+    assert code == 4
+    assert record["metrics"]["rows"][0]["pass"] is False
+
+
+def _one_round_too_many(monkeypatch):
+    good = qdac.grover_rounds
+    monkeypatch.setattr(qdac, "grover_rounds", lambda p: good(p) + 1)
+
+
+def _unsigned_rounds(monkeypatch):
+    # each round without its leading minus: the boosted state times (-1)^r
+    good = qdac.amplitude_amplify
+
+    def unsigned(procedure, state, flag, rounds):
+        out = good(procedure, state, flag, rounds)
+        if rounds % 2:
+            np.negative(out.amps, out=out.amps)
+        return out
+
+    monkeypatch.setattr(qdac, "amplitude_amplify", unsigned)
+
+
+@pytest.mark.parametrize("plant", [_one_round_too_many, _unsigned_rounds])
+def test_verify_amplify_catches_a_broken_grover_round(capsys, monkeypatch, plant):
+    code, record = run_main(capsys, ["verify", "--scope", "amplify"])
+    assert code == 0
+    assert record["metrics"]["rows"][0]["max_deviation"] <= 1e-9
+
+    plant(monkeypatch)
+    code, record = run_main(capsys, ["verify", "--scope", "amplify"])
     assert code == 4
     assert record["metrics"]["rows"][0]["pass"] is False
 

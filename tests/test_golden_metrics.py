@@ -7,6 +7,9 @@ metrics block (`ResultRecord.metrics_json`) must equal the golden bytes.
 Regenerate the golden file only from code whose outputs are known good:
 
     PYTHONPATH=src python tests/test_golden_metrics.py
+
+It prints, per command whose bytes move, each moved top-level field and
+its largest absolute change, before it writes the file.
 """
 
 import json
@@ -42,6 +45,34 @@ def test_metrics_match_golden(command):
     assert metrics_bytes(command) == golden[command]
 
 
+def largest_change(old, new) -> float:
+    """Largest absolute change between two decoded JSON values of the same
+    shape; inf where the shape, a type or a non-numeric value differs."""
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return max(map(largest_change, old, new), default=0.0)
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        return max((largest_change(old[k], new[k]) for k in old), default=0.0)
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new)):
+        return abs(new - old)
+    return 0.0 if old == new else float("inf")
+
+
+def moved_fields(old: str, new: str) -> dict:
+    """{field: largest absolute change} over the top-level metrics fields
+    whose values differ between two metrics blocks."""
+    a, b = json.loads(old), json.loads(new)
+    return {k: largest_change(a.get(k), b.get(k))
+            for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)}
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({c: metrics_bytes(c) for c in COMMANDS},
-                                 indent=1) + "\n")
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    current = {c: metrics_bytes(c) for c in COMMANDS}
+    for command, new in current.items():
+        if command not in previous:
+            print(f"{command}: new entry")
+        elif previous[command] != new:
+            print(f"{command}:")
+            for field, change in moved_fields(previous[command], new).items():
+                print(f"  {field}: {change:.3g}")
+    GOLDEN.write_text(json.dumps(current, indent=1) + "\n")

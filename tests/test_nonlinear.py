@@ -9,7 +9,7 @@ import pytest
 from qadconv import core, nonlinear, reference
 from qadconv.circuits import CircuitOp
 from qadconv.errors import ConfigError, RegisterError, ResourceLimitError, ZeroSuccessError
-from qadconv.fixedpoint import FunctionOracle, activation_oracle
+from qadconv.fixedpoint import FixedPointCodec, FunctionOracle, activation_oracle
 from qadconv.nonlinear import (
     ANSATZ_RECORD_CAP,
     AnsatzCircuit,
@@ -263,6 +263,42 @@ def _uncancelled_pipeline(tree, name, n, m, g, mode):
     procedure = forward + rest
     out, p = finish(state, anc, n, predicted, mode, procedure)
     return out, p, predicted
+
+
+def _skew(m):
+    """A 2-input activation that is not symmetric in its inputs, so the
+    packed order of the (real, imag) values matters."""
+    codec = FixedPointCodec(m, signed=True)
+    return FunctionOracle.build("skew", lambda x, y: 0.5 * x - 0.25 * y, (codec, codec), codec)
+
+
+@pytest.mark.parametrize("f", ["tanh", "product", _skew(2)], ids=["tanh", "product", "skew"])
+def test_pipeline_predicts_from_the_joint_before_the_last_recover(monkeypatch, f):
+    # the reference: the (address, values) marginal of the state after the
+    # last recover, as the pipeline read it before it pushed the joint before
+    # that recover through its table
+    stages = []
+
+    def recording(amps, live, ops):
+        stages.extend(ops)
+        return run_stages(amps, live, ops)
+
+    monkeypatch.setattr(nonlinear, "run_stages", recording)
+    n, m, g = 2, 2, 1
+    tree = build_tree(np.array([0.3 + 0.5j, -0.4 + 0.1j, 0.2 - 0.6j, 0.25 + 0.15j]),
+                      normalize="silent")
+    got = nonlinear_transform(tree, f, n, m, g).predicted_probability
+    f = activation_oracle(f, m, in_signed=True, out_signed=True) if isinstance(f, str) else f
+    nb = readout_layout("real", n, m, g).n_qubits
+    anc = nb + f.arity * (m + 1)
+    upto = [op.label for op in stages].index("f-rotation")
+    buf = np.zeros(1 << (anc + 1), dtype=np.complex128)
+    buf[0] = 1.0
+    live = run_stages(buf, 0, stages[:upto])
+    joint = core.register_distribution(core.StateVector(live, buf[:1 << live]),
+                                       [(0, n), (nb, anc - nb)])
+    want = float((joint.reshape(1 << n, -1) @ np.clip(f.decoded_outputs(), -1, 1) ** 2).sum())
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["postselect", "amplify"])

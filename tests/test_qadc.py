@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qadconv import core, qadc, reference
+from qadconv import core, nonlinear, qadc, reference
 from qadconv.circuits import PE_CTRL_TAG, CircuitOp, Gate, RegisterLayout, phase_estimate_op
 from qadconv.errors import ConfigError, ResourceLimitError
 from qadconv.fixedpoint import abs_recovery_oracle
@@ -622,6 +622,84 @@ def test_spectral_block_equals_the_flat_block(variant, n, x, seed):
     run_stages(got, nq, ops)
     run_stages(want, nq, flat)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _run_block(ops, start, nq):
+    """The final state of ops run in place on start, widened to nq qubits."""
+    buf = np.zeros(1 << nq, dtype=np.complex128)
+    buf[:start.size] = start
+    run_stages(buf, 0, ops)
+    return buf
+
+
+@settings(max_examples=30, deadline=None)
+@given(**small_readouts)
+def test_support_restricted_block_equals_the_whole_block_on_a_clean_input(
+        variant, n, m, g, seed):
+    # a clean input: any address state, |0> on every other register
+    layout = readout_layout(variant, n, m, g)
+    prep = _loader(layout, _random_tree(n, seed))
+    out = layout.n_qubits
+    ops = readout_block(prep, variant, n, m, g, out, clean_input=True)
+    idle = {(q, 0) for q in (*layout.qubits("data"), *layout.qubits("a"))}
+    restricted = [gate.kind for op in ops for gate in op.gates if gate.controls]
+    assert all(set(gate.controls) == idle for op in ops for gate in op.gates if gate.controls)
+    # the phase Hadamards, the inverse QFT and recover, then their mirrors
+    assert "qft" in restricted and "oracle" in restricted and "power" in restricted
+    # L V^H is fused alone: no whole-state block holds a phase Hadamard
+    regp = set(layout.qubits("regp"))
+    assert not any(set(gate.wires) & regp for gate in ops[0].gates
+                   if gate.kind == "power" and not gate.controls)
+    nq = 1 + max(ops[1].used_qubits())
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    addr = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    addr /= np.linalg.norm(addr)
+    got = _run_block(ops, addr, nq)
+    paths = [readout_block(prep, variant, n, m, g, out)]
+    if m + g <= 3:  # the flat block runs 2^t - 1 iterates gate by gate
+        paths.append(flat_readout_block(prep, variant, n, m, g, out, clean_input=True))
+    for path in paths:
+        assert np.max(np.abs(got - _run_block(path, addr, nq))) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(**small_readouts)
+def test_support_restricted_block_differs_on_an_input_that_is_not_clean(
+        variant, n, m, g, seed):
+    # the precondition is real: where data or mirror is not |0> the
+    # restricted records do not act
+    layout = readout_layout(variant, n, m, g)
+    prep = _loader(layout, _random_tree(n, seed))
+    out = layout.n_qubits
+    ops = readout_block(prep, variant, n, m, g, out, clean_input=True)
+    nq = 1 + max(ops[1].used_qubits())
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
+    amps /= np.linalg.norm(amps)
+    whole = readout_block(prep, variant, n, m, g, out)
+    assert np.linalg.norm(_run_block(ops, amps, nq) - _run_block(whole, amps, nq)) > 0.1
+
+
+@pytest.mark.parametrize("f,arity", [("tanh", 1), ("product", 2)])
+def test_only_a_lone_pipeline_block_runs_on_the_clean_support(monkeypatch, f, arity):
+    # a two-input pipeline replays the real block after the imag block has
+    # changed the state, so neither of its blocks may carry idle controls
+    built = []
+
+    def keep(*args, **kwargs):
+        built.append(readout_block(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(nonlinear, "readout_block", keep)
+    n, m, g = 2, 2, 1
+    nonlinear_transform(_random_tree(n, 5), f, n, m, g)
+    assert len(built) == arity
+    controls = {gate.controls for ops in built for op in ops for gate in op.gates}
+    if arity == 1:
+        idle = tuple((q, 0) for q in readout_layout("real", n, m, g).qubits("data"))
+        assert controls == {(), idle}
+    else:
+        assert controls == {()}
 
 
 @settings(max_examples=40, deadline=None)
