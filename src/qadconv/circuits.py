@@ -205,6 +205,7 @@ class Kind(NamedTuple):
     run: Callable  # run(gate, amps, n): apply in place through core's kernel
     inverse: Callable | None  # params -> params of the inverse; None: self-inverse
     cost: Callable | None  # gate -> logical primitive count; None: one
+    check: Callable | None = None  # gate -> None, raises on bad params; run when made
 
 
 KINDS = {
@@ -217,7 +218,8 @@ KINDS = {
     "phase": Kind(_single(core.phase_matrix), _negate, None),
     "swap": Kind(_swap, None, None),
     "reflect": Kind(_reflect, None, None),
-    "phase-table": Kind(_phase_table, _conjugate, lambda g: len(g.params)),
+    "phase-table": Kind(_phase_table, _conjugate, lambda g: len(g.params),
+                        lambda g: core.check_unit_phases(g.params)),
     # an oracle is charged as one black-box arithmetic call
     "oracle": Kind(_oracle, None, None),
     "mux-ry": Kind(_mux_ry, _negate, lambda g: len(g.params)),
@@ -226,7 +228,8 @@ KINDS = {
     # a change of basis that the simulation pulls out of phase estimation,
     # not a gate of the logical circuit
     "eigenbasis": Kind(_eigenbasis, _eigenbasis_inverse, lambda g: 0),
-    "spectral": Kind(_spectral, _spectral_inverse, lambda g: g.params.count * _power_cost(g)),
+    "spectral": Kind(_spectral, _spectral_inverse, lambda g: g.params.count * _power_cost(g),
+                     lambda g: core.check_unit_phases(g.params.phases)),
 }
 
 
@@ -289,7 +292,9 @@ class SpectralTable:
 class Gate:
     """One gate: a kind from KINDS, its wires and parameters, and (qubit,
     value) control pairs. tag marks records callers count; label names
-    a table for humans."""
+    a table for humans. A kind's params check (a phase table's unit
+    magnitude) runs once, when the record is made: not when it is applied,
+    nor for the records derived from it (_derive)."""
 
     kind: str
     wires: tuple
@@ -299,8 +304,11 @@ class Gate:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        kind = KINDS.get(self.kind)
+        if kind is None:
             raise RegisterError(f"unknown gate kind {self.kind!r}")
+        if kind.check is not None:
+            kind.check(self)
 
     @property
     def primitive_count(self) -> int:
@@ -311,11 +319,19 @@ class Gate:
         return set(self.wires) | {q for q, _ in self.controls}
 
     def with_controls(self, extra) -> "Gate":
-        return replace(self, controls=self.controls + tuple(extra))
+        return self._derive(controls=self.controls + tuple(extra))
 
     def dagger(self) -> "Gate":
         inverse = KINDS[self.kind].inverse
-        return self if inverse is None else replace(self, params=inverse(self.params))
+        return self if inverse is None else self._derive(params=inverse(self.params))
+
+    def _derive(self, **changes) -> "Gate":
+        """This record with `changes`, its kind's check not run again: the
+        params are this record's or their inverse, a unit table's conjugate."""
+        gate = object.__new__(Gate)
+        for name in Gate.__slots__:
+            object.__setattr__(gate, name, changes.get(name, getattr(self, name)))
+        return gate
 
 
 @dataclass(frozen=True)
@@ -422,8 +438,8 @@ def _materialize(gates, keys, targets) -> np.ndarray:
     amps[(cols * kdim + np.arange(kdim)) * dim + cols] = 1.0
     n = 2 * w + k
     for g in gates:
-        local = Gate(g.kind, tuple(where[q] for q in g.wires), g.params,
-                     tuple((where[q], v) for q, v in g.controls))
+        local = g._derive(wires=tuple(where[q] for q in g.wires),
+                          controls=tuple((where[q], v) for q, v in g.controls))
         KINDS[g.kind].run(local, amps, n)
     blocks = amps.reshape(dim, kdim, dim).transpose(1, 0, 2)
     # a table with no imaginary part at all is kept as float64, which the

@@ -49,6 +49,7 @@ from .qadc import (
     readout_load,
     run_qadc,
     spectrum_oracle,
+    whole_state_readout,
 )
 from .qdac import MODES, check_shots, make_digital_state, predict_success, qdac_run
 
@@ -587,8 +588,9 @@ def _check_readout_eigenbasis() -> float:
     """V^H G V for the readout iterate G and the closed-form eigenbasis V,
     both materialized per address: its distance from the diagonal of
     eigenphases, and theirs from {+-2 pi theta_k, 0, pi} with theta_k from
-    spectrum_oracle or part_spectrum, for abs, real and imag, at the
-    address-0 values {0, +-1/sqrt2, +-1, 0.3}."""
+    spectrum_oracle or part_spectrum, and x = <e_j|V^H L|k, 0> against the
+    materialized V^H L, for abs, real and imag, at the address-0 values
+    {0, +-1/sqrt2, +-1, 0.3}."""
     worst = 0.0
     for variant in ("abs", "real", "imag"):
         layout = readout_layout(variant, 1, 1, 0)
@@ -598,11 +600,15 @@ def _check_readout_eigenbasis() -> float:
             c = [1j * x if variant == "imag" else x, math.sqrt(1.0 - x * x)]
             tree = build_tree(c, normalize="silent")
             load = readout_load(layout, synthesize_ua(tree).op(start=1), variant)
-            basis, phases = readout_eigenbasis(layout, load)
+            basis, phases, x_k = readout_eigenbasis(layout, load)
             g_mat = reference.dense_unitary(readout_iterate(layout, load), s)
             v_dag = reference.dense_unitary(CircuitOp((basis,)), s)
             diag = v_dag @ g_mat @ v_dag.conj().T
             worst = max(worst, float(np.max(np.abs(diag - np.diag(np.exp(1j * phases))))))
+            # e_j at address k is row k | j << b, the other targets 0
+            v_load = v_dag @ reference.dense_unitary(load, s)
+            want = [[v_load[k | j << (s - 1), k] for k in range(2)] for j in range(2)]
+            worst = max(worst, float(np.max(np.abs(x_k - np.array(want)))))
             for k, ck in enumerate(tree.amplitudes()):
                 if variant == "abs":
                     theta = spectrum_oracle(abs(ck)).theta
@@ -629,6 +635,27 @@ def _check_amplitude_law() -> float:
             got = run_qadc(tree, variant, n, m, g).digital_state.amps
             want = reference.amplitude_law(tree.amplitudes(), variant, m, g)
             worst = max(worst, float(np.max(np.abs(got - want))))
+    return worst
+
+
+def _check_readout_tail() -> float:
+    """run_qadc's digital state, fidelity, clean probability and
+    controlled-U count for abs, real and imag against whole_state_readout,
+    the whole-state block on one buffer, read where every register but the
+    address and value is 0. run_qadc runs recover and the un-estimate on
+    the eigenframe's support and reads the un-load through its row 0. On a
+    complex 4-address tree."""
+    rng = np.random.default_rng(20260112)
+    n, m, g = 2, 3, 2
+    c = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    tree = build_tree(c / np.linalg.norm(c))
+    worst = 0.0
+    for variant in ("abs", "real", "imag"):
+        res = run_qadc(tree, variant, n, m, g)
+        _, (digital, fidelity, mass, count) = whole_state_readout(tree, variant, n, m, g)
+        worst = max(worst, float(np.max(np.abs(res.digital_state.amps - digital.amps))),
+                    abs(res.fidelity_vs_ideal - fidelity), abs(res.clean_probability - mass),
+                    float(abs(res.controlled_ua_count - count)))
     return worst
 
 
@@ -766,6 +793,7 @@ ORACLE_CHECKS: tuple[tuple[str, float, object], ...] = (
     ("readout-eigenbasis", 1e-12, _check_readout_eigenbasis),
     ("amplitude-law", 1e-12, _check_amplitude_law),
     ("code-distribution", 1e-12, _check_code_distribution),
+    ("readout-tail", 1e-12, _check_readout_tail),
     ("prep-trees", 1e-10, _check_prep_trees),
     ("spectrum", 1e-10, _check_spectrum),
     ("qdac-exact", 1e-10, _check_qdac_exact),

@@ -254,14 +254,23 @@ def apply_qft_inplace(amps, n, reg, sign, controls=()):
     (np.fft.ifft if sign > 0 else np.fft.fft)(view, axis=a, norm="ortho", out=view)
 
 
+def check_unit_phases(phases) -> None:
+    """Refuse a phase table with an entry off the unit circle. A phase-table
+    or spectral record runs it once, when it is made (circuits.KINDS), so
+    the kernel does not repeat it on every apply."""
+    phases = np.asarray(phases, dtype=np.complex128)
+    if phases.size and np.max(np.abs(np.abs(phases) - 1.0)) > 1e-12:
+        raise UnitaryError("phase table entries must have unit magnitude")
+
+
 def apply_phase_table_inplace(amps, n, reg, phases, controls=()):
-    """Diagonal gate: multiply by phases[v] where v is the register value."""
+    """Diagonal gate: multiply by phases[v] where v is the register value.
+    The unit magnitude of the phases is the caller's to check
+    (check_unit_phases)."""
     view, (a,) = _view(amps, n, controls, (reg,))
     phases = np.asarray(phases, dtype=np.complex128)
     if phases.shape != (1 << reg[1],):
         raise RegisterError(f"phase table has {phases.size} entries, expected {1 << reg[1]}")
-    if np.max(np.abs(np.abs(phases) - 1.0)) > 1e-12:
-        raise UnitaryError("phase table entries must have unit magnitude")
     view = view.swapaxes(a, -1)
     view *= phases
 
@@ -375,6 +384,7 @@ def apply_zero_reflection(state: StateVector, qubits) -> StateVector:
 
 
 def apply_phase_table(state: StateVector, reg, phases) -> StateVector:
+    check_unit_phases(phases)
     amps = state.amps.copy()
     apply_phase_table_inplace(amps, state.n_qubits, reg, phases)
     return StateVector(state.n_qubits, amps)

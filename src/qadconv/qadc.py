@@ -9,11 +9,9 @@ empty for real and imag), and readout_iterate builds Z_b L^-1 R_0 L, whose
 restriction to one address acts as a plane rotation by 2 pi theta_k.
 readout_block estimates theta_k into a phase register, converts the phase
 pattern to the recovered value with a lookup oracle (one gather), and
-uncomputes everything except the address and value registers; run_qadc and
-the nonlinear pipeline run it in place on one buffer (run_stages). run_qadc
-reads the code distribution off the estimate: the (address, phase) joint
-before recover, pushed through the recovery table. The iterate is built
-from the plain load; it is never applied, only counted.
+uncomputes everything except the address and value registers; the
+nonlinear pipeline runs it in place on one buffer (run_stages). The
+iterate is built from the plain load; it is never applied, only counted.
 
 The estimate runs in the iterate's eigenbasis V, which readout_eigenbasis
 writes down in closed form (the iterate is a product of two reflections):
@@ -31,8 +29,21 @@ registers hold |0>, provided the block's input is |0> on every register
 but the address. readout_block(..., clean_input=True) states that
 precondition, and then the phase register's Hadamards, the inverse QFT and
 recover (and their mirrors in the un-estimate) carry a (q, 0) control on
-every data and mirror qubit, so their kernels run on that slice only.
-run_qadc and a one-input nonlinear pipeline set it.
+every data and mirror qubit, so their kernels run on that slice only. A
+one-input nonlinear pipeline sets it.
+
+run_qadc takes that support as its state. It allocates only the
+estimate's buffer (address through phase register, no value register),
+runs the clean estimate on it and reads the (address, phase) joint, which
+gives the code distribution through the recovery table. It then copies the
+support into a compact state [address, b, phase, value] and runs recover
+and the un-estimate's phase stages there: the qft, the spectral record's
+inverse on the eigen-index (address, b) and the Hadamards. The un-load is
+read, not run: the final state's clean row, where every register but the
+address and value is 0, needs only the un-load's row 0, conj(x_jk) with
+x_jk = <e_j|V^H L|k, 0> (readout_eigenbasis). whole_state_readout runs the
+whole-state block on one buffer of the logical width, the reference the
+compact tail is checked against.
 """
 
 from __future__ import annotations
@@ -52,6 +63,7 @@ from .circuits import (
     fuse,
     iqft_op,
     phase_estimate_op,
+    qft_op,
     spectral_record,
 )
 from .errors import ConfigError
@@ -196,7 +208,8 @@ def readout_iterate(layout: RegisterLayout, load: CircuitOp) -> CircuitOp:
     return CircuitOp(gates, label="g")
 
 
-def readout_eigenbasis(layout: RegisterLayout, load: CircuitOp) -> tuple[Gate, np.ndarray]:
+def readout_eigenbasis(layout: RegisterLayout,
+                       load: CircuitOp) -> tuple[Gate, np.ndarray, np.ndarray]:
     """The eigenbasis of readout_iterate(layout, load), in closed form.
 
     Where the address holds k, the iterate is (I - 2 psi psi^H) Z_b with
@@ -212,7 +225,9 @@ def readout_eigenbasis(layout: RegisterLayout, load: CircuitOp) -> tuple[Gate, n
     b = 1, pi. No eigensolver is called.
 
     Returns the eigenbasis record V^H on qubits [0, b] (the address as its
-    keys) and the eigenphases omega[v], v the value of those qubits.
+    keys), the eigenphases omega[v], v the value of those qubits, and
+    x[j, k] = <e_j|V^H L|k, 0>, the clean input's amplitudes on e_0 (j = 0)
+    and e_b (j = 1), read off the norms of psi's halves.
     """
     k = layout.width("ad")
     s = layout.start("b") + 1
@@ -240,8 +255,11 @@ def readout_eigenbasis(layout: RegisterLayout, load: CircuitOp) -> tuple[Gate, n
     phases[1] = math.pi
     phases[0, 0] = omega
     phases[1, 0] = -omega
+    # V e_0 = (u + i w)/sqrt2 and V e_b = (u - i w)/sqrt2, so V^H takes
+    # psi = a_k u + b_k w to (a_k -+ i b_k)/sqrt2 on e_0 and e_b
+    x = np.array([norms[0] - 1j * norms[1], norms[0] + 1j * norms[1]]) / _SQRT2
     basis = Eigenbasis(k, nu.reshape(2 << k, half), mix)
-    return Gate("eigenbasis", tuple(range(s)), basis, label="eigenbasis"), phases.reshape(-1)
+    return Gate("eigenbasis", tuple(range(s)), basis, label="eigenbasis"), phases.reshape(-1), x
 
 
 def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
@@ -277,35 +295,54 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
     for real and imag. L V^H is fused on its own, the spectral record and
     the un-load stay whole. On a clean input the block is the unrestricted
     one; on any other input it is not.
+
+    The whole-state block serves the nonlinear pipeline (a one-input f sets
+    clean_input) and whole_state_readout, the reference run_qadc is checked
+    against. run_qadc itself takes only the clean estimate (_estimate) and
+    runs its tail on the compact support.
     """
     layout = readout_layout(variant, n, m, g)
-    load = readout_load(layout, prep, variant)
-    basis, phases = readout_eigenbasis(layout, load)
-    regp = layout.reg("regp")
-    cascade = CircuitOp((spectral_record(readout_iterate(layout, load), phases, regp),))
-    estimate = load + CircuitOp((basis,))
-    hadamards = hadamard_layer(layout, "regp")
+    fwd = _estimate(layout, prep, variant, clean_input)[0]
     recover = _recover_stage(layout, variant, m, g, out_start)
     if clean_input:
-        idle = tuple((q, 0) for q in (*layout.qubits("data"), *layout.qubits("a")))
+        recover = recover.controlled(*_idle(layout))
+    return [fwd, recover, fwd.inverse()]
+
+
+def _idle(layout: RegisterLayout) -> tuple:
+    """(q, 0) on every data and mirror qubit: the clean input's support."""
+    return tuple((q, 0) for q in (*layout.qubits("data"), *layout.qubits("a")))
+
+
+def _estimate(layout: RegisterLayout, prep: CircuitOp, variant: str,
+              clean_input: bool) -> tuple[CircuitOp, CircuitOp, np.ndarray, np.ndarray]:
+    """readout_block's estimate op, then what run_qadc's compact tail reads
+    besides: the readout iterate, its eigenphases and x
+    (readout_eigenbasis)."""
+    load = readout_load(layout, prep, variant)
+    iterate = readout_iterate(layout, load)
+    basis, phases, x = readout_eigenbasis(layout, load)
+    regp = layout.reg("regp")
+    cascade = CircuitOp((spectral_record(iterate, phases, regp),))
+    estimate = load + CircuitOp((basis,))
+    hadamards = hadamard_layer(layout, "regp")
+    if clean_input:
+        idle = _idle(layout)
         fwd = (fuse(estimate) + fuse(hadamards).controlled(*idle)
                + cascade + iqft_op(*regp).controlled(*idle))
-        recover = recover.controlled(*idle)
     else:
         # on the whole state the Hadamards cost less inside L V^H's block,
         # where the fuse bound lets them join, than fused apart
         fwd = fuse(estimate + hadamards + cascade) + iqft_op(*regp)
-    return [fwd, recover, fwd.inverse()]
+    return fwd, iterate, phases, x
 
 
 def flat_readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
-                       out_start: int, clean_input: bool = False) -> list:
+                       out_start: int) -> list:
     """readout_block's ops with textbook phase estimation, the flat
     reference it is checked against: the load, then phase_estimate_op of
     the readout iterate; the same recover op; then the inverse of load
-    and estimate. Gate by gate, so only small blocks are practical.
-    clean_input is accepted and ignored: the flat block runs every record
-    on the whole state."""
+    and estimate. Gate by gate, so only small blocks are practical."""
     layout = readout_layout(variant, n, m, g)
     load = readout_load(layout, prep, variant)
     fwd = load + phase_estimate_op(readout_iterate(layout, load), layout.reg("regp"))
@@ -383,41 +420,91 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     """Read one part of the tree's amplitudes into an m-bit value register:
     "abs" the magnitudes |c_k|, "real" and "imag" the signed parts.
 
-    All three stages of the readout block run on one buffer. The per-address
-    code distribution is read off the estimate: the (address, phase) joint
-    before recover, pushed through the recover record's table, which is the
-    (address, value) distribution of the final state. The fidelity and the
-    clean digital state are read from the final state."""
+    The cap is checked at the readout's logical width, the layout plus the
+    value register, but no state of that width is allocated. The address
+    Hadamards and the clean estimate (_estimate) run on a buffer of the
+    layout alone. The per-address code distribution is read off it: the
+    (address, phase) joint, pushed through the recovery table, which is
+    the (address, value) distribution of the final state.
+
+    The tail runs on the estimate's support, where the data and mirror
+    registers hold |0>: a compact state of n + 1 + t + w qubits, [address,
+    b, phase, value], runs recover (its own op) and the un-estimate's phase
+    stages, the qft, the spectral record's inverse with +omega on e_0 and
+    -omega on e_b, and the Hadamards. The un-load L^-1 V is read through
+    its row 0: the clean row at value v is sum_j conj(x_jk)
+    compact[k, j, phase 0, v]. The fidelity and the clean digital state
+    come from that row. whole_state_readout is the reference this is
+    checked against."""
     if n != tree.depth:
         raise ConfigError("n", f"tree has {tree.depth} address qubits, got n={n}")
     layout = readout_layout(variant, n, m, g)
     codec = FixedPointCodec(m, signed=variant != "abs")
-    reg_s = layout.n_qubits
-    # the one buffer of the run, with the value register on top; allocating
-    # it checks the qubit cap, which also bounds the 2^t-entry recovery table
-    state = core.new_zero_state(reg_s + codec.width, cap=cap)
+    reg_s, t = layout.n_qubits, m + g
+    # the cap also bounds the 2^t-entry recovery table, so it is checked
+    # before anything is built
+    core.check_qubit_cap(reg_s + codec.width, cap)
+    state = core.new_zero_state(reg_s, cap=cap)
     true_values = np.array(PARTS[variant](tree.amplitudes()), dtype=np.float64)
     spectrum = spectrum_oracle if variant == "abs" else part_spectrum
     thetas = [spectrum(x).theta for x in true_values]
 
-    ops = readout_block(synthesize_ua(tree).op(start=n), variant, n, m, g, reg_s,
-                        clean_input=True)
-    live = run_stages(state.amps, 0, [hadamard_layer(layout, "ad") + ops[0]])
+    fwd, iterate, phases, x = _estimate(layout, synthesize_ua(tree).op(start=n), variant,
+                                        clean_input=True)
+    run_stages(state.amps, 0, [hadamard_layer(layout, "ad") + fwd])
 
     # phase-register statistics before anything is uncomputed, and the code
     # distribution they give through the recovery table
-    t = m + g
-    joint = core.register_distribution(core.StateVector(live, state.amps[:1 << live]),
-                                       [(0, n), layout.reg("regp")]).reshape(1 << n, 1 << t)
+    joint = core.register_distribution(state, [(0, n), layout.reg("regp")])
+    joint = joint.reshape(1 << n, 1 << t)
     phase_success = _phase_success(joint, thetas, t, m)
-    (recover,) = ops[1].gates
-    codes = _code_distribution(joint, recover.params, codec.width)
-    run_stages(state.amps, live, ops[1:])
+    frame = RegisterLayout.build(("ad", n), ("b", 1), ("regp", t))
+    recover = _recover_stage(frame, variant, m, g, frame.n_qubits)
+    codes = _code_distribution(joint, recover.gates[0].params, codec.width)
 
-    ua_count = sum(_controlled_ua_count(op.gates) for op in ops)
+    # the support, [address, b, phase] with the other targets 0, as the
+    # compact state; the value register above it is still |0>
+    compact = np.zeros(1 << (frame.n_qubits + codec.width), dtype=np.complex128)
+    compact[:1 << frame.n_qubits].reshape(1 << t, 2, 1 << n)[...] = (
+        state.amps.reshape(1 << t, 2, -1, 1 << n)[:, :, 0])
+    regp = frame.reg("regp")
+    eigen = phases.reshape(2, -1, 1 << n)[:, 0].reshape(-1)  # +omega on e_0, -omega on e_b
+    # the Hadamards fused: on a compact state of 14 or more qubits one block
+    # record's passes beat t single-qubit ones, build included
+    unestimate = CircuitOp(
+        qft_op(*regp).gates + (spectral_record(iterate, eigen, regp).dagger(),)
+        + fuse(hadamard_layer(frame, "regp")).gates, label="un-estimate")
+    run_stages(compact, frame.n_qubits, [recover, unestimate])
+
+    # the un-load's row 0 at phase 0: <k, 0|L^-1 V|k, e_j> = conj(x[j, k])
+    rows = compact.reshape(1 << codec.width, 1 << t, 2, 1 << n)[:, 0]
+    clean = (rows * x.conj()).sum(axis=1)  # [value, address]
+    ua_count = sum(_controlled_ua_count(op.gates) for op in (fwd, recover, unestimate))
     return _summarize(
-        variant, m, g, state, n, reg_s, codec, true_values, codes, phase_success, ua_count,
+        variant, m, g, clean, n, codec, true_values, codes, phase_success, ua_count,
     )
+
+
+def whole_state_readout(tree: PrepTree, variant: str, n: int, m: int, g: int,
+                        block=readout_block) -> tuple[core.StateVector, tuple]:
+    """The reference for run_qadc's compact tail: the address Hadamards and
+    the three ops of a whole-state block (readout_block, or
+    flat_readout_block where the block is small) run on one buffer of the
+    readout's logical width. Returns the final state, address low and the
+    value register on top, and what run_qadc reports of it: the clean
+    digital state, the fidelity with the ideal digital state, the clean
+    probability and the block's controlled-U count."""
+    layout = readout_layout(variant, n, m, g)
+    reg_s = layout.n_qubits
+    codec = FixedPointCodec(m, signed=variant != "abs")
+    state = core.new_zero_state(reg_s + codec.width)
+    ops = block(synthesize_ua(tree).op(start=n), variant, n, m, g, reg_s)
+    run_stages(state.amps, 0, [hadamard_layer(layout, "ad") + ops[0], *ops[1:]])
+    digital, mass = core.clean_component(state, [(0, n), (reg_s, codec.width)])
+    picks = np.arange(1 << n) | (codec.encode(PARTS[variant](tree.amplitudes())) << reg_s)
+    fidelity = float(abs(state.amps[picks].sum()) / math.sqrt(1 << n))
+    count = sum(_controlled_ua_count(op.gates) for op in ops)
+    return state, (digital, fidelity, float(mass), count)
 
 
 def _code_distribution(joint: np.ndarray, table, width: int) -> np.ndarray:
@@ -469,12 +556,14 @@ def _phase_success(joint: np.ndarray, thetas, t: int, m: int) -> np.ndarray:
     return out
 
 
-def _summarize(variant, m, g, state, n, reg_s, codec, true_values, joint,
+def _summarize(variant, m, g, clean, n, codec, true_values, joint,
                phase_success, ua_count) -> QadcResult:
     """The result of a finished readout. The per-address code statistics
     come from joint, the (address, value) distribution read off the
     estimate through the recovery table (_code_distribution); the fidelity
-    and the clean digital state are read from the final state."""
+    and the clean digital state come from clean[v, k], the final state's
+    amplitude where the address holds k, the value register v and every
+    other register 0."""
     reg_width = codec.width
     n_addr = 1 << n
     decoded = codec.values()
@@ -493,10 +582,12 @@ def _summarize(variant, m, g, state, n, reg_s, codec, true_values, joint,
         within[k] = row[np.abs(decoded - true_values[k]) <= bound].sum()
 
     # overlap with the ideal digital state built from the true values
-    picks = np.arange(n_addr) | (codec.encode(true_values) << reg_s)
-    fidelity = float(abs(state.amps[picks].sum()) / math.sqrt(n_addr))
+    addresses = np.arange(n_addr)
+    fidelity = float(abs(clean[codec.encode(true_values), addresses].sum()) / math.sqrt(n_addr))
 
-    digital, clean_mass = core.clean_component(state, [(0, n), (reg_s, reg_width)])
+    # the clean row, value above address, renormalized
+    digital, clean_mass = core.clean_component(
+        core.StateVector(n + reg_width, clean.reshape(-1)), [(0, n), (n, reg_width)])
     return QadcResult(
         variant=variant,
         m=m,

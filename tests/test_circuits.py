@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qadconv import circuits, core, reference
 from qadconv.circuits import CircuitOp, Gate, RegisterLayout
-from qadconv.errors import RegisterError
+from qadconv.errors import RegisterError, UnitaryError
 from textbook import textbook_qft_op
 
 
@@ -399,6 +399,21 @@ KIND_CASES = {
 
 def test_kind_cases_cover_every_kind():
     assert set(KIND_CASES) == set(circuits.KINDS)
+
+
+@pytest.mark.parametrize("kind", ["phase-table", "spectral"])
+def test_a_non_unit_phase_table_raises_when_its_record_is_made(kind):
+    good = KIND_CASES[kind][0]
+    if kind == "phase-table":
+        params = (good.params[0], 0.5, *good.params[2:])
+    else:
+        phases = good.params.phases.copy()
+        phases[1] *= 1.0 + 1e-9
+        params = replace(good.params, phases=phases)
+    with pytest.raises(UnitaryError):
+        Gate(kind, good.wires, params)
+    # the kernel checks the table's shape only; the record checked it when made
+    core.apply_phase_table_inplace(random_state(2).amps, 2, (0, 2), [1.0, 0.5, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("control", [None, 1, 0],

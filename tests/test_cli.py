@@ -264,6 +264,40 @@ def test_verify_code_distribution_catches_a_broken_pushforward(capsys, monkeypat
     assert code == 0
 
 
+def _x_not_conjugated(monkeypatch):
+    # the un-load's row 0 read with x where it needs conj(x)
+    good = qadc.readout_eigenbasis
+
+    def unconjugated(layout, load):
+        basis, phases, x = good(layout, load)
+        return basis, phases, x.conj()
+
+    monkeypatch.setattr(qadc, "readout_eigenbasis", unconjugated)
+
+
+def _tail_eigenphase_unsigned(monkeypatch):
+    # the compact tail's spectral record, the one over (address, b) alone
+    # (2^(n + 1) eigenphases at the check's n = 2), with +omega on e_b
+    good = qadc.spectral_record
+
+    def unsigned(unitary, phases, regp):
+        return good(unitary, np.abs(phases) if len(phases) == 1 << 3 else phases, regp)
+
+    monkeypatch.setattr(qadc, "spectral_record", unsigned)
+
+
+@pytest.mark.parametrize("plant", [_x_not_conjugated, _tail_eigenphase_unsigned])
+def test_verify_readout_tail_catches_a_broken_compact_tail(capsys, monkeypatch, plant):
+    code, record = run_main(capsys, ["verify", "--scope", "readout-tail"])
+    assert code == 0
+    assert record["metrics"]["rows"][0]["max_deviation"] <= 1e-12
+
+    plant(monkeypatch)
+    code, record = run_main(capsys, ["verify", "--scope", "readout-tail"])
+    assert code == 4
+    assert record["metrics"]["rows"][0]["pass"] is False
+
+
 def test_verify_readout_eigenbasis_catches_a_broken_reflection_kernel(capsys, monkeypatch):
     code, record = run_main(capsys, ["verify", "--scope", "readout-eigenbasis"])
     assert code == 0

@@ -1,7 +1,6 @@
 """Amplitude readout circuits: spectral blocks, full conversions, uncompute."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -657,7 +656,7 @@ def test_support_restricted_block_equals_the_whole_block_on_a_clean_input(
     got = _run_block(ops, addr, nq)
     paths = [readout_block(prep, variant, n, m, g, out)]
     if m + g <= 3:  # the flat block runs 2^t - 1 iterates gate by gate
-        paths.append(flat_readout_block(prep, variant, n, m, g, out, clean_input=True))
+        paths.append(flat_readout_block(prep, variant, n, m, g, out))
     for path in paths:
         assert np.max(np.abs(got - _run_block(path, addr, nq))) <= 1e-12
 
@@ -747,27 +746,35 @@ def test_digital_state_follows_the_amplitude_law(variant, shape, seed):
     assert np.max(np.abs(res.digital_state.amps - want)) <= 1e-12
 
 
-def _run_qadc_keeping_the_final_state(variant, n, m, g, seed):
-    """run_qadc's result and the final state of its readout block, the
-    state it reads the clean digital state from."""
-    final = []
-    clean_component = core.clean_component
-
-    def spy(state, regs):
-        final.append(state)
-        return clean_component(state, regs)
-
-    with mock.patch.object(core, "clean_component", spy):
-        res = run_qadc(_random_tree(n, seed), variant, n, m, g)
-    (state,) = final
-    return res, state
+@settings(max_examples=40, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), n=st.integers(1, 3), m=st.integers(1, 4),
+       g=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(variant="abs", n=2, m=4, g=3, seed=0)
+@example(variant="imag", n=1, m=1, g=0, seed=1)
+def test_compact_tail_matches_the_whole_state_block(variant, n, m, g, seed):
+    # run_qadc's recover and un-estimate on the eigenframe's support, the
+    # un-load read through its row 0, against all three ops of the
+    # whole-state block on one buffer; the flat block where it is small
+    tree = _random_tree(n, seed)
+    res = run_qadc(tree, variant, n, m, g)
+    wants = [qadc.whole_state_readout(tree, variant, n, m, g)[1]]
+    # counted off the spectral records, which the flat block does not have
+    assert res.controlled_ua_count == wants[0][3] == 4 * ((1 << (m + g)) - 1)
+    if n + m + g <= 4:  # the flat block runs 2^t - 1 iterates gate by gate
+        wants.append(qadc.whole_state_readout(tree, variant, n, m, g, flat_readout_block)[1])
+    for digital, fidelity, mass, _ in wants:
+        assert np.max(np.abs(res.digital_state.amps - digital.amps)) <= 1e-12
+        assert abs(res.fidelity_vs_ideal - fidelity) <= 1e-12
+        assert abs(res.clean_probability - mass) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
 @given(**small_readouts)
 def test_code_distribution_read_off_the_estimate_is_the_final_states(variant, n, m, g, seed):
     # the reference: the (address, value) marginal of the whole final state
-    res, state = _run_qadc_keeping_the_final_state(variant, n, m, g, seed)
+    tree = _random_tree(n, seed)
+    res = run_qadc(tree, variant, n, m, g)
+    state, _ = qadc.whole_state_readout(tree, variant, n, m, g)
     width = m if variant == "abs" else m + 1
     joint = core.register_distribution(
         state, [(0, n), (readout_layout(variant, n, m, g).n_qubits, width)])
@@ -782,7 +789,9 @@ def test_phase_register_returns_to_zero_up_to_the_unclean_mass(variant, shape, s
     # the clean slice has every qubit outside the address and value
     # registers at 0, the phase register among them
     n, m, g = shape
-    res, state = _run_qadc_keeping_the_final_state(variant, n, m, g, seed)
+    tree = _random_tree(n, seed)
+    res = run_qadc(tree, variant, n, m, g)
+    state, _ = qadc.whole_state_readout(tree, variant, n, m, g)
     layout = readout_layout(variant, n, m, g)
     off_zero = 1.0 - core.register_distribution(state, [layout.reg("regp")])[0]
     assert off_zero <= 1.0 - res.clean_probability + 1e-12
