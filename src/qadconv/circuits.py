@@ -23,7 +23,8 @@ applied; primitive and controlled-unitary counts come from them) and the
 logical count 2^t - 1. An "eigenbasis" record holds V^H in factored form,
 Householder reflections and a 2x2 mix per key value, so it needs no table
 of its own; fuse compiles a small one into blocks. The qADC readouts
-estimate this way.
+estimate this way: L V^H fused, the phase Hadamards fused apart, then the
+spectral record and the inverse qft record, which fuse never sees.
 """
 
 from __future__ import annotations
@@ -405,9 +406,9 @@ def iqft_op(start: int, width: int) -> CircuitOp:
 
 
 def _roles(g) -> tuple[set, set]:
-    """(wires, controls) of one gate as qubit sets. A power or eigenbasis
-    record reads its first params.keys wires only as controls."""
-    k = g.params.keys if g.kind in ("power", "eigenbasis") else 0
+    """(wires, controls) of one gate as qubit sets. An eigenbasis record
+    reads its first params.keys wires only as controls."""
+    k = g.params.keys if g.kind == "eigenbasis" else 0
     return set(g.wires[k:]), set(g.wires[:k]) | {q for q, _ in g.controls}
 
 
@@ -464,11 +465,10 @@ def fuse(op: CircuitOp) -> CircuitOp:
     table stays within the FUSE_QUBITS bound (keys + 2 * targets <=
     2 * FUSE_QUBITS); otherwise the run is closed and the gate starts the
     next one. Each run becomes one power record: the run is its iterate,
-    its keys are the run's control-only qubits (a power record's key wires
-    count as controls), and its blocks are the run materialized per key
-    value. Power records join runs like any other gate, and a run that is
-    one power record passes through as it is. qft records and gates that
-    alone exceed the bound pass through and close the run.
+    its keys are the run's control-only qubits (an eigenbasis record's key
+    wires count as controls), and its blocks are the run materialized per
+    key value. qft records and gates that alone exceed the bound pass
+    through and close the run.
     """
     out: list = []
     run: list = []
@@ -476,9 +476,7 @@ def fuse(op: CircuitOp) -> CircuitOp:
     ctrls: set = set()
 
     def flush():
-        if len(run) == 1 and run[0].kind == "power":
-            out.append(run[0])
-        elif run:
+        if run:
             keys, targets = _key_split(run)
             iterate = tuple(run)
             table = PowerTable(iterate, len(keys), _materialize(iterate, keys, targets))

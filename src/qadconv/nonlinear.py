@@ -159,7 +159,8 @@ def nonlinear_transform(tree: PrepTree, f, n: int, m: int, g: int,
                      rng=rng, mode=mode, shots=shots, rounds=rounds, cap=cap)
 
 
-def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
+def _pipeline(prep, source, n, f, m, g, cap, rng=None, mode="postselect", shots=2048,
+              rounds=None):
     """Convert, evaluate f, revert. prep loads the data register (qubits
     n .. 2n-1); `source` holds the amplitudes the classical target applies
     f to."""
@@ -227,9 +228,9 @@ def _pipeline(prep, source, n, f, m, g, rng, mode, shots, rounds, cap):
 
 
 def perceptron_run(tree: PrepTree, ansatz: AnsatzCircuit, sigma, m: int, g: int,
-                   rng=None, mode: str = "postselect", shots: int = 2048,
                    cap: int = core.DEFAULT_QUBIT_CAP) -> NonlinearOutcome:
-    """Forward pass: load, rotate by the ansatz, then the nonlinear pipeline.
+    """Forward pass: load, rotate by the ansatz, then the nonlinear pipeline,
+    postselected on its flag.
 
     The activation reads the real-part register only, matching the
     real-vector framing of the perceptron.
@@ -241,11 +242,7 @@ def perceptron_run(tree: PrepTree, ansatz: AnsatzCircuit, sigma, m: int, g: int,
         raise ConfigError("sigma", "the perceptron activation takes one argument")
     ua = synthesize_ua(tree)
     rotated = (ua.op(0) + ansatz.op(0)).apply(core.new_zero_state(n, cap=cap), inplace=True)
-    return _pipeline(
-        ua.op(start=n) + ansatz.op(start=n),
-        rotated.amps, n, sigma, m, g, rng=rng, mode=mode, shots=shots, rounds=None,
-        cap=cap,
-    )
+    return _pipeline(ua.op(start=n) + ansatz.op(start=n), rotated.amps, n, sigma, m, g, cap)
 
 
 @dataclass(frozen=True)

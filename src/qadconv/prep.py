@@ -92,11 +92,10 @@ class PrepCircuit:
     """Synthesized encoder: one multiplexed rotation per level, then phases."""
 
     tree: PrepTree
-    n_qubits: int
 
     def op(self, start: int = 0) -> CircuitOp:
         gates = []
-        n = self.n_qubits
+        n = self.tree.depth
         for l in range(n):
             parents = self.tree.raw_levels[l]
             children = self.tree.raw_levels[l + 1]
@@ -119,8 +118,7 @@ class PrepCircuit:
 
 
 def synthesize_ua(tree: PrepTree) -> PrepCircuit:
-    n = tree.depth
-    return PrepCircuit(tree, n)
+    return PrepCircuit(tree)
 
 
 def load_data(path, fmt: str = "csv") -> np.ndarray:

@@ -14,14 +14,16 @@ nonlinear pipeline runs it in place on one buffer (run_stages). The
 iterate is built from the plain load; it is never applied, only counted.
 
 The estimate runs in the iterate's eigenbasis V, which readout_eigenbasis
-writes down in closed form (the iterate is a product of two reflections):
-L V^H fuses into block records, the 2^t - 1 controlled iterates become one
-spectral record e^(i phi omega), and the inverse QFT stays one qft record,
-an in-place FFT on the phase register. The V that would close phase
-estimation commutes with everything up to the un-estimate, whose leading
-V^H it cancels, so neither is applied. The uncompute stage is the
-estimate's structural inverse. flat_readout_block lays out the same block
-with textbook phase estimation, the reference it is checked against.
+writes down in closed form (the iterate is a product of two reflections).
+Every readout builds it one way: L V^H fuses into block records, then
+_phase_stages gives the phase register's Hadamards (fused apart), one
+spectral record e^(i phi omega) in place of the 2^t - 1 controlled
+iterates, and one qft record, an in-place inverse FFT on the phase
+register. The V that would close phase estimation commutes with
+everything up to the un-estimate, whose leading V^H it cancels, so neither
+is applied. The uncompute stage is the estimate's structural inverse.
+flat_readout_block lays out the same block with textbook phase
+estimation, the reference it is checked against.
 
 Per address the iterate turns L|k, 0> within one plane, so V^H L|k, 0>
 lies in span{e_0, e_b}: from L V^H until the un-load the data and mirror
@@ -29,16 +31,16 @@ registers hold |0>, provided the block's input is |0> on every register
 but the address. readout_block(..., clean_input=True) states that
 precondition, and then the phase register's Hadamards, the inverse QFT and
 recover (and their mirrors in the un-estimate) carry a (q, 0) control on
-every data and mirror qubit, so their kernels run on that slice only. A
-one-input nonlinear pipeline sets it.
+every data and mirror qubit, so their kernels run on that slice only; no
+other record differs. A one-input nonlinear pipeline sets it.
 
 run_qadc takes that support as its state. It allocates only the
 estimate's buffer (address through phase register, no value register),
 runs the clean estimate on it and reads the (address, phase) joint, which
 gives the code distribution through the recovery table. It then copies the
 support into a compact state [address, b, phase, value] and runs recover
-and the un-estimate's phase stages there: the qft, the spectral record's
-inverse on the eigen-index (address, b) and the Hadamards. The un-load is
+and the un-estimate there: the inverse of _phase_stages built on that
+frame, its spectral record on the eigen-index (address, b). The un-load is
 read, not run: the final state's clean row, where every register but the
 address and value is 0, needs only the un-load's row 0, conj(x_jk) with
 x_jk = <e_j|V^H L|k, 0> (readout_eigenbasis). whole_state_readout runs the
@@ -63,7 +65,6 @@ from .circuits import (
     fuse,
     iqft_op,
     phase_estimate_op,
-    qft_op,
     spectral_record,
 )
 from .errors import ConfigError
@@ -279,11 +280,11 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
     un-estimate's leading V^H. Both are left out, so the block is the same
     unitary as with textbook phase estimation, and every marginal over the
     address and the phase or value registers is unchanged at every stage.
-    The estimate is fused once (circuits.fuse), which compiles L V^H into
-    block records; the un-estimate is the estimate's structural inverse.
-    The copy is self-inverse and the ops around it mirror each other, so
-    the block is its own inverse. prep is the data-load circuit on the
-    data register.
+    Every block has the one layout of _estimate: L V^H fused into block
+    records (circuits.fuse), then _phase_stages; the un-estimate is the
+    estimate's structural inverse. The copy is self-inverse and the ops
+    around it mirror each other, so the block is its own inverse. prep is
+    the data-load circuit on the data register.
 
     clean_input states a precondition: the block's input is |0> on every
     register but the address. Then V^H L|k, 0> lies in span{e_0, e_b} for
@@ -292,9 +293,10 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
     the inverse QFT, recover and their mirrors in the un-estimate then
     carry a (q, 0) control on every data and mirror qubit, and their
     kernels run only on that slice: a 4^n-th of the state for abs, a 2^n-th
-    for real and imag. L V^H is fused on its own, the spectral record and
-    the un-load stay whole. On a clean input the block is the unrestricted
-    one; on any other input it is not.
+    for real and imag. Those controls are the only difference: record for
+    record, the whole-state block is the clean one without them. On a
+    clean input the two are the same unitary; on any other input they are
+    not.
 
     The whole-state block serves the nonlinear pipeline (a one-input f sets
     clean_input) and whole_state_readout, the reference run_qadc is checked
@@ -302,10 +304,9 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
     runs its tail on the compact support.
     """
     layout = readout_layout(variant, n, m, g)
-    fwd = _estimate(layout, prep, variant, clean_input)[0]
-    recover = _recover_stage(layout, variant, m, g, out_start)
-    if clean_input:
-        recover = recover.controlled(*_idle(layout))
+    idle = _idle(layout) if clean_input else ()
+    fwd = _estimate(layout, prep, variant, idle)[0]
+    recover = _recover_stage(layout, variant, m, g, out_start).controlled(*idle)
     return [fwd, recover, fwd.inverse()]
 
 
@@ -315,26 +316,29 @@ def _idle(layout: RegisterLayout) -> tuple:
 
 
 def _estimate(layout: RegisterLayout, prep: CircuitOp, variant: str,
-              clean_input: bool) -> tuple[CircuitOp, CircuitOp, np.ndarray, np.ndarray]:
-    """readout_block's estimate op, then what run_qadc's compact tail reads
-    besides: the readout iterate, its eigenphases and x
-    (readout_eigenbasis)."""
+              idle: tuple) -> tuple[CircuitOp, CircuitOp, np.ndarray, np.ndarray]:
+    """readout_block's estimate op, fuse(L V^H) then _phase_stages, and
+    what run_qadc's compact tail reads besides: the readout iterate, its
+    eigenphases and x (readout_eigenbasis)."""
     load = readout_load(layout, prep, variant)
     iterate = readout_iterate(layout, load)
     basis, phases, x = readout_eigenbasis(layout, load)
-    regp = layout.reg("regp")
-    cascade = CircuitOp((spectral_record(iterate, phases, regp),))
-    estimate = load + CircuitOp((basis,))
-    hadamards = hadamard_layer(layout, "regp")
-    if clean_input:
-        idle = _idle(layout)
-        fwd = (fuse(estimate) + fuse(hadamards).controlled(*idle)
-               + cascade + iqft_op(*regp).controlled(*idle))
-    else:
-        # on the whole state the Hadamards cost less inside L V^H's block,
-        # where the fuse bound lets them join, than fused apart
-        fwd = fuse(estimate + hadamards + cascade) + iqft_op(*regp)
+    fwd = fuse(load + CircuitOp((basis,))) + _phase_stages(layout, iterate, phases, idle)
     return fwd, iterate, phases, x
+
+
+def _phase_stages(layout: RegisterLayout, iterate: CircuitOp, phases,
+                  idle: tuple = ()) -> CircuitOp:
+    """Phase estimation of iterate on a state already in its eigenbasis:
+    the phase register's Hadamards fused, the spectral record with
+    eigenphases `phases` on the register just below the phase register, and
+    the inverse qft record. The Hadamards and the qft carry idle's
+    controls."""
+    regp = layout.reg("regp")
+    return CircuitOp(
+        fuse(hadamard_layer(layout, "regp")).controlled(*idle).gates
+        + (spectral_record(iterate, phases, regp),)
+        + iqft_op(*regp).controlled(*idle).gates, label="phase-stages")
 
 
 def flat_readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
@@ -429,13 +433,12 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
 
     The tail runs on the estimate's support, where the data and mirror
     registers hold |0>: a compact state of n + 1 + t + w qubits, [address,
-    b, phase, value], runs recover (its own op) and the un-estimate's phase
-    stages, the qft, the spectral record's inverse with +omega on e_0 and
-    -omega on e_b, and the Hadamards. The un-load L^-1 V is read through
-    its row 0: the clean row at value v is sum_j conj(x_jk)
-    compact[k, j, phase 0, v]. The fidelity and the clean digital state
-    come from that row. whole_state_readout is the reference this is
-    checked against."""
+    b, phase, value], runs recover (its own op) and the un-estimate, the
+    inverse of _phase_stages on that frame with +omega on e_0 and -omega on
+    e_b. The un-load L^-1 V is read through its row 0: the clean row at
+    value v is sum_j conj(x_jk) compact[k, j, phase 0, v]. The fidelity and
+    the clean digital state come from that row. whole_state_readout is the
+    reference this is checked against."""
     if n != tree.depth:
         raise ConfigError("n", f"tree has {tree.depth} address qubits, got n={n}")
     layout = readout_layout(variant, n, m, g)
@@ -450,7 +453,7 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     thetas = [spectrum(x).theta for x in true_values]
 
     fwd, iterate, phases, x = _estimate(layout, synthesize_ua(tree).op(start=n), variant,
-                                        clean_input=True)
+                                        _idle(layout))
     run_stages(state.amps, 0, [hadamard_layer(layout, "ad") + fwd])
 
     # phase-register statistics before anything is uncomputed, and the code
@@ -467,13 +470,8 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     compact = np.zeros(1 << (frame.n_qubits + codec.width), dtype=np.complex128)
     compact[:1 << frame.n_qubits].reshape(1 << t, 2, 1 << n)[...] = (
         state.amps.reshape(1 << t, 2, -1, 1 << n)[:, :, 0])
-    regp = frame.reg("regp")
     eigen = phases.reshape(2, -1, 1 << n)[:, 0].reshape(-1)  # +omega on e_0, -omega on e_b
-    # the Hadamards fused: on a compact state of 14 or more qubits one block
-    # record's passes beat t single-qubit ones, build included
-    unestimate = CircuitOp(
-        qft_op(*regp).gates + (spectral_record(iterate, eigen, regp).dagger(),)
-        + fuse(hadamard_layer(frame, "regp")).gates, label="un-estimate")
+    unestimate = _phase_stages(frame, iterate, eigen).inverse()
     run_stages(compact, frame.n_qubits, [recover, unestimate])
 
     # the un-load's row 0 at phase 0: <k, 0|L^-1 V|k, e_j> = conj(x[j, k])
@@ -525,16 +523,12 @@ def _code_distribution(joint: np.ndarray, table, width: int) -> np.ndarray:
 def _controlled_ua_count(gates) -> int:
     """Controlled-U applications: per spectral record (PE_CTRL_TAG), the
     loader entries (UA_ENTRY_TAG records) in its iterate times its count
-    2^t - 1, as the controlled powers it stands for would apply them. A
-    small spectral record is fused into a power record, so power records
-    are searched too."""
+    2^t - 1, as the controlled powers it stands for would apply them."""
     total = 0
     for gate in gates:
         if gate.tag == PE_CTRL_TAG:
             entries = sum(h.tag == UA_ENTRY_TAG for h in gate.params.iterate)
             total += gate.params.count * entries
-        elif gate.kind == "power":
-            total += _controlled_ua_count(gate.params.iterate)
     return total
 
 

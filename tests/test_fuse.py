@@ -1,12 +1,10 @@
 """Fused block records against the flat gate list they compile.
 
-circuits.fuse merges runs of gates, power records included, into power
-records whose block tables stay within 4^FUSE_QUBITS entries.
+circuits.fuse merges runs of gates into power records whose block tables
+stay within 4^FUSE_QUBITS entries.
 The flat CircuitOp stays the reference: every comparison applies both to
 the same state and asks for agreement to 1e-12.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,20 +70,17 @@ def records(draw, n):
 @st.composite
 def circuits_with_a_cascade(draw):
     """A random circuit on 5-8 qubits with a cascade in the middle: for
-    j < t, the records fuse makes of U, each run optionally controlled on
-    its own qubit above U's, as phase estimation lays out its controlled
-    copies of U. The cascade's power records are made before this fuse
-    call, so they are labelled apart from the records it makes."""
+    j < t, the gates of U, each copy optionally controlled on its own qubit
+    above U's, as phase estimation lays out its controlled copies of U."""
     n = draw(st.integers(5, 8))
     t = draw(st.integers(1, min(3, n - 4)))
     before = draw(st.lists(records(n), min_size=1, max_size=12))
     after = draw(st.lists(records(n), min_size=1, max_size=12))
-    unitary = CircuitOp(tuple(draw(st.lists(records(n - t), min_size=1, max_size=3))))
-    fused = [replace(p, label="cascade") if is_fused(p) else p for p in fuse(unitary).gates]
+    unitary = draw(st.lists(records(n - t), min_size=1, max_size=3))
     cascade = []
     for j in range(t):
         controls = ((n - t + j, draw(st.integers(0, 1))),) if draw(st.booleans()) else ()
-        cascade.extend(p.with_controls(controls) for p in fused)
+        cascade.extend(gate.with_controls(controls) for gate in unitary)
     return n, CircuitOp(tuple(before) + tuple(cascade) + tuple(after), label="random")
 
 
@@ -104,13 +99,11 @@ def is_fused(gate):
 
 
 def table_size(gates):
-    """keys + 2 * targets of the block table that would fuse gates: a
-    power record's first params.keys wires are read only as controls."""
+    """keys + 2 * targets of the block table that would fuse gates."""
     wires, ctrls = set(), set()
     for gate in gates:
-        k = gate.params.keys if gate.kind == "power" else 0
-        wires |= set(gate.wires[k:])
-        ctrls |= set(gate.wires[:k]) | {q for q, _ in gate.controls}
+        wires |= set(gate.wires)
+        ctrls |= {q for q, _ in gate.controls}
     return len(ctrls - wires) + 2 * len(wires)
 
 
@@ -119,12 +112,9 @@ def fits(gates):
 
 
 def unfuse(gates):
-    """The source gates of fused records, recursively; others as they are."""
+    """The source gates of fused records; others as they are."""
     for gate in gates:
-        if is_fused(gate):
-            yield from unfuse(gate.params.iterate)
-        else:
-            yield gate
+        yield from gate.params.iterate if is_fused(gate) else (gate,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,18 +134,15 @@ def test_fused_equals_flat(case, seed):
     runs = []
     for gate in fused.gates:
         if is_fused(gate):
-            # a fused run: within the table bound; a run that is one
-            # power record is that record, not a fused one
+            # a fused run, within the table bound
             table = gate.params
             assert fits(table.iterate)
             assert table.blocks.size <= 4**FUSE_QUBITS
-            assert not (len(table.iterate) == 1 and table.iterate[0].kind == "power")
             runs.append(list(table.iterate))
-        elif gate.kind == "qft" or not fits([gate]):
-            runs.append(None)  # passed through, closing the run before it
         else:
-            assert gate.kind == "power"  # a lone power record of the cascade
-            runs.append([gate])
+            # passed through, closing the run before it
+            assert gate.kind == "qft" or not fits([gate])
+            runs.append(None)
     # greedy: a run closes only where the next record's first gate would
     # break the bound
     for run, nxt in zip(runs, runs[1:]):
@@ -163,21 +150,17 @@ def test_fused_equals_flat(case, seed):
             assert not fits(run + nxt[:1])
 
 
-def test_fuse_passes_wide_gates_and_powers_through():
+def test_fuse_passes_wide_gates_through():
     wide = Gate("reflect", tuple(range(FUSE_QUBITS + 1)))  # 2 * 7 > 12
-    (power,) = fuse(CircuitOp((Gate("h", (0,)),))).gates
     x, z = Gate("x", (1,)), Gate("z", (2,))
-    op = CircuitOp((Gate("h", (0,)), wide, x, z, power))
+    op = CircuitOp((Gate("h", (0,)), wide, x, z))
     out = fuse(op).gates
-    # lone fitting gates become block records, wide records pass through,
-    # and a power record joins a run like any other gate
+    # lone fitting gates become block records, and wide records pass through
     assert [is_fused(gate) for gate in out] == [True, False, True]
     assert out[0].params.iterate == (op.gates[0],)
     assert out[0].params.blocks.shape == (1, 2, 2)
     assert out[1] is wide
-    assert out[2].params.iterate == (x, z, power)
-    # a run that is one power record stays that record
-    assert fuse(CircuitOp((power,))).gates[0] is power
+    assert out[2].params.iterate == (x, z)
     assert fuse(CircuitOp(())).gates == ()
 
 
@@ -242,21 +225,6 @@ def test_fused_record_keys_are_control_only_qubits():
     assert gate.params.keys == 1
     assert gate.params.blocks.shape == (2, 4, 4)
     assert gate.label == "fused"
-
-
-def test_a_power_record_keeps_its_key_wires_in_a_fused_run():
-    # U acts on qubit 2 under key qubit 1; its power record, controlled on
-    # qubit 3 once and on qubit 4 twice as in phase estimation, fuses with
-    # keys 1, 3 and 4
-    (power,) = fuse(CircuitOp((Gate("ry", (2,), (0.7,), controls=((1, 1),)),))).gates
-    assert power.params.keys == 1
-    cascade = [power.with_controls(((q, 1),)) for q in (3, 4, 4)]
-    op = CircuitOp((Gate("h", (0,)),) + tuple(cascade))
-    (gate,) = fuse(op).gates
-    assert gate.wires == (1, 3, 4, 0, 2)
-    assert gate.params.keys == 3
-    start = random_state(5, 1)
-    assert max_dev(fuse(op).apply(start), op.apply(start)) <= TOL
 
 
 def eigenbasis_records(gates):

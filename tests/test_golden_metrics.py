@@ -9,10 +9,12 @@ Regenerate the golden file only from code whose outputs are known good:
     PYTHONPATH=src python tests/test_golden_metrics.py
 
 It prints, per command whose bytes move, each moved top-level field and
-its largest absolute change, before it writes the file.
+its largest absolute change, before it writes the file. With --check it
+prints the same, writes nothing, and exits 1 if anything moved.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,14 +67,26 @@ def moved_fields(old: str, new: str) -> dict:
             for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)}
 
 
-if __name__ == "__main__":
+def main(argv) -> int:
+    check = argv == ["--check"]
+    if argv and not check:
+        print("usage: test_golden_metrics.py [--check]", file=sys.stderr)
+        return 2
     previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     current = {c: metrics_bytes(c) for c in COMMANDS}
-    for command, new in current.items():
+    moved = [c for c in current if previous.get(c) != current[c]]
+    for command in moved:
         if command not in previous:
             print(f"{command}: new entry")
-        elif previous[command] != new:
+        else:
             print(f"{command}:")
-            for field, change in moved_fields(previous[command], new).items():
+            for field, change in moved_fields(previous[command], current[command]).items():
                 print(f"  {field}: {change:.3g}")
+    if check:
+        return 1 if moved else 0
     GOLDEN.write_text(json.dumps(current, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

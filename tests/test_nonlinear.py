@@ -133,19 +133,14 @@ def test_sample_mode_needs_rng_and_tracks_probability():
     assert out.success
 
 
-@pytest.mark.parametrize("entry", ["transform", "perceptron"])
-def test_sample_mode_without_rng_is_refused_before_any_readout_block(monkeypatch, entry):
+def test_sample_mode_without_rng_is_refused_before_any_readout_block(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a readout block before checking the mode")
 
     monkeypatch.setattr(nonlinear, "readout_block", refuse)
     tree = build_tree(np.array([0.6, 0.8]))
     with pytest.raises(ConfigError, match="rng"):
-        if entry == "transform":
-            nonlinear_transform(tree, "square", 1, 3, 2, mode="sample")
-        else:
-            perceptron_run(tree, AnsatzCircuit(1, 1, np.zeros((1, 1, 2))), "tanh", 3, 2,
-                           mode="sample")
+        nonlinear_transform(tree, "square", 1, 3, 2, mode="sample")
 
 
 @pytest.mark.parametrize("bad", [dict(mode="sample", shots=0), dict(mode="sample", shots=-3),
@@ -238,7 +233,7 @@ def test_pipeline_honours_the_callers_cap(caps_checked, mode):
     assert caps_checked and set(caps_checked) == {10}
     caps_checked.clear()
     ansatz = AnsatzCircuit(1, 1, np.zeros((1, 1, 2)))
-    perceptron_run(tree, ansatz, "tanh", 2, 1, mode=mode, cap=10)
+    perceptron_run(tree, ansatz, "tanh", 2, 1, cap=10)
     assert caps_checked and set(caps_checked) == {10}
 
 

@@ -514,14 +514,8 @@ def test_run_qadc_honours_the_callers_cap(caps_checked, variant):
 
 
 def _pe_records(gates):
-    """Phase-estimation records in order, also where fused records hold them."""
-    out = []
-    for gate in gates:
-        if gate.tag == PE_CTRL_TAG:
-            out.append(gate)
-        elif gate.kind == "power":
-            out.extend(_pe_records(gate.params.iterate))
-    return out
+    """Phase-estimation records in order."""
+    return [gate for gate in gates if gate.tag == PE_CTRL_TAG]
 
 
 @pytest.mark.parametrize("n,m,g", [(1, 2, 1), (2, 3, 2)])
@@ -677,6 +671,29 @@ def test_support_restricted_block_differs_on_an_input_that_is_not_clean(
     amps /= np.linalg.norm(amps)
     whole = readout_block(prep, variant, n, m, g, out)
     assert np.linalg.norm(_run_block(ops, amps, nq) - _run_block(whole, amps, nq)) > 0.1
+
+
+@pytest.mark.parametrize("n,m,g", [(1, 1, 0), (1, 2, 1), (2, 2, 1), (2, 3, 2)])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_whole_state_block_is_the_clean_block_without_its_idle_controls(variant, n, m, g):
+    # one layout for both: record for record, the whole-state block is the
+    # clean one with the (q, 0) controls on data and mirror taken off
+    layout = readout_layout(variant, n, m, g)
+    prep = _loader(layout, _random_tree(n, 11 * n + m + g))
+    out = layout.n_qubits
+    idle = set(qadc._idle(layout))
+    clean = readout_block(prep, variant, n, m, g, out, clean_input=True)
+    whole = readout_block(prep, variant, n, m, g, out)
+    for clean_op, whole_op in zip(clean, whole, strict=True):
+        for c, w in zip(clean_op.gates, whole_op.gates, strict=True):
+            assert (c.kind, c.wires, c.tag) == (w.kind, w.wires, w.tag)
+            assert tuple(pair for pair in c.controls if pair not in idle) == w.controls
+            if c.kind == "power":
+                assert np.array_equal(c.params.blocks, w.params.blocks)
+            elif c.kind == "spectral":
+                assert np.array_equal(c.params.phases, w.params.phases)
+            else:
+                assert c.params == w.params
 
 
 @pytest.mark.parametrize("f,arity", [("tanh", 1), ("product", 2)])
