@@ -40,6 +40,7 @@ from .nonlinear import (
 )
 from .prep import build_tree, load_data, synthesize_ua
 from .qadc import (
+    _clear_shape_cache,
     flat_readout_block,
     part_spectrum,
     readout_block,
@@ -816,6 +817,9 @@ def oracle_suite(scope: str = "all") -> dict:
         bad = sorted(set(wanted) - set(known))
         if bad:
             raise ConfigError("scope", f"unknown checks {bad}; known: {known}")
+    # every check builds its records from the code as it is now, not from a
+    # shape an earlier readout in this process left built
+    _clear_shape_cache()
     rows = []
     for name, tol, fn in ORACLE_CHECKS:
         if name not in wanted:

@@ -397,12 +397,24 @@ def apply_multiplexed_ry(state: StateVector, key_reg, target: int, angles) -> St
 
 
 def _mass(view) -> float:
-    """Sum of |amplitude|^2 over a view, in index order, with one float
-    temporary the size of the view."""
-    # a 1-d C-order copy, so the sum runs in index order; reshape also makes
-    # the 0-d view of a 1-qubit branch an array that square can write into
-    p = np.abs(view).reshape(-1)
-    return float(np.sum(np.square(p, out=p)))
+    """Sum of |amplitude|^2 over a view, in index order, one CHUNK piece at
+    a time, so its float temporary is a piece, not the view.
+
+    The result is bitwise the whole view's np.sum: numpy sums a contiguous
+    float64 array pairwise, halving it down to blocks of at most 128, and
+    the view's pieces are CHUNK-sized and aligned halves of halves (every
+    axis has a power-of-two length), so adding the piece sums pairwise
+    walks the same tree."""
+    sums = []
+    for _, piece in _pieces(view, ()):
+        # a 1-d C-order copy, so each piece sums in index order; reshape
+        # also makes the 0-d view of a 1-qubit branch an array square can
+        # write into
+        p = np.abs(piece).reshape(-1)
+        sums.append(float(np.sum(np.square(p, out=p))))
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0]
 
 
 def postselect(state: StateVector, qubit: int, bit: int, *,

@@ -25,6 +25,16 @@ is applied. The uncompute stage is the estimate's structural inverse.
 flat_readout_block lays out the same block with textbook phase
 estimation, the reference it is checked against.
 
+Only the load L depends on the amplitudes, so each readout builds only
+L V^H (_load_stage) and the spectral record. The other records depend
+only on the readout's shape (layout, idle controls, variant, m, g,
+out_start): the fused phase Hadamards and their inverse, the qft and
+inverse qft records (_phase_register) and the recover oracle
+(_recover_stage). They are built once per shape, held in a fixed-size
+functools.lru_cache, and shared by every readout of that shape; their
+block tables are read-only. qadconv verify clears them first
+(_clear_shape_cache), so it checks what the current code builds.
+
 Per address the iterate turns L|k, 0> within one plane, so V^H L|k, 0>
 lies in span{e_0, e_b}: from L V^H until the un-load the data and mirror
 registers hold |0>, provided the block's input is |0> on every register
@@ -50,6 +60,7 @@ compact tail is checked against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -280,11 +291,13 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
     un-estimate's leading V^H. Both are left out, so the block is the same
     unitary as with textbook phase estimation, and every marginal over the
     address and the phase or value registers is unchanged at every stage.
-    Every block has the one layout of _estimate: L V^H fused into block
-    records (circuits.fuse), then _phase_stages; the un-estimate is the
-    estimate's structural inverse. The copy is self-inverse and the ops
+    Every block has the one layout: L V^H fused into block records
+    (circuits.fuse, _load_stage), then _phase_stages; the un-estimate is
+    the estimate's structural inverse. The copy is self-inverse and the ops
     around it mirror each other, so the block is its own inverse. prep is
-    the data-load circuit on the data register.
+    the data-load circuit on the data register. Only fuse(L V^H) and the
+    spectral record (and their inverses) are built per call; the phase
+    register's other records and recover are shared per shape.
 
     clean_input states a precondition: the block's input is |0> on every
     register but the address. Then V^H L|k, 0> lies in span{e_0, e_b} for
@@ -300,14 +313,16 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
 
     The whole-state block serves the nonlinear pipeline (a one-input f sets
     clean_input) and whole_state_readout, the reference run_qadc is checked
-    against. run_qadc itself takes only the clean estimate (_estimate) and
-    runs its tail on the compact support.
+    against. run_qadc itself takes only the clean estimate and runs its
+    tail on the compact support.
     """
     layout = readout_layout(variant, n, m, g)
     idle = _idle(layout) if clean_input else ()
-    fwd = _estimate(layout, prep, variant, idle)[0]
-    recover = _recover_stage(layout, variant, m, g, out_start).controlled(*idle)
-    return [fwd, recover, fwd.inverse()]
+    lvh, iterate, phases, _ = _load_stage(layout, prep, variant)
+    stages, unstages = _phase_stages(layout, iterate, phases, idle)
+    unload = lvh.inverse()
+    return [lvh + stages, _recover_stage(layout, variant, m, g, out_start, idle),
+            unstages.then(unload, unload.label)]
 
 
 def _idle(layout: RegisterLayout) -> tuple:
@@ -315,30 +330,52 @@ def _idle(layout: RegisterLayout) -> tuple:
     return tuple((q, 0) for q in (*layout.qubits("data"), *layout.qubits("a")))
 
 
-def _estimate(layout: RegisterLayout, prep: CircuitOp, variant: str,
-              idle: tuple) -> tuple[CircuitOp, CircuitOp, np.ndarray, np.ndarray]:
-    """readout_block's estimate op, fuse(L V^H) then _phase_stages, and
-    what run_qadc's compact tail reads besides: the readout iterate, its
-    eigenphases and x (readout_eigenbasis)."""
+def _load_stage(layout: RegisterLayout, prep: CircuitOp,
+                variant: str) -> tuple[CircuitOp, CircuitOp, np.ndarray, np.ndarray]:
+    """The records of a readout that depend on its data: L V^H fused into
+    block records, and what the phase stages and run_qadc's compact tail
+    read besides: the readout iterate, its eigenphases and x
+    (readout_eigenbasis)."""
     load = readout_load(layout, prep, variant)
     iterate = readout_iterate(layout, load)
     basis, phases, x = readout_eigenbasis(layout, load)
-    fwd = fuse(load + CircuitOp((basis,))) + _phase_stages(layout, iterate, phases, idle)
-    return fwd, iterate, phases, x
+    return fuse(load + CircuitOp((basis,))), iterate, phases, x
+
+
+# Readout records that depend on a readout's shape and never on its data are
+# built once per shape and shared by every readout of that shape (see
+# _phase_register and _recover_stage); each cache holds this many shapes.
+_SHAPES_HELD = 32
 
 
 def _phase_stages(layout: RegisterLayout, iterate: CircuitOp, phases,
-                  idle: tuple = ()) -> CircuitOp:
-    """Phase estimation of iterate on a state already in its eigenbasis:
-    the phase register's Hadamards fused, the spectral record with
-    eigenphases `phases` on the register just below the phase register, and
-    the inverse qft record. The Hadamards and the qft carry idle's
-    controls."""
-    regp = layout.reg("regp")
-    return CircuitOp(
-        fuse(hadamard_layer(layout, "regp")).controlled(*idle).gates
-        + (spectral_record(iterate, phases, regp),)
-        + iqft_op(*regp).controlled(*idle).gates, label="phase-stages")
+                  idle: tuple) -> tuple[CircuitOp, CircuitOp]:
+    """Phase estimation of iterate on a state already in its eigenbasis, and
+    its inverse: the phase register's Hadamards fused, the spectral record
+    with eigenphases `phases` on the register just below the phase
+    register, and the inverse qft record. The Hadamards and the qft carry
+    idle's controls. Only the spectral record depends on the data and is
+    built per call; the other records come from _phase_register, built
+    once per (layout, idle)."""
+    (hadamards, iqft), (qft, unhadamards) = _phase_register(layout, idle)
+    spectral = spectral_record(iterate, phases, layout.reg("regp"))
+    return (CircuitOp(hadamards + (spectral,) + iqft, label="phase-stages"),
+            CircuitOp(qft + (spectral.dagger(),) + unhadamards, label="phase-stages^-1"))
+
+
+@functools.lru_cache(maxsize=_SHAPES_HELD)
+def _phase_register(layout: RegisterLayout, idle: tuple) -> tuple[tuple, tuple]:
+    """The records _phase_stages puts around its spectral record, which
+    depend only on the layout and idle: ((Hadamards fused, inverse qft),
+    (qft, the Hadamards' inverse)), each carrying idle's controls. Built
+    once per (layout, idle) and shared, so their block tables are
+    read-only."""
+    hadamards = fuse(hadamard_layer(layout, "regp")).controlled(*idle)
+    iqft = iqft_op(*layout.reg("regp")).controlled(*idle)
+    unhadamards = hadamards.inverse()
+    for gate in hadamards.gates + unhadamards.gates:
+        gate.params.blocks.flags.writeable = False
+    return (hadamards.gates, iqft.gates), (iqft.inverse().gates, unhadamards.gates)
 
 
 def flat_readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
@@ -350,13 +387,16 @@ def flat_readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
     layout = readout_layout(variant, n, m, g)
     load = readout_load(layout, prep, variant)
     fwd = load + phase_estimate_op(readout_iterate(layout, load), layout.reg("regp"))
-    return [fwd, _recover_stage(layout, variant, m, g, out_start), fwd.inverse()]
+    return [fwd, _recover_stage(layout, variant, m, g, out_start, ()), fwd.inverse()]
 
 
+@functools.lru_cache(maxsize=_SHAPES_HELD)
 def _recover_stage(layout: RegisterLayout, variant: str, m: int, g: int,
-                   out_start: int) -> CircuitOp:
+                   out_start: int, idle: tuple) -> CircuitOp:
     """The lookup oracle that copies the value recovered from the phase
-    register into the value register of fresh qubits at out_start."""
+    register into the value register of fresh qubits at out_start, with
+    idle's controls. It depends only on its arguments, so it is built once
+    per shape and shared; its table is a tuple."""
     recovery = abs_recovery_oracle if variant == "abs" else real_recovery_oracle
     oracle = recovery(m, guard_bits=g)
     width = oracle.out_codec.width
@@ -364,7 +404,14 @@ def _recover_stage(layout: RegisterLayout, variant: str, m: int, g: int,
     return CircuitOp(
         (Gate("oracle", wires, tuple(int(x) for x in oracle.table), label=oracle.name),),
         label="recover",
-    )
+    ).controlled(*idle)
+
+
+def _clear_shape_cache() -> None:
+    """Drop every record built once per shape, so that the next readouts
+    build theirs from the current code (qadconv verify starts this way)."""
+    _phase_register.cache_clear()
+    _recover_stage.cache_clear()
 
 
 def run_stages(amps: np.ndarray, live: int, ops) -> int:
@@ -426,10 +473,10 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
 
     The cap is checked at the readout's logical width, the layout plus the
     value register, but no state of that width is allocated. The address
-    Hadamards and the clean estimate (_estimate) run on a buffer of the
-    layout alone. The per-address code distribution is read off it: the
-    (address, phase) joint, pushed through the recovery table, which is
-    the (address, value) distribution of the final state.
+    Hadamards and the clean estimate (_load_stage, then _phase_stages) run
+    on a buffer of the layout alone. The per-address code distribution is
+    read off it: the (address, phase) joint, pushed through the recovery
+    table, which is the (address, value) distribution of the final state.
 
     The tail runs on the estimate's support, where the data and mirror
     registers hold |0>: a compact state of n + 1 + t + w qubits, [address,
@@ -452,8 +499,8 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     spectrum = spectrum_oracle if variant == "abs" else part_spectrum
     thetas = [spectrum(x).theta for x in true_values]
 
-    fwd, iterate, phases, x = _estimate(layout, synthesize_ua(tree).op(start=n), variant,
-                                        _idle(layout))
+    lvh, iterate, phases, x = _load_stage(layout, synthesize_ua(tree).op(start=n), variant)
+    fwd = lvh + _phase_stages(layout, iterate, phases, _idle(layout))[0]
     run_stages(state.amps, 0, [hadamard_layer(layout, "ad") + fwd])
 
     # phase-register statistics before anything is uncomputed, and the code
@@ -462,7 +509,7 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     joint = joint.reshape(1 << n, 1 << t)
     phase_success = _phase_success(joint, thetas, t, m)
     frame = RegisterLayout.build(("ad", n), ("b", 1), ("regp", t))
-    recover = _recover_stage(frame, variant, m, g, frame.n_qubits)
+    recover = _recover_stage(frame, variant, m, g, frame.n_qubits, ())
     codes = _code_distribution(joint, recover.gates[0].params, codec.width)
 
     # the support, [address, b, phase] with the other targets 0, as the
@@ -471,7 +518,7 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     compact[:1 << frame.n_qubits].reshape(1 << t, 2, 1 << n)[...] = (
         state.amps.reshape(1 << t, 2, -1, 1 << n)[:, :, 0])
     eigen = phases.reshape(2, -1, 1 << n)[:, 0].reshape(-1)  # +omega on e_0, -omega on e_b
-    unestimate = _phase_stages(frame, iterate, eigen).inverse()
+    unestimate = _phase_stages(frame, iterate, eigen, ())[1]
     run_stages(compact, frame.n_qubits, [recover, unestimate])
 
     # the un-load's row 0 at phase 0: <k, 0|L^-1 V|k, e_j> = conj(x[j, k])

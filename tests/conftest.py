@@ -1,6 +1,6 @@
 import pytest
 
-from qadconv import core
+from qadconv import core, qadc
 
 
 @pytest.fixture
@@ -15,3 +15,10 @@ def caps_checked(monkeypatch):
 
     monkeypatch.setattr(core, "check_qubit_cap", spy)
     return seen
+
+
+@pytest.fixture(autouse=True)
+def cold_readout_records():
+    """Each test starts with no readout records built, so that no result
+    depends on which tests ran before it in the process."""
+    qadc._clear_shape_cache()

@@ -195,6 +195,20 @@ def test_postselect_in_place_matches_the_copy(qubit, bit):
     assert owned.amps.tobytes() == kept.amps.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 3, 14, 17])
+def test_branch_mass_in_pieces_is_the_whole_branch_sum_bit_for_bit(n):
+    # the reference: one C-order float copy of the whole branch and one
+    # np.sum over it (numpy's pairwise order); 17 qubits is 8 CHUNK pieces
+    rng = np.random.default_rng(n)
+    amps = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)) * rng.exponential(
+        size=1 << n)
+    for qubit in range(n):
+        for bit in (0, 1):
+            branch, _ = core._view(amps, n, ((qubit, bit),))
+            whole = np.abs(branch).reshape(-1)
+            assert core._mass(branch) == float(np.sum(np.square(whole, out=whole)))
+
+
 @pytest.mark.parametrize("bit,p", [(0, 0.36), (1, 0.64)])
 def test_postselect_on_a_one_qubit_state(bit, p):
     # the branch view of a 1-qubit state is 0-d

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from qadconv import cli
+from qadconv import cli, qadc
 
 GOLDEN = Path(__file__).with_name("golden_metrics.json")
 
@@ -45,6 +45,17 @@ def metrics_bytes(command: str) -> str:
 def test_metrics_match_golden(command):
     golden = json.loads(GOLDEN.read_text())
     assert metrics_bytes(command) == golden[command]
+
+
+def test_metrics_match_golden_cold_and_warm():
+    # readout records are built once per shape and shared: every command
+    # gives the golden bytes with none built yet, and again with all of them
+    # built by the first pass
+    golden = json.loads(GOLDEN.read_text())
+    qadc._clear_shape_cache()
+    for rerun in ("cold", "warm"):
+        for command in COMMANDS:
+            assert metrics_bytes(command) == golden[command], (rerun, command)
 
 
 def largest_change(old, new) -> float:

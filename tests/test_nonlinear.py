@@ -502,15 +502,16 @@ def _unit_tree(n, seed):
 # Entry points whose largest state has 20 qubits (16 MiB). The pipelines
 # allocate that state once, at its final width, and run every stage and the
 # closing postselection in place on it; they hold the float marginal read
-# off the 19-qubit slice before the ancilla joins (a quarter). run_qadc
-# allocates no state of that width: a 14-qubit estimate buffer and an
-# 18-qubit compact tail (a quarter), 0.31 states in all.
+# off the 19-qubit slice before the ancilla joins (a quarter), and the
+# postselection sums the kept branch's mass in pieces (1.07 states
+# measured). run_qadc allocates no state of that width: a 14-qubit estimate
+# buffer and an 18-qubit compact tail (a quarter), 0.31 states in all.
 STATE_BYTES = 16 << 20
 MEMORY_CASES = {
     "run_qadc": (0.33, lambda: run_qadc(_unit_tree(2, 0), "real", 2, m=5, g=4)),
     "nonlinear_transform": (
-        1.35, lambda: nonlinear_transform(_unit_tree(3, 1), "tanh", 3, m=4, g=3)),
-    "perceptron_run": (1.35, lambda: perceptron_run(
+        1.12, lambda: nonlinear_transform(_unit_tree(3, 1), "tanh", 3, m=4, g=3)),
+    "perceptron_run": (1.12, lambda: perceptron_run(
         _unit_tree(3, 1), AnsatzCircuit(3, 2, np.full((2, 3, 2), 0.3)), "tanh", m=4, g=3)),
 }
 

@@ -1,6 +1,8 @@
 """Amplitude readout circuits: spectral blocks, full conversions, uncompute."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -812,3 +814,160 @@ def test_phase_register_returns_to_zero_up_to_the_unclean_mass(variant, shape, s
     layout = readout_layout(variant, n, m, g)
     off_zero = 1.0 - core.register_distribution(state, [layout.reg("regp")])[0]
     assert off_zero <= 1.0 - res.clean_probability + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Records built once per shape.
+
+SHAPES = [(1, 1, 0), (1, 2, 1), (2, 3, 2)]
+
+
+def _assert_same_record(a, b):
+    """Two records equal field by field, every table under np.array_equal
+    (with its dtype), the iterate of a power or spectral record too."""
+    assert (a.kind, a.wires, a.controls, a.tag, a.label) == (b.kind, b.wires, b.controls,
+                                                             b.tag, b.label)
+    if a.kind in ("power", "spectral"):
+        assert len(a.params.iterate) == len(b.params.iterate)
+        for x, y in zip(a.params.iterate, b.params.iterate):
+            _assert_same_record(x, y)
+    if a.kind == "power":
+        assert a.params.keys == b.params.keys
+        assert a.params.blocks.dtype == b.params.blocks.dtype
+        assert np.array_equal(a.params.blocks, b.params.blocks)
+    elif a.kind == "spectral":
+        assert a.params.count == b.params.count
+        assert np.array_equal(a.params.phases, b.params.phases)
+    elif a.kind == "eigenbasis":
+        assert (a.params.keys, a.params.mix_first) == (b.params.keys, b.params.mix_first)
+        assert np.array_equal(a.params.vectors, b.params.vectors)
+        assert np.array_equal(a.params.mix, b.params.mix)
+    else:
+        assert a.params == b.params
+
+
+def _hadamard_records(op):
+    """The fused phase-register Hadamards among op's records."""
+    return [gate for gate in op.gates
+            if gate.kind == "power" and all(h.kind == "h" for h in gate.params.iterate)]
+
+
+@pytest.mark.parametrize("clean_input", [False, True], ids=["whole", "clean"])
+@pytest.mark.parametrize("n,m,g", SHAPES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_warm_block_is_the_cold_block_bit_for_bit(variant, n, m, g, clean_input):
+    layout = readout_layout(variant, n, m, g)
+    prep = _loader(layout, _random_tree(n, 7 * n + m + g))
+    args = (prep, variant, n, m, g, layout.n_qubits)
+    qadc._clear_shape_cache()
+    cold = readout_block(*args, clean_input=clean_input)
+    hits = qadc._phase_register.cache_info().hits + qadc._recover_stage.cache_info().hits
+    warm = readout_block(*args, clean_input=clean_input)
+    # the warm block took its phase register and recover records from the cache
+    assert qadc._phase_register.cache_info().hits + qadc._recover_stage.cache_info().hits \
+        == hits + 2
+    for cold_op, warm_op in zip(cold, warm, strict=True):
+        assert cold_op.label == warm_op.label
+        for a, b in zip(cold_op.gates, warm_op.gates, strict=True):
+            _assert_same_record(a, b)
+
+
+@pytest.mark.parametrize("n,m,g", SHAPES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_warm_readout_is_the_cold_readout_bit_for_bit(variant, n, m, g):
+    tree = _random_tree(n, 5 * n + m + g)
+    qadc._clear_shape_cache()
+    cold = run_qadc(tree, variant, n, m, g)
+    warm = run_qadc(tree, variant, n, m, g)
+    for field in cold.__dataclass_fields__:
+        a, b = getattr(cold, field), getattr(warm, field)
+        if isinstance(a, core.StateVector):
+            assert a.n_qubits == b.n_qubits
+            a, b = a.amps, b.amps
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+        else:
+            assert a == b, field
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_clean_and_whole_state_blocks_share_no_hadamard_record(variant):
+    layout = readout_layout(variant, 2, 3, 2)
+    prep = _loader(layout, _random_tree(2, 3))
+    args = (prep, variant, 2, 3, 2, layout.n_qubits)
+    clean = readout_block(*args, clean_input=True)
+    whole = readout_block(*args)
+    clean_h = _hadamard_records(clean[0]) + _hadamard_records(clean[2])
+    whole_h = _hadamard_records(whole[0]) + _hadamard_records(whole[2])
+    assert clean_h and whole_h
+    assert not {id(gate) for gate in clean_h} & {id(gate) for gate in whole_h}
+    idle = set(qadc._idle(layout))
+    assert all(idle <= set(gate.controls) for gate in clean_h)
+    assert all(not gate.controls for gate in whole_h)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_two_value_registers_get_two_recover_records(variant):
+    layout = readout_layout(variant, 1, 2, 1)
+    prep = _loader(layout, _random_tree(1, 4))
+    out = layout.n_qubits
+    low = readout_block(prep, variant, 1, 2, 1, out)[1].gates[0]
+    high = readout_block(prep, variant, 1, 2, 1, out + 3)[1].gates[0]
+    width = 2 if variant == "abs" else 3
+    assert low.wires[-width:] == tuple(range(out, out + width))
+    assert high.wires[-width:] == tuple(range(out + 3, out + 3 + width))
+    assert low.params == high.params
+
+
+@pytest.mark.parametrize("clean_input", [False, True], ids=["whole", "clean"])
+def test_a_shared_table_cannot_be_written(clean_input):
+    layout = readout_layout("real", 2, 3, 2)
+    prep = _loader(layout, _random_tree(2, 8))
+    fwd, _, back = readout_block(prep, "real", 2, 3, 2, layout.n_qubits,
+                                 clean_input=clean_input)
+    shared = _hadamard_records(fwd) + _hadamard_records(back)
+    assert len(shared) == 2
+    for gate in shared:
+        with pytest.raises(ValueError):
+            gate.params.blocks[0, 0, 0] = 0.0
+    # what each op builds afresh stays the caller's
+    (own,) = [gate for gate in fwd.gates if gate.kind == "spectral"]
+    assert own.params.phases.flags.writeable
+
+
+def test_the_shape_caches_stay_within_their_size():
+    held = qadc._SHAPES_HELD
+    layout = readout_layout("abs", 1, 1, 0)
+    prep = _loader(layout, _random_tree(1, 2))
+    for out in range(layout.n_qubits, layout.n_qubits + held + 3):
+        readout_block(prep, "abs", 1, 1, 0, out)
+    assert qadc._recover_stage.cache_info().currsize == held
+    # a layout is fixed by the variant's mirror, n and m + g
+    layouts = {readout_layout(variant, n, t, 0)
+               for variant in ("abs", "real") for n in (1, 2, 3) for t in range(1, 7)}
+    assert len(layouts) > held
+    for layout in layouts:
+        qadc._phase_register(layout, ())
+    assert qadc._phase_register.cache_info().currsize == held
+    assert qadc._phase_register.cache_info().maxsize == held
+
+
+def test_readouts_on_many_threads_share_the_records_safely():
+    # the CLI's sweeps run readouts on a thread pool, and every thread reads
+    # and fills the one cache; a short switch interval interleaves them
+    shapes = [(variant, 1, m, g) for variant in VARIANTS for m, g in ((1, 0), (2, 1))]
+    trees = [_random_tree(1, 30 + i) for i in range(len(shapes))]
+    want = [run_qadc(tree, *shape).digital_state.amps for tree, shape in zip(trees, shapes)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            qadc._clear_shape_cache()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run_qadc, tree, *shape)
+                           for tree, shape in zip(trees, shapes) for _ in range(2)]
+                got = [future.result(timeout=60).digital_state.amps for future in futures]
+            twice = [amps for amps in want for _ in range(2)]
+            assert all(np.array_equal(a, b) for a, b in zip(got, twice, strict=True))
+    finally:
+        sys.setswitchinterval(old)
