@@ -173,17 +173,17 @@ def _view(amps, n, controls=(), regs=()):
 CHUNK = 1 << 13
 
 
-def _pieces(view, whole, cut=()):
+def _pieces(view, whole, cut=(), chunk=None):
     """view, its axes reordered to whole + cut + the others, in pieces of
-    at most CHUNK amplitudes (or of the whole axes alone, where those hold
-    more): the trailing axes are batched, the one where the budget runs out
-    is sliced and those before it are walked one position at a time.
-    Yields each piece's slices over the axes after the whole ones, and the
-    piece."""
+    at most chunk (default CHUNK) amplitudes (or of the whole axes alone,
+    where those hold more): the trailing axes are batched, the one where
+    the budget runs out is sliced and those before it are walked one
+    position at a time. Yields each piece's slices over the axes after the
+    whole ones, and the piece."""
     rest = [a for a in range(view.ndim) if a not in whole and a not in cut]
     view = view.transpose((*whole, *cut, *rest))
     shape = view.shape[len(whole):]
-    budget = max(1, CHUNK // math.prod(view.shape[:len(whole)]))
+    budget = max(1, (chunk or CHUNK) // math.prod(view.shape[:len(whole)]))
     j, size = len(shape), 1
     while j and size * shape[j - 1] <= budget:
         j -= 1
@@ -396,17 +396,22 @@ def apply_multiplexed_ry(state: StateVector, key_reg, target: int, angles) -> St
     return StateVector(state.n_qubits, amps)
 
 
+# Amplitudes per piece in _mass: a 256 KiB float temporary, large enough
+# that the loop over pieces costs no more than one whole-view pass.
+_MASS_PIECE = 1 << 15
+
+
 def _mass(view) -> float:
-    """Sum of |amplitude|^2 over a view, in index order, one CHUNK piece at
-    a time, so its float temporary is a piece, not the view.
+    """Sum of |amplitude|^2 over a view, in index order, one _MASS_PIECE
+    piece at a time, so its float temporary is a piece, not the view.
 
     The result is bitwise the whole view's np.sum: numpy sums a contiguous
     float64 array pairwise, halving it down to blocks of at most 128, and
-    the view's pieces are CHUNK-sized and aligned halves of halves (every
-    axis has a power-of-two length), so adding the piece sums pairwise
-    walks the same tree."""
+    the view's pieces are aligned halves of halves of at least 128
+    amplitudes (every axis has a power-of-two length), so adding the piece
+    sums pairwise walks the same tree."""
     sums = []
-    for _, piece in _pieces(view, ()):
+    for _, piece in _pieces(view, (), chunk=_MASS_PIECE):
         # a 1-d C-order copy, so each piece sums in index order; reshape
         # also makes the 0-d view of a 1-qubit branch an array square can
         # write into

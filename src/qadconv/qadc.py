@@ -26,14 +26,16 @@ flat_readout_block lays out the same block with textbook phase
 estimation, the reference it is checked against.
 
 Only the load L depends on the amplitudes, so each readout builds only
-L V^H (_load_stage) and the spectral record. The other records depend
-only on the readout's shape (layout, idle controls, variant, m, g,
-out_start): the fused phase Hadamards and their inverse, the qft and
-inverse qft records (_phase_register) and the recover oracle
-(_recover_stage). They are built once per shape, held in a fixed-size
-functools.lru_cache, and shared by every readout of that shape; their
-block tables are read-only. qadconv verify clears them first
-(_clear_shape_cache), so it checks what the current code builds.
+L V^H (_load_stage), the spectral record and the un-estimate, the
+estimate's inverse. The other records depend only on the readout's
+shape (layout, idle controls, variant, m, g, out_start): the fused phase
+Hadamards and the inverse qft record (_phase_register) and the recover
+oracle (_recover_stage). They are built once per shape, held in a
+fixed-size functools.lru_cache, and shared by every readout of that
+shape; their block tables are read-only, and so is the un-estimate's
+inverse Hadamard table, a view of the shared one. qadconv verify clears
+them first (_clear_shape_cache), so it checks what the current code
+builds.
 
 Per address the iterate turns L|k, 0> within one plane, so V^H L|k, 0>
 lies in span{e_0, e_b}: from L V^H until the un-load the data and mirror
@@ -295,8 +297,8 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
     (circuits.fuse, _load_stage), then _phase_stages; the un-estimate is
     the estimate's structural inverse. The copy is self-inverse and the ops
     around it mirror each other, so the block is its own inverse. prep is
-    the data-load circuit on the data register. Only fuse(L V^H) and the
-    spectral record (and their inverses) are built per call; the phase
+    the data-load circuit on the data register. Only fuse(L V^H), the
+    spectral record and the un-estimate are built per call; the phase
     register's other records and recover are shared per shape.
 
     clean_input states a precondition: the block's input is |0> on every
@@ -319,10 +321,8 @@ def readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
     layout = readout_layout(variant, n, m, g)
     idle = _idle(layout) if clean_input else ()
     lvh, iterate, phases, _ = _load_stage(layout, prep, variant)
-    stages, unstages = _phase_stages(layout, iterate, phases, idle)
-    unload = lvh.inverse()
-    return [lvh + stages, _recover_stage(layout, variant, m, g, out_start, idle),
-            unstages.then(unload, unload.label)]
+    fwd = lvh + _phase_stages(layout, iterate, phases, idle)
+    return [fwd, _recover_stage(layout, variant, m, g, out_start, idle), fwd.inverse()]
 
 
 def _idle(layout: RegisterLayout) -> tuple:
@@ -349,33 +349,30 @@ _SHAPES_HELD = 32
 
 
 def _phase_stages(layout: RegisterLayout, iterate: CircuitOp, phases,
-                  idle: tuple) -> tuple[CircuitOp, CircuitOp]:
-    """Phase estimation of iterate on a state already in its eigenbasis, and
-    its inverse: the phase register's Hadamards fused, the spectral record
-    with eigenphases `phases` on the register just below the phase
-    register, and the inverse qft record. The Hadamards and the qft carry
-    idle's controls. Only the spectral record depends on the data and is
-    built per call; the other records come from _phase_register, built
-    once per (layout, idle)."""
-    (hadamards, iqft), (qft, unhadamards) = _phase_register(layout, idle)
+                  idle: tuple = ()) -> CircuitOp:
+    """Phase estimation of iterate on a state already in its eigenbasis:
+    the phase register's Hadamards fused, the spectral record with
+    eigenphases `phases` on the register just below the phase register, and
+    the inverse qft record. The Hadamards and the qft carry idle's
+    controls. Only the spectral record depends on the data and is built
+    per call; the Hadamards and the inverse qft come from _phase_register,
+    built once per (layout, idle)."""
+    hadamards, iqft = _phase_register(layout, idle)
     spectral = spectral_record(iterate, phases, layout.reg("regp"))
-    return (CircuitOp(hadamards + (spectral,) + iqft, label="phase-stages"),
-            CircuitOp(qft + (spectral.dagger(),) + unhadamards, label="phase-stages^-1"))
+    return CircuitOp(hadamards + (spectral,) + iqft, label="phase-stages")
 
 
 @functools.lru_cache(maxsize=_SHAPES_HELD)
 def _phase_register(layout: RegisterLayout, idle: tuple) -> tuple[tuple, tuple]:
     """The records _phase_stages puts around its spectral record, which
-    depend only on the layout and idle: ((Hadamards fused, inverse qft),
-    (qft, the Hadamards' inverse)), each carrying idle's controls. Built
-    once per (layout, idle) and shared, so their block tables are
-    read-only."""
+    depend only on the layout and idle: the Hadamards fused and the inverse
+    qft, each carrying idle's controls. Built once per (layout, idle) and
+    shared, so the Hadamards' block table is read-only; so is its inverse,
+    a conjugate-transposed view of it."""
     hadamards = fuse(hadamard_layer(layout, "regp")).controlled(*idle)
-    iqft = iqft_op(*layout.reg("regp")).controlled(*idle)
-    unhadamards = hadamards.inverse()
-    for gate in hadamards.gates + unhadamards.gates:
+    for gate in hadamards.gates:
         gate.params.blocks.flags.writeable = False
-    return (hadamards.gates, iqft.gates), (iqft.inverse().gates, unhadamards.gates)
+    return hadamards.gates, iqft_op(*layout.reg("regp")).controlled(*idle).gates
 
 
 def flat_readout_block(prep: CircuitOp, variant: str, n: int, m: int, g: int,
@@ -500,7 +497,7 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     thetas = [spectrum(x).theta for x in true_values]
 
     lvh, iterate, phases, x = _load_stage(layout, synthesize_ua(tree).op(start=n), variant)
-    fwd = lvh + _phase_stages(layout, iterate, phases, _idle(layout))[0]
+    fwd = lvh + _phase_stages(layout, iterate, phases, _idle(layout))
     run_stages(state.amps, 0, [hadamard_layer(layout, "ad") + fwd])
 
     # phase-register statistics before anything is uncomputed, and the code
@@ -518,7 +515,7 @@ def run_qadc(tree: PrepTree, variant: str, n: int, m: int, g: int = 3,
     compact[:1 << frame.n_qubits].reshape(1 << t, 2, 1 << n)[...] = (
         state.amps.reshape(1 << t, 2, -1, 1 << n)[:, :, 0])
     eigen = phases.reshape(2, -1, 1 << n)[:, 0].reshape(-1)  # +omega on e_0, -omega on e_b
-    unestimate = _phase_stages(frame, iterate, eigen, ())[1]
+    unestimate = _phase_stages(frame, iterate, eigen).inverse()
     run_stages(compact, frame.n_qubits, [recover, unestimate])
 
     # the un-load's row 0 at phase 0: <k, 0|L^-1 V|k, e_j> = conj(x[j, k])

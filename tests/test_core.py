@@ -195,10 +195,13 @@ def test_postselect_in_place_matches_the_copy(qubit, bit):
     assert owned.amps.tobytes() == kept.amps.tobytes()
 
 
+@pytest.mark.parametrize("piece", [core._MASS_PIECE, 128])
 @pytest.mark.parametrize("n", [1, 3, 14, 17])
-def test_branch_mass_in_pieces_is_the_whole_branch_sum_bit_for_bit(n):
+def test_branch_mass_in_pieces_is_the_whole_branch_sum_bit_for_bit(n, piece, monkeypatch):
     # the reference: one C-order float copy of the whole branch and one
-    # np.sum over it (numpy's pairwise order); 17 qubits is 8 CHUNK pieces
+    # np.sum over it (numpy's pairwise order); a 17-qubit branch is 2
+    # _MASS_PIECE pieces or 512 of 128, the smallest that keeps the order
+    monkeypatch.setattr(core, "_MASS_PIECE", piece)
     rng = np.random.default_rng(n)
     amps = (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)) * rng.exponential(
         size=1 << n)
